@@ -10,7 +10,7 @@ use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
 use imufit_missions::all_missions;
 use imufit_sensors::{GpsSample, ImuSample, ImuSpec};
-use imufit_uav::{BatchSimulator, FlightSimulator, SimConfig};
+use imufit_uav::{FlightSimulator, SimConfig};
 
 fn bench_dynamics_step(c: &mut Criterion) {
     let mut quad = Quadrotor::new(QuadrotorParams::default_airframe());
@@ -110,64 +110,26 @@ fn bench_sim_step(c: &mut Criterion) {
     });
 }
 
-/// The batched tick at 1, 4, and 8 lanes: `sim/batch_step{N}` measures one
-/// `step_all` call (N lane-ticks), so per-lane cost is `median / N` and is
-/// compared directly against `sim/closed_loop_step`.
-fn bench_batch_step(c: &mut Criterion) {
-    let missions = all_missions();
-    let mission = &missions[0];
-    for lanes in [1usize, 4, 8] {
-        let mut batch = BatchSimulator::new();
-        for lane in 0..lanes {
-            // Distinct seeds keep the lanes from pathologically sharing
-            // every branch; all fly the same mission airborne.
-            let mut sim = FlightSimulator::new(
-                mission,
-                Vec::new(),
-                SimConfig::default_for(mission, 1 + lane as u64),
-            );
-            for _ in 0..5000 {
-                sim.step();
-            }
-            batch.load(sim);
-        }
-        c.bench_function(&format!("sim/batch_step{lanes}"), |b| {
-            b.iter(|| {
-                batch.step_all();
-                black_box(batch.running_lanes())
-            })
-        });
-    }
-}
-
-/// The tick-stage profiler's cost at the batch-4 pipeline: the same
-/// warmed-up batch stepped with the profiler disarmed
-/// (`sim/unprofiled_tick`) and armed at the default 1-in-64 sampling
-/// period (`sim/profiled_tick`). The ratio of the two medians is the
-/// profiler overhead `bench_summary --gate` holds under 2%.
+/// The tick-stage profiler's cost: the same warmed-up vehicle stepped
+/// with the profiler disarmed (`sim/unprofiled_tick`) and armed at the
+/// default 1-in-64 sampling period (`sim/profiled_tick`). The ratio of the
+/// two medians is the profiler overhead `bench_summary --gate` holds under
+/// 2%.
 fn bench_profiled_tick(c: &mut Criterion) {
     use imufit_obs::profile;
 
     let missions = all_missions();
     let mission = &missions[0];
-    let mut batch = BatchSimulator::new();
-    for lane in 0..4 {
-        let mut sim = FlightSimulator::new(
-            mission,
-            Vec::new(),
-            SimConfig::default_for(mission, 1 + lane as u64),
-        );
-        for _ in 0..5000 {
-            sim.step();
-        }
-        batch.load(sim);
+    let mut sim = FlightSimulator::new(mission, Vec::new(), SimConfig::default_for(mission, 1));
+    for _ in 0..5000 {
+        sim.step();
     }
 
     profile::set_enabled(false);
     c.bench_function("sim/unprofiled_tick", |b| {
         b.iter(|| {
-            batch.step_all();
-            black_box(batch.running_lanes())
+            sim.step();
+            black_box(sim.time())
         })
     });
 
@@ -176,8 +138,8 @@ fn bench_profiled_tick(c: &mut Criterion) {
     profile::set_enabled(true);
     c.bench_function("sim/profiled_tick", |b| {
         b.iter(|| {
-            batch.step_all();
-            black_box(batch.running_lanes())
+            sim.step();
+            black_box(sim.time())
         })
     });
     profile::set_enabled(false);
@@ -207,8 +169,7 @@ fn bench_span_record(c: &mut Criterion) {
 }
 
 /// Whole-run throughput: one short fault-to-crash experiment per
-/// iteration through the campaign's scalar isolated harness. This is the
-/// denominator the batched dispatch is judged against
+/// iteration through the campaign's isolated harness
 /// (`campaign/runs_per_sec` in BENCH_campaign.json is derived from it).
 fn bench_campaign_run(c: &mut Criterion) {
     use imufit_core::{Campaign, CampaignConfig};
@@ -408,7 +369,6 @@ criterion_group!(
     bench_injector,
     bench_controller,
     bench_sim_step,
-    bench_batch_step,
     bench_profiled_tick,
     bench_span_record,
     bench_campaign_run,

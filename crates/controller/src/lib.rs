@@ -29,7 +29,6 @@
 //! ```
 
 pub mod attitude;
-pub mod batch;
 pub mod failsafe;
 pub mod mitigation;
 pub mod mixer;
@@ -125,7 +124,7 @@ pub enum FlightMode {
 }
 
 /// One control tick's output.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ControlOutput {
     /// Normalized rotor throttles.
     pub throttles: [f64; 4],

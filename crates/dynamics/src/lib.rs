@@ -24,7 +24,6 @@
 //! assert!(quad.state().velocity.norm() < 0.5);
 //! ```
 
-pub mod batch;
 pub mod environment;
 pub mod ground;
 pub mod quadrotor;

@@ -34,7 +34,6 @@
 //! ```
 
 pub mod backend;
-pub mod batch;
 pub mod complementary;
 pub mod ekf;
 pub mod health;

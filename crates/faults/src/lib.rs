@@ -49,7 +49,6 @@
 //! ```
 
 pub mod attack;
-pub mod batch;
 pub mod catalog;
 pub mod injector;
 pub mod kind;

@@ -17,11 +17,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
-use imufit_core::{Campaign, CampaignConfig, ExperimentSpec};
+use imufit_core::{Campaign, CampaignConfig};
 use imufit_math::rng::Pcg;
 use imufit_obs::profile;
 use imufit_scenario::ScenarioSpec;
-use imufit_uav::BatchSimulator;
 
 use crate::protocol::{encode_msg, read_msg, write_msg, ExecReport, FleetError, FleetMsg};
 
@@ -72,10 +71,10 @@ fn connect_with_backoff(addr: SocketAddr, worker_id: u32) -> Result<TcpStream, F
 }
 
 /// Execution accounting for one assigned unit: wall-clock plus the tick
-/// profiler's per-stage self-time delta over the unit's window. Under the
-/// batched loop several lanes share ticks, so stage deltas are a
-/// statistical attribution, not an exact per-unit split — which is all the
-/// span journal's profiler columns claim to be.
+/// profiler's per-stage self-time delta over the unit's window. The
+/// profiler samples ticks, so stage deltas are a statistical attribution,
+/// not an exact split — which is all the span journal's profiler columns
+/// claim to be.
 struct ExecWindow {
     started: Instant,
     stage_base: [u64; profile::STAGE_COUNT],
@@ -131,26 +130,15 @@ fn flaky_unit_should_drop(unit: u32) -> bool {
     target == Some(unit) && !TRIPPED.swap(true, Ordering::SeqCst)
 }
 
-/// The campaign context a worker rebuilds from the coordinator's
-/// `Welcome` message.
-struct WorkerContext {
-    config: CampaignConfig,
+/// What a `Welcome` sets up for the session: the lease timeout, and in the
+/// classic one-campaign mode the campaign itself (`None` in pool mode,
+/// where scenarios arrive inline with the first `Assign` of each campaign).
+struct Session {
+    one_shot: Option<CampaignConfig>,
     lease_timeout: Duration,
 }
 
-/// A batched lane's in-flight bookkeeping: the coordinator unit flying
-/// in it, its spec, trace span, campaign id, and execution window.
-type LaneUnit = (u32, ExperimentSpec, u64, u32, ExecWindow);
-
-/// What a `Welcome` put this session into: the classic one-campaign mode
-/// (scenario arrives in the handshake) or pool mode (scenarios arrive
-/// inline with the first `Assign` of each campaign).
-enum SessionMode {
-    OneShot(Box<WorkerContext>),
-    Pool { lease_timeout: Duration },
-}
-
-fn mode_from_welcome(msg: &FleetMsg) -> Result<SessionMode, FleetError> {
+fn session_from_welcome(msg: &FleetMsg) -> Result<Session, FleetError> {
     let (spec_toml, trace_dir, lease_timeout_s) = match msg {
         FleetMsg::Welcome {
             spec_toml,
@@ -161,7 +149,10 @@ fn mode_from_welcome(msg: &FleetMsg) -> Result<SessionMode, FleetError> {
     };
     let lease_timeout = Duration::from_secs_f64(lease_timeout_s.max(0.001));
     let Some(spec_toml) = spec_toml else {
-        return Ok(SessionMode::Pool { lease_timeout });
+        return Ok(Session {
+            one_shot: None,
+            lease_timeout,
+        });
     };
     let spec = ScenarioSpec::from_toml(spec_toml)
         .map_err(|e| FleetError::Io(format!("coordinator sent invalid scenario: {e}")))?;
@@ -171,10 +162,10 @@ fn mode_from_welcome(msg: &FleetMsg) -> Result<SessionMode, FleetError> {
         let _ = std::fs::create_dir_all(&dir);
         config.trace_dir = Some(dir);
     }
-    Ok(SessionMode::OneShot(Box::new(WorkerContext {
-        config,
+    Ok(Session {
+        one_shot: Some(config),
         lease_timeout,
-    })))
+    })
 }
 
 /// Runs a worker against the coordinator at `addr` until the campaign
@@ -209,11 +200,10 @@ pub fn run_worker(addr: SocketAddr, worker_id: u32) -> Result<WorkerExit, FleetE
 fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, FleetError> {
     write_msg(&mut stream, &FleetMsg::Hello { worker_id })?;
     let (welcome, _) = read_msg(&mut stream)?;
-    let mode = mode_from_welcome(&welcome)?;
-    let lease_timeout = match &mode {
-        SessionMode::OneShot(ctx) => ctx.lease_timeout,
-        SessionMode::Pool { lease_timeout } => *lease_timeout,
-    };
+    let Session {
+        one_shot,
+        lease_timeout,
+    } = session_from_welcome(&welcome)?;
 
     // Heartbeats ride a cloned handle so a long experiment doesn't let
     // the lease lapse. The writer mutex keeps heartbeat frames from
@@ -251,13 +241,7 @@ fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, Fl
         })
     };
 
-    let result = match &mode {
-        SessionMode::Pool { .. } => pooled_work_loop(&mut stream, &writer),
-        SessionMode::OneShot(ctx) if Campaign::uses_batch_dispatch(&ctx.config) => {
-            batched_work_loop(ctx, &mut stream, &writer)
-        }
-        SessionMode::OneShot(ctx) => scalar_work_loop(ctx, &mut stream, &writer),
-    };
+    let result = work_loop(one_shot.as_ref(), &mut stream, &writer);
 
     stop.store(true, Ordering::SeqCst);
     let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -265,65 +249,13 @@ fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, Fl
     result
 }
 
-/// The classic one-run-at-a-time work loop: request, fly, report.
-fn scalar_work_loop(
-    ctx: &WorkerContext,
-    stream: &mut TcpStream,
-    writer: &Arc<Mutex<TcpStream>>,
-) -> Result<WorkerExit, FleetError> {
-    // Vehicle slot recycled across units, exactly like the in-process
-    // worker threads in `Campaign::run_specs_with_progress`.
-    let mut vehicle = None;
-    loop {
-        {
-            let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-            write_msg(&mut *w, &FleetMsg::Request)?;
-        }
-        match read_msg(stream)? {
-            (
-                FleetMsg::Assign {
-                    unit,
-                    spec,
-                    span,
-                    campaign,
-                    ..
-                },
-                _,
-            ) => {
-                if flaky_unit_should_drop(unit) {
-                    return Err(FleetError::Io("flaky-unit test hook tripped".into()));
-                }
-                let window = ExecWindow::open();
-                let record =
-                    Campaign::run_experiment_isolated_into(&ctx.config, spec, &mut vehicle);
-                let exec = window.close(ticks_for(&ctx.config, record.flight_duration));
-                let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                write_msg(
-                    &mut *w,
-                    &FleetMsg::Result {
-                        unit,
-                        record,
-                        span,
-                        exec,
-                        campaign,
-                    },
-                )?;
-            }
-            (FleetMsg::NoWork, _) => {
-                // Other workers hold the remaining leases; poll gently.
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            (FleetMsg::Done, _) => return Ok(WorkerExit::CampaignComplete),
-            _ => return Err(FleetError::Malformed("unexpected message in work loop")),
-        }
-    }
-}
-
-/// The pool-mode work loop: like the scalar loop, but each `Assign`
-/// carries a campaign id, the first assignment from a campaign brings its
-/// scenario inline, and results echo the id so unit indices stay
-/// campaign-local. Runs until the pool says `Done` (shutdown).
-fn pooled_work_loop(
+/// The work loop: request, fly, report, one run at a time, until the
+/// coordinator says `Done`. A one-shot session flies every unit under
+/// `one_shot`. In pool mode each `Assign` carries a campaign id, the first
+/// assignment from a campaign brings its scenario inline, and results echo
+/// the id so unit indices stay campaign-local.
+fn work_loop(
+    one_shot: Option<&CampaignConfig>,
     stream: &mut TcpStream,
     writer: &Arc<Mutex<TcpStream>>,
 ) -> Result<WorkerExit, FleetError> {
@@ -331,9 +263,11 @@ fn pooled_work_loop(
     // on the first assignment to this connection, so the cache is load-
     // bearing, not an optimisation.
     let mut contexts: HashMap<u32, CampaignConfig> = HashMap::new();
-    // The vehicle slot is safe to recycle across campaigns: `build_into`
-    // rebuilds the vehicle from the unit's own mission/seed every run, so
-    // records can never depend on which campaign flew the slot last.
+    // Vehicle slot recycled across units, exactly like the in-process
+    // worker threads in `Campaign::run_specs_with_progress`. Recycling is
+    // safe across campaigns too: `build_into` rebuilds the vehicle from the
+    // unit's own mission/seed every run, so records can never depend on
+    // which campaign flew the slot last.
     let mut vehicle = None;
     loop {
         {
@@ -357,8 +291,8 @@ fn pooled_work_loop(
                         .map_err(|e| FleetError::Io(format!("pool sent invalid scenario: {e}")))?;
                     contexts.insert(campaign, CampaignConfig::from_scenario(&scenario));
                 }
-                let config = contexts
-                    .get(&campaign)
+                let config = one_shot
+                    .or_else(|| contexts.get(&campaign))
                     .ok_or(FleetError::Malformed("assign for unknown campaign"))?;
                 if flaky_unit_should_drop(unit) {
                     return Err(FleetError::Io("flaky-unit test hook tripped".into()));
@@ -379,134 +313,12 @@ fn pooled_work_loop(
                 )?;
             }
             (FleetMsg::NoWork, _) => {
-                // The pool may be idle between campaigns; poll gently.
+                // Other workers hold the remaining leases, or the pool is
+                // idle between campaigns; poll gently.
                 std::thread::sleep(Duration::from_millis(50));
             }
             (FleetMsg::Done, _) => return Ok(WorkerExit::CampaignComplete),
             _ => return Err(FleetError::Malformed("unexpected message in work loop")),
-        }
-    }
-}
-
-/// The batched work loop: keep up to `campaign.batch` lockstep lanes of a
-/// [`BatchSimulator`] leased from the coordinator, step them together, and
-/// report each lane the tick it finishes. Lane records are bit-identical
-/// to the scalar loop's (each lane owns its RNG streams), so the merged
-/// CSV cannot tell the two loops apart.
-///
-/// `NoWork` throttles further lease requests for ~50 ms but never stalls
-/// the simulator: a partially-filled batch keeps flying while the
-/// coordinator waits on other workers' leases. After `Done` the worker
-/// stops requesting and drains its remaining lanes before disconnecting.
-fn batched_work_loop(
-    ctx: &WorkerContext,
-    stream: &mut TcpStream,
-    writer: &Arc<Mutex<TcpStream>>,
-) -> Result<WorkerExit, FleetError> {
-    let batch = ctx.config.batch.max(1);
-    let mut sim = BatchSimulator::new();
-    // lane index -> the coordinator unit flying in it, its trace span,
-    // campaign id, and execution window (opened at lane load).
-    let mut lane_unit: Vec<Option<LaneUnit>> = Vec::new();
-    let mut done_seen = false;
-    let mut next_request = std::time::Instant::now();
-    loop {
-        while !done_seen
-            && sim.occupied_lanes() < batch
-            && std::time::Instant::now() >= next_request
-        {
-            {
-                let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                write_msg(&mut *w, &FleetMsg::Request)?;
-            }
-            match read_msg(stream)? {
-                (
-                    FleetMsg::Assign {
-                        unit,
-                        spec,
-                        span,
-                        campaign,
-                        ..
-                    },
-                    _,
-                ) => {
-                    if flaky_unit_should_drop(unit) {
-                        return Err(FleetError::Io("flaky-unit test hook tripped".into()));
-                    }
-                    imufit_obs::counter("campaign_runs_total").inc();
-                    imufit_obs::counter("batch_lane_refills_total").inc();
-                    match Campaign::build_vehicle(&ctx.config, &spec) {
-                        Ok(vehicle) => {
-                            let lane = sim.load(vehicle);
-                            if lane >= lane_unit.len() {
-                                lane_unit.resize_with(lane + 1, || None);
-                            }
-                            lane_unit[lane] =
-                                Some((unit, spec, span, campaign, ExecWindow::open()));
-                            imufit_obs::gauge("campaign_batch_lanes")
-                                .set(sim.occupied_lanes() as f64);
-                        }
-                        Err(_) => {
-                            // A spec that cannot build collapses straight to
-                            // the aborted record, exactly like the scalar
-                            // path — no lane is consumed.
-                            imufit_obs::counter("campaign_runs_aborted_total").inc();
-                            let record = Campaign::aborted_record_for(&ctx.config, spec);
-                            let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                            write_msg(
-                                &mut *w,
-                                &FleetMsg::Result {
-                                    unit,
-                                    record,
-                                    span,
-                                    exec: ExecReport::default(),
-                                    campaign,
-                                },
-                            )?;
-                        }
-                    }
-                }
-                (FleetMsg::NoWork, _) => {
-                    // Leased-out units may come back; retry shortly, but
-                    // keep stepping whatever lanes we already hold.
-                    next_request = std::time::Instant::now() + Duration::from_millis(50);
-                }
-                (FleetMsg::Done, _) => done_seen = true,
-                _ => return Err(FleetError::Malformed("unexpected message in work loop")),
-            }
-        }
-        if sim.occupied_lanes() == 0 {
-            if done_seen {
-                return Ok(WorkerExit::CampaignComplete);
-            }
-            // Nothing to fly and nothing assignable yet: idle politely.
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
-        }
-        sim.step_all();
-        for lane in sim.finished_lanes() {
-            let summary = sim.retire(lane);
-            imufit_obs::gauge("campaign_batch_lanes").set(sim.occupied_lanes() as f64);
-            let Some((unit, spec, span, campaign, window)) = lane_unit[lane].take() else {
-                continue;
-            };
-            if matches!(summary.outcome, imufit_uav::FlightOutcome::Aborted) {
-                imufit_obs::counter("campaign_panics_caught_total").inc();
-                imufit_obs::counter("campaign_runs_aborted_total").inc();
-            }
-            let record = Campaign::record_from_summary(&ctx.config, spec, &summary);
-            let exec = window.close(ticks_for(&ctx.config, record.flight_duration));
-            let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-            write_msg(
-                &mut *w,
-                &FleetMsg::Result {
-                    unit,
-                    record,
-                    span,
-                    exec,
-                    campaign,
-                },
-            )?;
         }
     }
 }

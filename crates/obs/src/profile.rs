@@ -1,7 +1,7 @@
 //! Tick-stage statistical profiler: where the simulated tick's wall-clock
 //! actually goes.
 //!
-//! The batched and scalar tick pipelines are stage-major (sensors → faults
+//! The tick pipeline runs its stages in a fixed order (sensors → faults
 //! → voter → estimator → controller → dynamics); this module samples every
 //! Nth tick per thread (default [`DEFAULT_SAMPLE_PERIOD`]) and, on sampled
 //! ticks only, timestamps each stage seam and accumulates the deltas into
@@ -21,7 +21,7 @@
 //! simulation state or RNG streams — and compiles to zero-sized no-ops
 //! without the `enabled` feature.
 
-/// One pipeline stage; the scalar and batched ticks share the set.
+/// One stage of the tick pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Clock advance + wind field step.

@@ -299,11 +299,6 @@ pub struct CampaignSettings {
     pub injection_start: f64,
     /// Worker threads; 0 = one per available core.
     pub threads: usize,
-    /// Lockstep lanes per worker; 1 = the scalar per-run path. Any batch
-    /// size produces bit-identical records (each lane owns its RNG
-    /// streams), so this is purely a throughput knob. Incompatible with
-    /// black-box tracing.
-    pub batch: usize,
 }
 
 impl Default for CampaignSettings {
@@ -314,7 +309,6 @@ impl Default for CampaignSettings {
             durations: vec![2.0, 5.0, 10.0, 30.0],
             injection_start: 90.0,
             threads: 0,
-            batch: 1,
         }
     }
 }
@@ -552,18 +546,6 @@ impl ScenarioSpec {
                 value: 0.0,
             });
         }
-        if self.campaign.batch == 0 {
-            return Err(ScenarioError::BadNumber {
-                field: "campaign.batch",
-                value: 0.0,
-            });
-        }
-        if self.campaign.batch > 1 && self.trace.enabled {
-            return Err(ScenarioError::Trace(
-                "black-box tracing requires campaign.batch = 1 (the batched tick carries no tracer)"
-                    .to_string(),
-            ));
-        }
         self.trace.validate().map_err(ScenarioError::Trace)?;
         Ok(())
     }
@@ -678,7 +660,6 @@ impl ScenarioSpec {
             Value::Float(self.campaign.injection_start),
         );
         campaign.set("threads", Value::Int(self.campaign.threads as u64));
-        campaign.set("batch", Value::Int(self.campaign.batch as u64));
 
         let mut fleet = Value::table();
         fleet.set("workers", Value::Int(self.fleet.workers as u64));
@@ -901,9 +882,17 @@ impl ScenarioSpec {
         }
 
         let campaign = section(root, "campaign")?;
-        // `batch` is optional so pre-batching scenario files keep parsing;
-        // an absent key means the scalar path (batch = 1).
-        expect_keys_with_optional(
+        // Files written for the removed lockstep pipeline name its knob; say
+        // so instead of a bare unknown-key error. Every batch size flew the
+        // same records, so deleting the key loses nothing.
+        if campaign.get("batch").is_some() {
+            return Err(DocError::new(
+                "'campaign.batch' was removed (campaigns run one tick pipeline and \
+                 records never depended on it); delete the key",
+            )
+            .into());
+        }
+        expect_keys(
             campaign,
             "campaign",
             &[
@@ -913,16 +902,12 @@ impl ScenarioSpec {
                 "injection_start",
                 "threads",
             ],
-            &["batch"],
         )?;
         spec.campaign.seed = get_u64(campaign, "campaign", "seed")?;
         spec.campaign.missions = get_usize(campaign, "campaign", "missions")?;
         spec.campaign.durations = get_f64s(campaign, "campaign", "durations")?;
         spec.campaign.injection_start = get_f64(campaign, "campaign", "injection_start")?;
         spec.campaign.threads = get_usize(campaign, "campaign", "threads")?;
-        if campaign.get("batch").is_some() {
-            spec.campaign.batch = get_usize(campaign, "campaign", "batch")?;
-        }
 
         let fleet = section(root, "fleet")?;
         expect_keys(fleet, "fleet", &["workers", "lease_timeout_s", "retry_cap"])?;
@@ -1267,42 +1252,12 @@ mod tests {
     }
 
     #[test]
-    fn batch_knob_round_trips_validates_and_defaults() {
-        let mut spec = ScenarioSpec::paper_default();
-        spec.campaign.batch = 8;
-        assert!(spec.validate().is_ok());
-        assert_eq!(ScenarioSpec::from_toml(&spec.to_toml()).unwrap(), spec);
-        assert_eq!(ScenarioSpec::from_json(&spec.to_json()).unwrap(), spec);
-
-        // Zero lanes can't run anything: rejected up front.
-        spec.campaign.batch = 0;
-        assert_eq!(
-            spec.validate(),
-            Err(ScenarioError::BadNumber {
-                field: "campaign.batch",
-                value: 0.0,
-            })
-        );
-
-        // The batched tick carries no tracer, so tracing demands batch = 1.
-        let mut spec = ScenarioSpec::paper_default();
-        spec.campaign.batch = 4;
-        spec.trace.enabled = true;
-        assert!(matches!(spec.validate(), Err(ScenarioError::Trace(_))));
-        spec.campaign.batch = 1;
-        assert!(spec.validate().is_ok());
-
-        // Scenario files written before the knob existed have no `batch`
-        // key; they must keep parsing and mean the scalar path.
-        let text = ScenarioSpec::paper_default()
+    fn removed_batch_key_is_rejected_by_name() {
+        let toml = ScenarioSpec::paper_default()
             .to_toml()
-            .lines()
-            .filter(|l| !l.starts_with("batch"))
-            .collect::<Vec<_>>()
-            .join("\n");
-        let parsed = ScenarioSpec::from_toml(&text).unwrap();
-        assert_eq!(parsed.campaign.batch, 1);
-        assert_eq!(parsed, ScenarioSpec::paper_default());
+            .replace("threads = 0", "threads = 0\nbatch = 4");
+        let err = ScenarioSpec::from_toml(&toml).unwrap_err().to_string();
+        assert!(err.contains("'campaign.batch' was removed"), "{err}");
     }
 
     #[test]

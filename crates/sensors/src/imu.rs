@@ -160,29 +160,10 @@ impl RedundantImu {
         dt: f64,
         rng: &mut Pcg,
     ) -> Vec<ImuSample> {
-        let mut out = Vec::with_capacity(self.instances.len());
-        self.sample_all_into(true_specific_force, true_rate, dt, rng, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`RedundantImu::sample_all`]: clears `out`
-    /// and refills it in instance order, drawing from `rng` in exactly the
-    /// same sequence. The batched tick pipeline reuses one buffer per lane
-    /// across the whole flight.
-    pub fn sample_all_into(
-        &mut self,
-        true_specific_force: Vec3,
-        true_rate: Vec3,
-        dt: f64,
-        rng: &mut Pcg,
-        out: &mut Vec<ImuSample>,
-    ) {
-        out.clear();
-        out.extend(
-            self.instances
-                .iter_mut()
-                .map(|imu| imu.sample(true_specific_force, true_rate, dt, rng)),
-        );
+        self.instances
+            .iter_mut()
+            .map(|imu| imu.sample(true_specific_force, true_rate, dt, rng))
+            .collect()
     }
 
     /// Convenience: samples all instances and returns only the primary's

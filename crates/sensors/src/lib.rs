@@ -28,7 +28,6 @@
 
 pub mod accel;
 pub mod baro;
-pub mod batch;
 pub mod gps;
 pub mod gyro;
 pub mod imu;
@@ -37,7 +36,6 @@ pub mod voter;
 
 pub use accel::Accelerometer;
 pub use baro::{BaroSample, BaroSpec, Barometer};
-pub use batch::VoteOutcome;
 pub use gps::{Gps, GpsSample, GpsSpec};
 pub use gyro::Gyroscope;
 pub use imu::{

@@ -29,14 +29,12 @@
 //! assert!(result.outcome.is_completed());
 //! ```
 
-pub mod batch;
 pub mod builder;
 pub mod config;
 pub mod mitigation;
 pub mod outcome;
 pub mod sim;
 
-pub use batch::BatchSimulator;
 pub use builder::{BuildError, VehicleBuilder};
 pub use config::SimConfig;
 pub use mitigation::MitigationStage;

@@ -31,14 +31,12 @@ use imufit_obs::{info, warn};
 
 /// Benches held to the soft perf-regression gate. Kept short and stable:
 /// the closed-loop step is the product's hot path, the trace-off tick
-/// guards the observability layer's zero-cost claim, the 8-lane batch
-/// step guards the SoA pipeline, the whole-run experiment guards
-/// campaign throughput end to end, and the profiled tick guards the
-/// tick-stage profiler's sampling overhead.
-const GATED_BENCHES: [&str; 5] = [
+/// guards the observability layer's zero-cost claim, the whole-run
+/// experiment guards campaign throughput end to end, and the profiled
+/// tick guards the tick-stage profiler's sampling overhead.
+const GATED_BENCHES: [&str; 4] = [
     "sim/closed_loop_step",
     "trace/tick_off",
-    "sim/batch_step8",
     "campaign/run_experiment",
     "sim/profiled_tick",
 ];
@@ -160,7 +158,7 @@ fn check_gate(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> usize {
 }
 
 /// The profiler-overhead gate rides the fresh run alone: profiled vs
-/// unprofiled medians of the same warmed batch-4 tick must stay within
+/// unprofiled medians of the same warmed tick must stay within
 /// [`PROFILER_OVERHEAD_BUDGET`]. Returns 1 on breach, counting toward
 /// the `--hard` exit like any other regression.
 fn check_profiler_overhead(fresh: &[(String, f64)]) -> usize {
@@ -252,28 +250,15 @@ fn extract_number(line: &str, key: &str) -> Option<f64> {
 
 /// Metrics computed from the raw medians rather than measured directly:
 /// whole-campaign throughput (`campaign/runs_per_sec`, per core — one
-/// scalar worker flying back-to-back runs) and the batched tick's
-/// per-lane cost and speedup against the scalar step. Emitted in their
-/// own `derived` section so the gate's median-based parser ignores them.
+/// worker flying back-to-back runs) and the profiler's overhead ratio.
+/// Emitted in their own `derived` section so the gate's median-based
+/// parser ignores them.
 fn derived(estimates: &[(String, f64)]) -> Vec<(String, f64)> {
     let get = |name: &str| estimates.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
     let mut out = Vec::new();
     if let Some(ns) = get("campaign/run_experiment") {
         if ns > 0.0 {
             out.push(("campaign/runs_per_sec".to_string(), 1e9 / ns));
-        }
-    }
-    let scalar = get("sim/closed_loop_step");
-    for lanes in [1usize, 4, 8] {
-        let Some(ns) = get(&format!("sim/batch_step{lanes}")) else {
-            continue;
-        };
-        let per_lane = ns / lanes as f64;
-        out.push((format!("sim/batch_step{lanes}_per_lane_ns"), per_lane));
-        if let Some(scalar) = scalar {
-            if per_lane > 0.0 {
-                out.push((format!("sim/batch_step{lanes}_speedup"), scalar / per_lane));
-            }
         }
     }
     if let (Some(off), Some(on)) = (get("sim/unprofiled_tick"), get("sim/profiled_tick")) {
@@ -377,22 +362,12 @@ mod tests {
     fn derived_metrics_fold_into_the_summary() {
         let estimates = vec![
             ("campaign/run_experiment".to_string(), 2_000_000.0),
-            ("sim/batch_step8".to_string(), 32_000.0),
             ("sim/closed_loop_step".to_string(), 4_800.0),
         ];
         let json = render(&estimates);
         // 1e9 / 2ms = 500 runs/sec/core.
         assert!(
             json.contains("\"campaign/runs_per_sec\": 500.000"),
-            "{json}"
-        );
-        // 32us / 8 lanes = 4us per lane; 4800/4000 = 1.2x.
-        assert!(
-            json.contains("\"sim/batch_step8_per_lane_ns\": 4000.000"),
-            "{json}"
-        );
-        assert!(
-            json.contains("\"sim/batch_step8_speedup\": 1.200"),
             "{json}"
         );
         // The gate's parser must only see the measured medians.
@@ -418,6 +393,11 @@ mod tests {
     /// does a profiler overhead budget breach.
     #[test]
     fn gate_counts_regressions_for_hard_mode() {
+        // The gate's verdict lines go straight to stderr, past the test
+        // harness's output capture, and would interleave with the
+        // harness's own `test ... ok` lines for the tests running beside
+        // this one. Only the returned count is under test here.
+        imufit_obs::log::set_level(imufit_obs::log::Level::Error);
         let baseline = vec![
             ("sim/closed_loop_step".to_string(), 1000.0),
             ("trace/tick_off".to_string(), 100.0),

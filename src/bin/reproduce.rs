@@ -39,7 +39,7 @@ use imufit_scenario::{ScenarioSpec, PRESET_NAMES};
 use imufit_uav::{FlightSimulator, SimConfig};
 
 const USAGE: &str = "usage: reproduce [--seed N] [--missions M] [--out DIR] [--quick]
-                 [--batch N] [--scenario FILE|PRESET] [--dump-scenario]
+                 [--scenario FILE|PRESET] [--dump-scenario]
                  [--trace-dir DIR] [--trace-window PRE:POST]
                  [--trace-triggers A,B,...] [--fleet-workers N]
                  [--serve-metrics ADDR] [--alert RULE] [--no-extras]
@@ -49,9 +49,6 @@ const USAGE: &str = "usage: reproduce [--seed N] [--missions M] [--out DIR] [--q
   --missions M        fly only the first M study missions (default 10)
   --out DIR           output directory (default .)
   --quick             scaled smoke campaign: 3 missions, durations 2 s / 30 s
-  --batch N           lockstep lanes per worker (default 1 = scalar path).
-                      Records are bit-identical at any batch size; batching
-                      is incompatible with black-box tracing
   --scenario X        scenario document (TOML/JSON path) or preset name:
                       paper-default, quick, redundancy-ablation,
                       mitigation-on, attack-sweep
@@ -109,8 +106,6 @@ struct Args {
     trace_triggers: Option<Vec<imufit_trace::TraceTrigger>>,
     /// Distribute the campaign over N worker processes (0 = auto).
     fleet_workers: Option<usize>,
-    /// Explicit `--batch`, overriding the scenario's lockstep lane count.
-    batch: Option<usize>,
     /// Live observability plane listen address (`--serve-metrics`).
     serve_metrics: Option<String>,
     /// Extra SLO alert rules (`--alert`, repeatable), merged with the
@@ -180,7 +175,6 @@ fn parse_args() -> Args {
         trace_window: None,
         trace_triggers: None,
         fleet_workers: None,
-        batch: None,
         serve_metrics: None,
         alerts: Vec::new(),
     };
@@ -198,7 +192,7 @@ fn parse_args() -> Args {
             "--fleet-workers" => {
                 args.fleet_workers = Some(parse_value("--fleet-workers", it.next()))
             }
-            "--batch" => args.batch = Some(parse_value("--batch", it.next())),
+            "--batch" => die("--batch was removed: campaigns always run the scalar tick pipeline"),
             "--serve-metrics" => {
                 args.serve_metrics = Some(
                     it.next()
@@ -506,9 +500,6 @@ fn main() {
     if let Some(n) = args.fleet_workers {
         spec.fleet.workers = n;
     }
-    if let Some(n) = args.batch {
-        spec.campaign.batch = n;
-    }
     if let Some(addr) = &args.serve_metrics {
         spec.obs.serve = true;
         spec.obs.addr = addr.clone();
@@ -559,14 +550,6 @@ fn main() {
     }
 
     let total = config.matrix().len();
-    // Lanes that can never fill are a usage error, not a silent idle: catch
-    // `--batch 64` against a 22-run quick campaign up front.
-    if spec.campaign.batch > total.max(1) {
-        die(&format!(
-            "campaign.batch ({}) exceeds the {} runs in the matrix; lower --batch or widen the campaign",
-            spec.campaign.batch, total
-        ));
-    }
     // With `--fleet-workers` the unit of parallelism is a worker process
     // (scenario `[fleet] workers`, 0 = auto); otherwise it is an
     // in-process thread (`campaign.threads`, same auto rule).
