@@ -795,12 +795,16 @@ mod tests {
         let mut config = narrow(77);
         config.trace.enabled = true;
         config.trace_dir = Some(dir.clone());
+        let config_trace = config.trace.clone();
         let traced = Campaign::new(config).run();
 
         // Byte-identical results with the collector armed.
         assert_eq!(plain.to_csv(), traced.to_csv());
 
-        if cfg!(feature = "trace") {
+        // Ask the collector itself rather than this crate's `trace`
+        // feature: workspace feature unification can arm the collector
+        // (`imufit-trace/enabled`) without enabling `imufit-core/trace`.
+        if imufit_trace::TraceCollector::new(&config_trace).is_armed() {
             let bytes = std::fs::read(dir.join("m0_imu_freeze_30s.ifbb"))
                 .expect("faulty run must leave a black box");
             let bb = imufit_trace::BlackBox::decode(&bytes).expect("box must decode");

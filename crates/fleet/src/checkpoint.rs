@@ -1,32 +1,31 @@
 //! The coordinator's append-only checkpoint journal (`fleet.ckpt`).
 //!
-//! Layout (little-endian, CRC-framed like `.ifbb`):
+//! Layout (little-endian):
 //!
 //! ```text
 //! [b"IFCK"][version: u8][header frame][entry frame]*
 //! ```
 //!
-//! where every frame is `[len: u32][payload][crc: u16]` with the CCITT-16
-//! CRC accumulated over `len` and the payload. The header payload pins the
-//! campaign the journal belongs to (scenario fingerprint, master seed, unit
-//! count); each entry payload is `[unit: u32][record]` in the `Result`
-//! frame's bit-exact record encoding.
+//! where every frame is a shared-codec frame ([`imufit_math::frame`]:
+//! `[len: u32][payload][crc16 over len + payload]`, DESIGN.md §19). The
+//! header payload pins the campaign the journal belongs to (scenario
+//! fingerprint, master seed, unit count); each entry payload is
+//! `[unit: u32][record]` in the `Result` frame's bit-exact record encoding.
 //!
 //! A coordinator killed mid-write leaves at most one torn frame at the
 //! tail. [`Checkpoint::load_for_resume`] therefore stops at the first
-//! undecodable tail frame and reports how many clean entries precede it,
-//! while [`Checkpoint::decode`] is the strict reader: any structural
-//! problem is a typed [`FleetError`], never a panic.
+//! undecodable tail frame and reports where the clean prefix ends, while
+//! [`Checkpoint::decode`] is the strict reader: any structural problem is
+//! a typed [`FleetError`], never a panic.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 use imufit_core::ExperimentRecord;
+use imufit_math::frame::{put_frame, Cursor, LenWidth, Put, Tail};
 use imufit_scenario::ScenarioSpec;
 
-use crate::protocol::{crc16, get_record, put_record, FleetError, Reader, MAX_PAYLOAD};
+use crate::protocol::{get_record, put_record, FleetError, MAX_PAYLOAD};
 
 /// File magic: the first four bytes of every checkpoint journal.
 pub const CKPT_MAGIC: [u8; 4] = *b"IFCK";
@@ -96,81 +95,51 @@ pub struct Checkpoint {
     pub entries: Vec<CheckpointEntry>,
 }
 
-fn put_frame(out: &mut Vec<u8>, payload: &BytesMut) {
-    let mut region = BytesMut::with_capacity(payload.len() + 4);
-    region.put_u32_le(payload.len() as u32);
-    region.extend_from_slice(payload);
-    let crc = crc16(&region);
-    out.extend_from_slice(&region);
-    out.extend_from_slice(&crc.to_le_bytes());
-}
-
-fn take_frame(r: &mut Reader) -> Result<Reader, FleetError> {
-    let len = r.u32()? as usize;
-    if len > MAX_PAYLOAD {
-        return Err(FleetError::Malformed("oversized journal frame"));
-    }
-    let payload = r.take(len)?;
-    let expect = r.u16()?;
-    let mut region = BytesMut::with_capacity(len + 4);
-    region.put_u32_le(len as u32);
-    region.extend_from_slice(&payload);
-    if crc16(&region) != expect {
-        return Err(FleetError::BadChecksum);
-    }
-    Ok(Reader::new(payload))
-}
-
 fn header_bytes(fp: &CampaignFingerprint) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
+    let mut out = Vec::with_capacity(32);
     out.extend_from_slice(&CKPT_MAGIC);
-    out.push(CKPT_VERSION);
-    let mut payload = BytesMut::with_capacity(20);
-    payload.put_u64_le(fp.spec_hash);
-    payload.put_u64_le(fp.seed);
-    payload.put_u32_le(fp.units);
-    put_frame(&mut out, &payload);
+    out.put_u8(CKPT_VERSION);
+    put_frame(&mut out, LenWidth::U32, |p| {
+        p.put_u64(fp.spec_hash);
+        p.put_u64(fp.seed);
+        p.put_u32(fp.units);
+    });
     out
 }
 
 /// Encodes one entry frame (exposed for benches).
 pub fn encode_entry(entry: &CheckpointEntry) -> Vec<u8> {
-    let mut payload = BytesMut::with_capacity(96);
-    payload.put_u32_le(entry.unit);
-    put_record(&mut payload, &entry.record);
-    let mut out = Vec::with_capacity(payload.len() + 6);
-    put_frame(&mut out, &payload);
+    let mut out = Vec::with_capacity(128);
+    put_frame(&mut out, LenWidth::U32, |p| {
+        p.put_u32(entry.unit);
+        put_record(p, &entry.record);
+    });
     out
 }
 
-fn decode_header(r: &mut Reader) -> Result<CampaignFingerprint, FleetError> {
-    let magic = r.take(4)?;
-    if magic[..] != CKPT_MAGIC {
+fn decode_header(r: &mut Cursor) -> Result<CampaignFingerprint, FleetError> {
+    if r.bytes(4)? != CKPT_MAGIC {
         return Err(FleetError::BadMagic);
     }
     let version = r.u8()?;
     if version != CKPT_VERSION {
         return Err(FleetError::UnknownVersion(version));
     }
-    let mut p = take_frame(r)?;
+    let mut p = r.frame(LenWidth::U32, MAX_PAYLOAD)?;
     let fp = CampaignFingerprint {
         spec_hash: p.u64()?,
         seed: p.u64()?,
         units: p.u32()?,
     };
-    if p.remaining() != 0 {
-        return Err(FleetError::Malformed("trailing bytes in journal header"));
-    }
+    p.finish("trailing bytes in journal header")?;
     Ok(fp)
 }
 
-fn decode_entry(r: &mut Reader) -> Result<CheckpointEntry, FleetError> {
-    let mut p = take_frame(r)?;
+fn decode_entry(r: &mut Cursor) -> Result<CheckpointEntry, FleetError> {
+    let mut p = r.frame(LenWidth::U32, MAX_PAYLOAD)?;
     let unit = p.u32()?;
     let record = get_record(&mut p)?;
-    if p.remaining() != 0 {
-        return Err(FleetError::Malformed("trailing bytes in journal entry"));
-    }
+    p.finish("trailing bytes in journal entry")?;
     Ok(CheckpointEntry { unit, record })
 }
 
@@ -183,10 +152,10 @@ impl Checkpoint {
     /// including a torn tail frame. Resume paths that must tolerate a
     /// mid-write kill use [`Checkpoint::load_for_resume`] instead.
     pub fn decode(data: &[u8]) -> Result<Self, FleetError> {
-        let mut r = Reader::new(Bytes::from(data.to_vec()));
+        let mut r = Cursor::new(data);
         let fingerprint = decode_header(&mut r)?;
         let mut entries = Vec::new();
-        while r.remaining() != 0 {
+        while !r.is_empty() {
             entries.push(decode_entry(&mut r)?);
         }
         Ok(Checkpoint {
@@ -196,9 +165,11 @@ impl Checkpoint {
     }
 
     /// Loads a journal for `--resume`: decodes the header strictly, then
-    /// reads entries until the data runs out or a torn tail frame appears
-    /// (the expected state after a SIGKILL mid-append). Returns the clean
-    /// prefix plus whether a torn tail was dropped.
+    /// reads entries until the data runs out or an undecodable frame
+    /// appears (a torn tail is the expected state after a SIGKILL
+    /// mid-append). Returns the clean prefix plus the [`Tail`]; a torn
+    /// tail carries the byte length to truncate the file to before
+    /// appending resumes.
     ///
     /// # Errors
     ///
@@ -207,8 +178,8 @@ impl Checkpoint {
     pub fn load_for_resume(
         data: &[u8],
         expected: &CampaignFingerprint,
-    ) -> Result<(Self, bool), FleetError> {
-        let mut r = Reader::new(Bytes::from(data.to_vec()));
+    ) -> Result<(Self, Tail), FleetError> {
+        let mut r = Cursor::new(data);
         let fingerprint = decode_header(&mut r)?;
         if fingerprint != *expected {
             return Err(FleetError::CheckpointMismatch {
@@ -217,14 +188,15 @@ impl Checkpoint {
             });
         }
         let mut entries = Vec::new();
-        let mut torn = false;
-        while r.remaining() != 0 {
+        let mut tail = Tail::Clean;
+        while !r.is_empty() {
+            let start = r.position();
             match decode_entry(&mut r) {
                 Ok(entry) => entries.push(entry),
                 Err(_) => {
                     // A torn or corrupt tail ends the clean prefix; the
                     // units it covered simply rerun.
-                    torn = true;
+                    tail = Tail::Torn { clean_len: start };
                     break;
                 }
             }
@@ -234,7 +206,7 @@ impl Checkpoint {
                 fingerprint,
                 entries,
             },
-            torn,
+            tail,
         ))
     }
 }
@@ -301,16 +273,6 @@ impl CheckpointWriter {
     pub fn path(&self) -> &Path {
         &self.path
     }
-}
-
-/// The byte length of a journal's header plus `entries` clean entries —
-/// used to truncate a torn tail before appending resumes.
-pub fn clean_prefix_len(fp: &CampaignFingerprint, entries: &[CheckpointEntry]) -> u64 {
-    let mut len = header_bytes(fp).len() as u64;
-    for e in entries {
-        len += encode_entry(e).len() as u64;
-    }
-    len
 }
 
 #[cfg(test)]
@@ -412,52 +374,18 @@ mod tests {
     }
 
     #[test]
-    fn every_truncation_is_a_typed_error() {
-        let entries = [entry(0), entry(1)];
-        let bytes = journal_bytes(&entries);
-        // Cuts landing exactly on a frame boundary are indistinguishable
-        // from a legitimately shorter append-only journal and decode fine.
-        let header_len = header_bytes(&fp()).len();
-        let boundaries = [
-            header_len,
-            header_len + encode_entry(&entries[0]).len(),
-            bytes.len(),
-        ];
-        for cut in 0..bytes.len() {
-            if boundaries.contains(&cut) {
-                assert!(Checkpoint::decode(&bytes[..cut]).is_ok(), "boundary {cut}");
-                continue;
-            }
-            let err = Checkpoint::decode(&bytes[..cut]).unwrap_err();
-            assert!(
-                matches!(err, FleetError::Truncated | FleetError::BadChecksum),
-                "cut at {cut}: {err}"
-            );
-        }
-    }
-
-    #[test]
-    fn bad_magic_and_version_detected() {
-        let mut v = journal_bytes(&[]);
-        v[0] = b'X';
-        assert_eq!(Checkpoint::decode(&v), Err(FleetError::BadMagic));
-        let mut v = journal_bytes(&[]);
-        v[4] = 99;
-        assert_eq!(Checkpoint::decode(&v), Err(FleetError::UnknownVersion(99)));
-    }
-
-    #[test]
     fn resume_salvages_the_clean_prefix_of_a_torn_journal() {
         let entries = vec![entry(0), entry(1), entry(2)];
         let bytes = journal_bytes(&entries);
         // Tear the final entry in half, as a SIGKILL mid-append would.
         let torn_at = bytes.len() - encode_entry(&entry(2)).len() / 2;
-        let (ck, torn) = Checkpoint::load_for_resume(&bytes[..torn_at], &fp()).unwrap();
-        assert!(torn);
+        let (ck, tail) = Checkpoint::load_for_resume(&bytes[..torn_at], &fp()).unwrap();
         assert_eq!(ck.entries, entries[..2]);
         assert_eq!(
-            clean_prefix_len(&fp(), &ck.entries),
-            journal_bytes(&entries[..2]).len() as u64
+            tail,
+            Tail::Torn {
+                clean_len: journal_bytes(&entries[..2]).len()
+            }
         );
     }
 
@@ -491,10 +419,11 @@ mod tests {
         // Simulate a torn tail on disk, then the resume append path.
         let torn = [&bytes[..], &[0x07, 0x00]].concat();
         std::fs::write(&path, &torn).unwrap();
-        let (ck, was_torn) = Checkpoint::load_for_resume(&torn, &fp()).unwrap();
-        assert!(was_torn);
-        let clean = clean_prefix_len(&fp(), &ck.entries);
-        let mut w = CheckpointWriter::append(&path, clean).unwrap();
+        let (ck, tail) = Checkpoint::load_for_resume(&torn, &fp()).unwrap();
+        assert_eq!(ck.entries.len(), 2);
+        let clean = tail.clean_len(torn.len());
+        assert_eq!(clean, bytes.len());
+        let mut w = CheckpointWriter::append(&path, clean as u64).unwrap();
         w.record(&entry(12)).unwrap();
         drop(w);
         let ck = Checkpoint::decode(&std::fs::read(&path).unwrap()).unwrap();

@@ -18,9 +18,7 @@ use imufit_core::{Campaign, CampaignConfig, CampaignResults, ExperimentRecord, E
 use imufit_obs::spans::{SpanEvent, SpanJournal, SpanKind, NO_WORKER};
 use imufit_scenario::ScenarioSpec;
 
-use crate::checkpoint::{
-    clean_prefix_len, CampaignFingerprint, Checkpoint, CheckpointEntry, CheckpointWriter,
-};
+use crate::checkpoint::{CampaignFingerprint, Checkpoint, CheckpointEntry, CheckpointWriter};
 use crate::protocol::{ExecReport, FleetError};
 
 /// One dispatched unit's lease.
@@ -107,8 +105,8 @@ impl CampaignSession {
         let mut done = 0;
         let journal = if resume {
             let bytes = std::fs::read(checkpoint)?;
-            let (ck, torn) = Checkpoint::load_for_resume(&bytes, &fingerprint)?;
-            if torn {
+            let (ck, tail) = Checkpoint::load_for_resume(&bytes, &fingerprint)?;
+            if tail.is_torn() {
                 imufit_obs::counter("fleet_checkpoint_torn_tails_total").inc();
             }
             for entry in &ck.entries {
@@ -118,8 +116,7 @@ impl CampaignSession {
                     done += 1;
                 }
             }
-            let clean = clean_prefix_len(&fingerprint, &ck.entries);
-            CheckpointWriter::append(checkpoint, clean)?
+            CheckpointWriter::append(checkpoint, tail.clean_len(bytes.len()) as u64)?
         } else {
             if let Some(dir) = checkpoint.parent() {
                 let _ = std::fs::create_dir_all(dir);

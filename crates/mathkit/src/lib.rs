@@ -14,6 +14,8 @@
 //!   hundreds of experiments is reproducible regardless of thread scheduling.
 //! * [`filter`] — small digital filters (low-pass, derivative) used by the
 //!   sensor models and the controller.
+//! * [`frame`] — the CRC-framed, bounds-checked byte codec every persisted
+//!   and wire format is built on.
 //!
 //! # Example
 //!
@@ -28,6 +30,7 @@
 
 pub mod angles;
 pub mod filter;
+pub mod frame;
 pub mod geo;
 pub mod mat3;
 pub mod matrix;

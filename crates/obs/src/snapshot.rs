@@ -10,10 +10,11 @@
 //!
 //! Snapshots travel over the wire (piggybacked on fleet heartbeat frames)
 //! and into the `.ifms` time-series file, so the codec is versioned and
-//! CRC-framed in the same style as the fleet protocol and the black-box
-//! trace format: `[magic][version][payload][crc16]`, with the checksum
+//! checksummed with the shared framing codec ([`imufit_math::frame`]):
+//! `[magic][version][payload][crc16, big-endian]`, with the checksum
 //! validated before the version byte is interpreted so corruption is never
-//! misreported as version skew.
+//! misreported as version skew (DESIGN.md §19 lists every format's
+//! framing).
 //!
 //! This module is compiled unconditionally — only [`capture`] touches the
 //! registry, and without the `enabled` feature it returns an empty
@@ -23,6 +24,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use imufit_math::frame::{crc16, Cursor, FrameError, Put};
 use parking_lot::Mutex;
 
 /// Magic byte opening every encoded snapshot.
@@ -72,6 +74,16 @@ impl fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
+
+impl From<FrameError> for SnapshotError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Truncated => SnapshotError::Truncated,
+            FrameError::BadChecksum => SnapshotError::BadChecksum,
+            FrameError::Malformed(what) => SnapshotError::Malformed(what),
+        }
+    }
+}
 
 /// The value of one snapshotted metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -260,43 +272,42 @@ impl Snapshot {
     /// the version byte and payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = vec![SNAPSHOT_MAGIC, SNAPSHOT_VERSION];
-        put_u32(&mut buf, self.metrics.len() as u32);
+        buf.put_u32(self.metrics.len() as u32);
         for metric in &self.metrics {
             put_str(&mut buf, &metric.name);
-            put_u16(&mut buf, metric.labels.len() as u16);
+            buf.put_u16(metric.labels.len() as u16);
             for (k, v) in &metric.labels {
                 put_str(&mut buf, k);
                 put_str(&mut buf, v);
             }
             match &metric.value {
                 SnapshotValue::Counter(v) => {
-                    buf.push(0);
-                    put_u64(&mut buf, *v);
+                    buf.put_u8(0);
+                    buf.put_u64(*v);
                 }
                 SnapshotValue::Gauge(bits) => {
-                    buf.push(1);
-                    put_u64(&mut buf, *bits);
+                    buf.put_u8(1);
+                    buf.put_u64(*bits);
                 }
                 SnapshotValue::Histogram {
                     bounds,
                     counts,
                     sum_bits,
                 } => {
-                    buf.push(2);
-                    put_u16(&mut buf, bounds.len() as u16);
+                    buf.put_u8(2);
+                    buf.put_u16(bounds.len() as u16);
                     for b in bounds {
-                        put_u64(&mut buf, b.to_bits());
+                        buf.put_f64(*b);
                     }
                     for c in counts {
-                        put_u64(&mut buf, *c);
+                        buf.put_u64(*c);
                     }
-                    put_u64(&mut buf, *sum_bits);
+                    buf.put_u64(*sum_bits);
                 }
             }
         }
         let crc = crc16(&buf[1..]);
-        buf.push((crc >> 8) as u8);
-        buf.push((crc & 0xFF) as u8);
+        buf.extend_from_slice(&crc.to_be_bytes());
         buf
     }
 
@@ -332,14 +343,14 @@ impl Snapshot {
         }
         let mut metrics = Vec::with_capacity(count.min(1024));
         for _ in 0..count {
-            let name = r.string()?;
+            let name = get_str(&mut r)?;
             let label_count = r.u16()? as usize;
             if label_count > 64 {
                 return Err(SnapshotError::Malformed("label count oversized"));
             }
             let mut labels = Vec::with_capacity(label_count);
             for _ in 0..label_count {
-                labels.push((r.string()?, r.string()?));
+                labels.push((get_str(&mut r)?, get_str(&mut r)?));
             }
             let kind = r.u8()?;
             let value = match kind {
@@ -352,7 +363,7 @@ impl Snapshot {
                     }
                     let mut bounds = Vec::with_capacity(bucket_count);
                     for _ in 0..bucket_count {
-                        bounds.push(f64::from_bits(r.u64()?));
+                        bounds.push(r.f64()?);
                     }
                     let mut counts = Vec::with_capacity(bucket_count + 1);
                     for _ in 0..=bucket_count {
@@ -372,9 +383,7 @@ impl Snapshot {
                 value,
             });
         }
-        if !r.at_end() {
-            return Err(SnapshotError::Malformed("trailing bytes"));
-        }
+        r.finish("trailing bytes")?;
         Ok(Snapshot { metrics })
     }
 
@@ -539,100 +548,21 @@ impl Aggregate {
     }
 }
 
-// --- little-endian wire helpers (shared with the `.ifms` codec) ---
-
-pub(crate) fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
+/// Appends a `u16`-length-prefixed string (shared with the `.ifsp` codec;
+/// longer strings are cut at 64 KiB).
 pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u16(buf, s.len().min(u16::MAX as usize) as u16);
-    buf.extend_from_slice(&s.as_bytes()[..s.len().min(u16::MAX as usize)]);
+    let bytes = &s.as_bytes()[..s.len().min(u16::MAX as usize)];
+    buf.put_u16(bytes.len() as u16);
+    buf.extend_from_slice(bytes);
 }
 
-/// Bounds-checked little-endian read cursor; every read can fail with
-/// [`SnapshotError::Truncated`] instead of panicking.
-pub(crate) struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
+/// Reads a string written by [`put_str`], capped at 4 KiB.
+pub(crate) fn get_str(r: &mut Cursor) -> Result<String, SnapshotError> {
+    let len = r.u16()? as usize;
+    if len > MAX_STR {
+        return Err(SnapshotError::Malformed("string oversized"));
     }
-
-    pub(crate) fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if self.bytes.len() - self.pos < n {
-            return Err(SnapshotError::Truncated);
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    pub(crate) fn u8(&mut self) -> Result<u8, SnapshotError> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> Result<u16, SnapshotError> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
-    pub(crate) fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        self.take(n)
-    }
-
-    pub(crate) fn string(&mut self) -> Result<String, SnapshotError> {
-        let len = self.u16()? as usize;
-        if len > MAX_STR {
-            return Err(SnapshotError::Malformed("string oversized"));
-        }
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| SnapshotError::Malformed("string not utf-8"))
-    }
-}
-
-/// CRC-CCITT-16 (poly 0x1021, init 0xFFFF) — the same checksum the fleet
-/// protocol and trace format use.
-pub(crate) fn crc16(bytes: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &byte in bytes {
-        crc ^= (byte as u16) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
-            } else {
-                crc <<= 1;
-            }
-        }
-    }
-    crc
+    Ok(r.str(len)?.to_string())
 }
 
 #[cfg(test)]
@@ -669,35 +599,6 @@ mod tests {
     fn encode_decode_round_trips() {
         let snap = sample();
         assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
-    }
-
-    #[test]
-    fn decode_rejects_corruption_without_panicking() {
-        let bytes = sample().encode();
-        assert_eq!(Snapshot::decode(&[]), Err(SnapshotError::Truncated));
-        let mut bad_magic = bytes.clone();
-        bad_magic[0] ^= 0xFF;
-        assert_eq!(Snapshot::decode(&bad_magic), Err(SnapshotError::BadMagic));
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        assert_eq!(Snapshot::decode(&flipped), Err(SnapshotError::BadChecksum));
-    }
-
-    #[test]
-    fn version_skew_is_reported_after_checksum() {
-        // Re-frame with a bogus version and a *valid* checksum: only then
-        // is it version skew rather than corruption.
-        let mut bytes = sample().encode();
-        bytes[1] = 9;
-        let end = bytes.len() - 2;
-        let crc = crc16(&bytes[1..end]);
-        bytes[end] = (crc >> 8) as u8;
-        bytes[end + 1] = (crc & 0xFF) as u8;
-        assert_eq!(
-            Snapshot::decode(&bytes),
-            Err(SnapshotError::UnknownVersion(9))
-        );
     }
 
     #[test]

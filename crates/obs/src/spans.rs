@@ -12,14 +12,14 @@
 //!                     ↘ requeued (lease expiry / worker death / abort) ↗
 //! ```
 //!
-//! The file layout follows the `.ifms`/`.ifbb` codec discipline
-//! ([`crate::snapshot`], `imufit-trace`): a checksummed header followed by
-//! length-prefixed CRC-CCITT-16 frames, decoded with typed errors and
-//! never a panic. Because the journal is append-only (the writer survives
-//! `kill -9` like the fleet checkpoint), the decoder treats a *torn tail*
-//! — a final frame cut mid-write — as a clean stop, reporting it via
-//! [`SpanLog::torn`] rather than discarding the valid prefix. A checksum
-//! mismatch anywhere is still a hard [`SnapshotError::BadChecksum`].
+//! The file is a checksummed header followed by shared-codec frames
+//! ([`imufit_math::frame`], `u32` length; DESIGN.md §19), decoded with
+//! typed errors and never a panic. Because the journal is append-only (the
+//! writer survives `kill -9` like the fleet checkpoint), the decoder
+//! treats a *torn tail* — a final frame cut mid-write — as a clean stop,
+//! reporting it via [`SpanLog::tail`] rather than discarding the valid
+//! prefix. A checksum mismatch anywhere is still a hard
+//! [`SnapshotError::BadChecksum`].
 //!
 //! ```text
 //! [b"IFSP"] [version u8] [campaign u64] [total_units u32]
@@ -39,9 +39,12 @@ use std::io::Write as _;
 use std::path::Path;
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
+use imufit_math::frame::{crc16, put_frame, Cursor, FrameError, LenWidth, Put};
 use parking_lot::Mutex;
 
-use crate::snapshot::{crc16, put_str, put_u32, put_u64, Cursor, SnapshotError};
+pub use imufit_math::frame::Tail;
+
+use crate::snapshot::{get_str, put_str, SnapshotError};
 
 /// Magic bytes opening a `.ifsp` file.
 pub const SPAN_MAGIC: &[u8; 4] = b"IFSP";
@@ -166,26 +169,23 @@ impl SpanEvent {
         }
     }
 
-    fn encode_payload(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(64);
-        put_u32(&mut buf, self.unit);
-        buf.push(self.kind.code());
-        put_u64(&mut buf, self.t_offset_ms);
-        put_u32(&mut buf, self.worker);
-        put_u64(&mut buf, self.span);
-        put_u64(&mut buf, self.ticks);
-        put_u64(&mut buf, self.exec_nanos);
-        buf.push(self.stages.len().min(MAX_STAGES) as u8);
+    fn encode_payload(&self, buf: &mut Vec<u8>) {
+        buf.put_u32(self.unit);
+        buf.put_u8(self.kind.code());
+        buf.put_u64(self.t_offset_ms);
+        buf.put_u32(self.worker);
+        buf.put_u64(self.span);
+        buf.put_u64(self.ticks);
+        buf.put_u64(self.exec_nanos);
+        buf.put_u8(self.stages.len().min(MAX_STAGES) as u8);
         for (name, nanos) in self.stages.iter().take(MAX_STAGES) {
-            put_str(&mut buf, name);
-            put_u64(&mut buf, *nanos);
+            put_str(buf, name);
+            buf.put_u64(*nanos);
         }
-        put_str(&mut buf, &self.detail);
-        buf
+        put_str(buf, &self.detail);
     }
 
-    fn decode_payload(bytes: &[u8]) -> Result<SpanEvent, SnapshotError> {
-        let mut r = Cursor::new(bytes);
+    fn decode_payload(mut r: Cursor) -> Result<SpanEvent, SnapshotError> {
         let unit = r.u32()?;
         let kind = SpanKind::from_code(r.u8()?)?;
         let t_offset_ms = r.u64()?;
@@ -199,14 +199,12 @@ impl SpanEvent {
         }
         let mut stages = Vec::with_capacity(n_stages);
         for _ in 0..n_stages {
-            let name = r.string()?;
+            let name = get_str(&mut r)?;
             let nanos = r.u64()?;
             stages.push((name, nanos));
         }
-        let detail = r.string()?;
-        if !r.at_end() {
-            return Err(SnapshotError::Malformed("trailing event bytes"));
-        }
+        let detail = get_str(&mut r)?;
+        r.finish("trailing event bytes")?;
         Ok(SpanEvent {
             unit,
             kind,
@@ -223,12 +221,8 @@ impl SpanEvent {
     /// Encodes the event as one journal frame: `[len u32][payload][crc16]`
     /// with the checksum covering the length prefix and the payload.
     pub fn encode_frame(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut frame = Vec::with_capacity(6 + payload.len());
-        put_u32(&mut frame, payload.len() as u32);
-        frame.extend_from_slice(&payload);
-        let crc = crc16(&frame);
-        frame.extend_from_slice(&crc.to_le_bytes());
+        let mut frame = Vec::new();
+        put_frame(&mut frame, LenWidth::U32, |p| self.encode_payload(p));
         frame
     }
 }
@@ -244,9 +238,9 @@ pub struct SpanLog {
     pub started_unix_ms: u64,
     /// Events in append order.
     pub events: Vec<SpanEvent>,
-    /// True when the file ended inside a frame (a torn tail from a killed
+    /// [`Tail::Torn`] when the file ended inside a frame (a killed
     /// coordinator); the events before the tear are intact and returned.
-    pub torn: bool,
+    pub tail: Tail,
 }
 
 /// Fixed header length: magic + version + campaign + units + start + crc.
@@ -255,12 +249,12 @@ const HEADER_LEN: usize = 4 + 1 + 8 + 4 + 8 + 2;
 fn encode_header(campaign: u64, total_units: u32, started_unix_ms: u64) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN);
     buf.extend_from_slice(SPAN_MAGIC);
-    buf.push(SPAN_VERSION);
-    put_u64(&mut buf, campaign);
-    put_u32(&mut buf, total_units);
-    put_u64(&mut buf, started_unix_ms);
+    buf.put_u8(SPAN_VERSION);
+    buf.put_u64(campaign);
+    buf.put_u32(total_units);
+    buf.put_u64(started_unix_ms);
     let crc = crc16(&buf[4..]);
-    buf.extend_from_slice(&crc.to_le_bytes());
+    buf.put_u16(crc);
     buf
 }
 
@@ -270,70 +264,51 @@ impl SpanLog {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = encode_header(self.campaign, self.total_units, self.started_unix_ms);
         for event in &self.events {
-            buf.extend_from_slice(&event.encode_frame());
+            put_frame(&mut buf, LenWidth::U32, |p| event.encode_payload(p));
         }
         buf
     }
 
     /// Decodes a `.ifsp` byte stream; typed errors, never panics. A
-    /// truncated final frame sets [`SpanLog::torn`] instead of failing —
-    /// the journal is append-only and a killed coordinator legitimately
-    /// leaves a partial last frame — while any checksum or structure
-    /// violation in a complete frame is a hard error. The header checksum
-    /// is validated before the version byte is interpreted, so corruption
-    /// is never misreported as version skew.
+    /// truncated final frame is reported as [`Tail::Torn`] instead of
+    /// failing — the journal is append-only and a killed coordinator
+    /// legitimately leaves a partial last frame — while any checksum or
+    /// structure violation in a complete frame is a hard error. The header
+    /// checksum is validated before the version byte is interpreted, so
+    /// corruption is never misreported as version skew.
     pub fn decode(bytes: &[u8]) -> Result<SpanLog, SnapshotError> {
-        if bytes.len() < 4 {
-            return Err(SnapshotError::Truncated);
-        }
-        if &bytes[..4] != SPAN_MAGIC {
+        let mut r = Cursor::new(bytes);
+        if r.bytes(4)? != SPAN_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        if bytes.len() < HEADER_LEN {
-            return Err(SnapshotError::Truncated);
-        }
-        let stated = u16::from_le_bytes([bytes[HEADER_LEN - 2], bytes[HEADER_LEN - 1]]);
-        if crc16(&bytes[4..HEADER_LEN - 2]) != stated {
-            return Err(SnapshotError::BadChecksum);
-        }
-        let mut r = Cursor::new(&bytes[4..HEADER_LEN - 2]);
         let version = r.u8()?;
-        if version != SPAN_VERSION {
-            return Err(SnapshotError::UnknownVersion(version));
-        }
         let campaign = r.u64()?;
         let total_units = r.u32()?;
         let started_unix_ms = r.u64()?;
+        r.check_crc(4)?;
+        if version != SPAN_VERSION {
+            return Err(SnapshotError::UnknownVersion(version));
+        }
 
         let mut events = Vec::new();
-        let mut rest = &bytes[HEADER_LEN..];
-        let mut torn = false;
-        while !rest.is_empty() {
-            if rest.len() < 4 {
-                torn = true;
-                break;
+        let mut tail = Tail::Clean;
+        while !r.is_empty() {
+            let start = r.position();
+            match r.frame(LenWidth::U32, MAX_EVENT_BYTES) {
+                Ok(payload) => events.push(SpanEvent::decode_payload(payload)?),
+                Err(FrameError::Truncated) => {
+                    tail = Tail::Torn { clean_len: start };
+                    break;
+                }
+                Err(e) => return Err(e.into()),
             }
-            let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-            if len > MAX_EVENT_BYTES {
-                return Err(SnapshotError::Malformed("event frame oversized"));
-            }
-            if rest.len() < 4 + len + 2 {
-                torn = true;
-                break;
-            }
-            let stated = u16::from_le_bytes([rest[4 + len], rest[4 + len + 1]]);
-            if crc16(&rest[..4 + len]) != stated {
-                return Err(SnapshotError::BadChecksum);
-            }
-            events.push(SpanEvent::decode_payload(&rest[4..4 + len])?);
-            rest = &rest[4 + len + 2..];
         }
         Ok(SpanLog {
             campaign,
             total_units,
             started_unix_ms,
             events,
-            torn,
+            tail,
         })
     }
 
@@ -486,7 +461,11 @@ pub fn render_report(log: &SpanLog) -> String {
         log.campaign,
         log.total_units,
         log.events.len(),
-        if log.torn { " (torn tail)" } else { "" }
+        if log.tail.is_torn() {
+            " (torn tail)"
+        } else {
+            ""
+        }
     ));
 
     // Lifecycle accounting: every unit should close enqueued → merged.
@@ -682,7 +661,7 @@ mod tests {
                     ..SpanEvent::new(1, SpanKind::Requeued)
                 },
             ],
-            torn: false,
+            tail: Tail::Clean,
         }
     }
 
@@ -696,39 +675,14 @@ mod tests {
     fn torn_tail_keeps_the_valid_prefix() {
         let log = sample_log();
         let bytes = log.encode();
-        // Cut inside the last frame: everything before it survives.
-        let cut = bytes.len() - 3;
-        let decoded = SpanLog::decode(&bytes[..cut]).unwrap();
-        assert!(decoded.torn);
-        assert_eq!(decoded.events.len(), log.events.len() - 1);
+        // Cut inside the last frame: everything before it survives, and
+        // the tail says where the intact journal ends.
+        let decoded = SpanLog::decode(&bytes[..bytes.len() - 3]).unwrap();
         assert_eq!(decoded.events, log.events[..log.events.len() - 1]);
-    }
-
-    #[test]
-    fn corrupt_frame_is_a_checksum_error() {
-        let log = sample_log();
-        let mut bytes = log.encode();
-        // Flip a byte inside the first event's payload.
-        let at = HEADER_LEN + 10;
-        bytes[at] ^= 0x40;
-        assert_eq!(SpanLog::decode(&bytes), Err(SnapshotError::BadChecksum));
-    }
-
-    #[test]
-    fn header_corruption_is_never_version_skew() {
-        let log = sample_log();
-        let mut bytes = log.encode();
-        bytes[4] = 9; // version byte, without re-framing
-        assert_eq!(SpanLog::decode(&bytes), Err(SnapshotError::BadChecksum));
-    }
-
-    #[test]
-    fn garbage_is_rejected() {
-        assert_eq!(SpanLog::decode(&[]), Err(SnapshotError::Truncated));
-        assert_eq!(
-            SpanLog::decode(b"not a span journal"),
-            Err(SnapshotError::BadMagic)
-        );
+        let Tail::Torn { clean_len } = decoded.tail else {
+            panic!("expected a torn tail")
+        };
+        assert_eq!(decoded.encode(), bytes[..clean_len]);
     }
 
     #[test]
@@ -751,7 +705,7 @@ mod tests {
         let log = SpanLog::read(&path).unwrap();
         assert_eq!(log.campaign, 42);
         assert_eq!(log.total_units, 2);
-        assert!(!log.torn);
+        assert_eq!(log.tail, Tail::Clean);
         assert_eq!(log.events.len(), 2);
         assert_eq!(log.events[0].kind, SpanKind::Enqueued);
         let _ = std::fs::remove_file(&path);

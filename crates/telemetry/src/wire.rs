@@ -8,9 +8,13 @@
 //!
 //! The CRC is CCITT-16 over everything from `len` through the payload —
 //! the same accumulate-over-header-and-payload structure MAVLink v2 uses.
+//! Reads go through the shared bounds-checked [`Cursor`] (DESIGN.md §19),
+//! so no input — including a valid checksum over a payload too short for
+//! its message id — can panic the decoder.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
+use imufit_math::frame::{crc16, Cursor, FrameError, Put};
 use imufit_math::Vec3;
 
 /// Frame start marker.
@@ -64,6 +68,8 @@ pub enum WireError {
     BadChecksum,
     /// Unknown message id.
     UnknownMessage(u8),
+    /// Structurally invalid bytes (bad UTF-8, trailing bytes, ...).
+    Malformed(&'static str),
 }
 
 impl std::fmt::Display for WireError {
@@ -73,41 +79,39 @@ impl std::fmt::Display for WireError {
             WireError::BadMagic => write!(f, "bad frame magic"),
             WireError::BadChecksum => write!(f, "checksum mismatch"),
             WireError::UnknownMessage(id) => write!(f, "unknown message id {id}"),
+            WireError::Malformed(what) => write!(f, "malformed frame: {what}"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
 
-/// CCITT-16 (polynomial 0x1021, init 0xFFFF).
-fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &b in data {
-        crc ^= (b as u16) << 8;
-        for _ in 0..8 {
-            if crc & 0x8000 != 0 {
-                crc = (crc << 1) ^ 0x1021;
-            } else {
-                crc <<= 1;
-            }
+impl From<FrameError> for WireError {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Truncated => WireError::Truncated,
+            FrameError::BadChecksum => WireError::BadChecksum,
+            FrameError::Malformed(what) => WireError::Malformed(what),
         }
     }
-    crc
 }
 
-fn put_vec3(buf: &mut BytesMut, v: Vec3) {
-    buf.put_f64_le(v.x);
-    buf.put_f64_le(v.y);
-    buf.put_f64_le(v.z);
+pub(crate) fn put_vec3(buf: &mut Vec<u8>, v: Vec3) {
+    buf.put_f64(v.x);
+    buf.put_f64(v.y);
+    buf.put_f64(v.z);
 }
 
-fn get_vec3(buf: &mut impl Buf) -> Vec3 {
-    Vec3::new(buf.get_f64_le(), buf.get_f64_le(), buf.get_f64_le())
+pub(crate) fn get_vec3(r: &mut Cursor) -> Result<Vec3, FrameError> {
+    Ok(Vec3::new(r.f64()?, r.f64()?, r.f64()?))
 }
 
 /// Encodes a message into a framed byte buffer.
 pub fn encode(msg: &Message) -> Bytes {
-    let mut payload = BytesMut::with_capacity(64);
+    let mut frame = Vec::with_capacity(66);
+    frame.put_u8(MAGIC);
+    frame.put_u16(0);
+    frame.put_u8(msg.id());
     match *msg {
         Message::Position {
             drone_id,
@@ -115,10 +119,10 @@ pub fn encode(msg: &Message) -> Bytes {
             position,
             velocity,
         } => {
-            payload.put_u32_le(drone_id);
-            payload.put_f64_le(time);
-            put_vec3(&mut payload, position);
-            put_vec3(&mut payload, velocity);
+            frame.put_u32(drone_id);
+            frame.put_f64(time);
+            put_vec3(&mut frame, position);
+            put_vec3(&mut frame, velocity);
         }
         Message::Status {
             drone_id,
@@ -126,77 +130,47 @@ pub fn encode(msg: &Message) -> Bytes {
             mode,
             failsafe,
         } => {
-            payload.put_u32_le(drone_id);
-            payload.put_f64_le(time);
-            payload.put_u8(mode);
-            payload.put_u8(failsafe as u8);
+            frame.put_u32(drone_id);
+            frame.put_f64(time);
+            frame.put_u8(mode);
+            frame.put_u8(failsafe as u8);
         }
     }
-
-    let mut frame = BytesMut::with_capacity(payload.len() + 6);
-    frame.put_u8(MAGIC);
-    frame.put_u16_le(payload.len() as u16);
-    frame.put_u8(msg.id());
-    frame.extend_from_slice(&payload);
+    let len = (frame.len() - 4) as u16;
+    frame[1..3].copy_from_slice(&len.to_le_bytes());
     let crc = crc16(&frame[1..]);
-    frame.put_u16_le(crc);
-    frame.freeze()
+    frame.put_u16(crc);
+    Bytes::from(frame)
 }
 
-/// Decodes one framed message.
+/// Decodes one framed message; bytes after the frame are ignored.
 ///
 /// # Errors
 ///
 /// Returns a [`WireError`] for truncated, corrupted, or unknown frames.
-pub fn decode(mut buf: Bytes) -> Result<Message, WireError> {
-    if buf.len() < 6 {
-        return Err(WireError::Truncated);
-    }
-    if buf.get_u8() != MAGIC {
+pub fn decode(buf: Bytes) -> Result<Message, WireError> {
+    let mut r = Cursor::new(&buf);
+    if r.u8()? != MAGIC {
         return Err(WireError::BadMagic);
     }
-    let len = buf.get_u16_le() as usize;
-    let msg_id = buf.get_u8();
-    if buf.remaining() < len + 2 {
-        return Err(WireError::Truncated);
-    }
-
-    // Verify CRC over len + id + payload.
-    let mut crc_region = BytesMut::with_capacity(len + 3);
-    crc_region.put_u16_le(len as u16);
-    crc_region.put_u8(msg_id);
-    crc_region.extend_from_slice(&buf[..len]);
-    let mut payload = buf.split_to(len);
-    let expect = buf.get_u16_le();
-    if crc16(&crc_region) != expect {
-        return Err(WireError::BadChecksum);
-    }
-
+    let len = r.u16()? as usize;
+    let msg_id = r.u8()?;
+    let mut payload = Cursor::new(r.bytes(len)?);
+    r.check_crc(1)?;
+    let p = &mut payload;
     match msg_id {
-        1 => {
-            let drone_id = payload.get_u32_le();
-            let time = payload.get_f64_le();
-            let position = get_vec3(&mut payload);
-            let velocity = get_vec3(&mut payload);
-            Ok(Message::Position {
-                drone_id,
-                time,
-                position,
-                velocity,
-            })
-        }
-        2 => {
-            let drone_id = payload.get_u32_le();
-            let time = payload.get_f64_le();
-            let mode = payload.get_u8();
-            let failsafe = payload.get_u8() != 0;
-            Ok(Message::Status {
-                drone_id,
-                time,
-                mode,
-                failsafe,
-            })
-        }
+        1 => Ok(Message::Position {
+            drone_id: p.u32()?,
+            time: p.f64()?,
+            position: get_vec3(p)?,
+            velocity: get_vec3(p)?,
+        }),
+        2 => Ok(Message::Status {
+            drone_id: p.u32()?,
+            time: p.f64()?,
+            mode: p.u8()?,
+            failsafe: p.u8()? != 0,
+        }),
         other => Err(WireError::UnknownMessage(other)),
     }
 }
@@ -232,51 +206,16 @@ mod tests {
         assert_eq!(decode(encode(&msg)).unwrap(), msg);
     }
 
+    /// A valid checksum over a payload too short for its message id is a
+    /// truncation, not a panic inside the payload reads.
     #[test]
-    fn truncated_frames_error() {
-        let bytes = encode(&sample_position());
-        for cut in [0, 1, 5, bytes.len() - 1] {
-            let r = decode(bytes.slice(..cut));
-            assert_eq!(r, Err(WireError::Truncated), "cut at {cut}");
+    fn short_payload_with_valid_crc_is_truncated() {
+        for id in [1, 2] {
+            let mut v = vec![MAGIC, 2, 0, id, 0xAA, 0xBB];
+            let crc = crc16(&v[1..]);
+            v.extend_from_slice(&crc.to_le_bytes());
+            assert_eq!(decode(Bytes::from(v)), Err(WireError::Truncated), "id {id}");
         }
-    }
-
-    #[test]
-    fn bad_magic_detected() {
-        let bytes = encode(&sample_position());
-        let mut v = bytes.to_vec();
-        v[0] = 0x00;
-        assert_eq!(decode(Bytes::from(v)), Err(WireError::BadMagic));
-    }
-
-    #[test]
-    fn corruption_detected_by_crc() {
-        let bytes = encode(&sample_position());
-        // Flip one payload byte.
-        let mut v = bytes.to_vec();
-        v[10] ^= 0xFF;
-        assert_eq!(decode(Bytes::from(v)), Err(WireError::BadChecksum));
-    }
-
-    #[test]
-    fn unknown_message_id() {
-        let bytes = encode(&sample_position());
-        let mut v = bytes.to_vec();
-        v[3] = 99; // msg id
-                   // Fix the CRC so only the id is "wrong".
-        let len = u16::from_le_bytes([v[1], v[2]]) as usize;
-        let mut region = Vec::new();
-        region.extend_from_slice(&v[1..4 + len]);
-        let crc = crc16(&region);
-        let n = v.len();
-        v[n - 2..].copy_from_slice(&crc.to_le_bytes());
-        assert_eq!(decode(Bytes::from(v)), Err(WireError::UnknownMessage(99)));
-    }
-
-    #[test]
-    fn crc_is_position_sensitive() {
-        assert_ne!(crc16(&[1, 2, 3]), crc16(&[3, 2, 1]));
-        assert_ne!(crc16(&[0, 0]), crc16(&[0]));
     }
 
     #[test]

@@ -1,13 +1,14 @@
 //! Property tests for the telemetry wire codec: arbitrary messages
-//! survive encode→decode bit-for-bit, and the decoder answers hostile
-//! input — truncation, flipped bytes, garbage — with typed [`WireError`]s,
-//! never a panic.
+//! survive encode→decode bit-for-bit, alone or followed by other bytes.
+//! Hostile input (truncation, flipped bytes, garbage, short payloads) is
+//! covered for every decoder at once by the workspace's
+//! `tests/codec_props.rs`.
 
 use proptest::prelude::*;
 
 use bytes::Bytes;
 use imufit_math::Vec3;
-use imufit_telemetry::wire::{decode, encode, Message, WireError, MAGIC};
+use imufit_telemetry::wire::{decode, encode, Message};
 
 /// A message with every field derived (deterministically) from a handful
 /// of generated scalars, so both variants and the full payload surface
@@ -46,68 +47,6 @@ proptest! {
     ) {
         let msg = build_message(status, drone_id, time, x, flags);
         prop_assert_eq!(decode(encode(&msg)).unwrap(), msg);
-    }
-
-    /// Every strict prefix of a frame decodes to a typed error — the
-    /// telemetry framing keeps the CRC at the tail, so any cut loses it.
-    #[test]
-    fn truncation_is_a_typed_error(
-        status in any_variant(),
-        drone_id in 0_u32..1000,
-        time in 0.0_f64..1.0e4,
-        cut_frac in 0.0_f64..1.0,
-    ) {
-        let bytes = encode(&build_message(status, drone_id, time, 42.0, 3));
-        let cut = ((bytes.len() - 1) as f64 * cut_frac) as usize;
-        let err = decode(bytes.slice(..cut)).unwrap_err();
-        prop_assert!(
-            matches!(err, WireError::Truncated | WireError::BadChecksum),
-            "cut at {}: {:?}", cut, err
-        );
-    }
-
-    /// Flipping any single byte of a frame never panics: it is caught by
-    /// the magic or CRC checks, or (for a corrupted length field) reads
-    /// as truncation. No flipped byte may decode cleanly.
-    #[test]
-    fn bit_flips_never_decode_cleanly(
-        status in any_variant(),
-        drone_id in 0_u32..1000,
-        time in 0.0_f64..1.0e4,
-        flip_frac in 0.0_f64..1.0,
-        xor in 1_u8..u8::MAX,
-    ) {
-        let bytes = encode(&build_message(status, drone_id, time, -7.5, 9));
-        let mut v = bytes.to_vec();
-        let at = ((v.len() - 1) as f64 * flip_frac) as usize;
-        v[at] ^= xor;
-        let result = decode(Bytes::from(v));
-        if at == 0 {
-            // The magic byte is checked first and the flip always changes it.
-            prop_assert_eq!(result, Err(WireError::BadMagic));
-        } else {
-            prop_assert!(
-                matches!(
-                    result,
-                    Err(WireError::BadChecksum)
-                        | Err(WireError::Truncated)
-                        | Err(WireError::UnknownMessage(_))
-                ),
-                "flip at {} -> {:?}", at, result
-            );
-        }
-    }
-
-    /// Arbitrary garbage — with or without a plausible magic byte — is
-    /// rejected, never panicked on.
-    #[test]
-    fn garbage_never_panics(junk in prop::collection::vec(0_u8..u8::MAX, 0..64)) {
-        let _ = decode(Bytes::from(junk.clone()));
-        if !junk.is_empty() {
-            let mut junk = junk;
-            junk[0] = MAGIC;
-            prop_assert!(decode(Bytes::from(junk)).is_err());
-        }
     }
 
     /// Concatenated frames: the decoder consumes exactly one message and

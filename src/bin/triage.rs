@@ -225,7 +225,7 @@ fn main() {
 mod tests {
     use super::*;
     use imufit_obs::snapshot::Snapshot;
-    use imufit_obs::spans::{SpanEvent, SpanKind, SpanLog};
+    use imufit_obs::spans::{SpanEvent, SpanKind, SpanLog, Tail};
     use imufit_obs::timeseries::TimeSeries;
 
     fn temp_file(name: &str, bytes: &[u8]) -> PathBuf {
@@ -292,7 +292,7 @@ mod tests {
                     ..SpanEvent::new(0, SpanKind::Merged)
                 },
             ],
-            torn: false,
+            tail: Tail::Clean,
         };
         let path = temp_file("triage_test_spans.ifsp", &log.encode());
         let text = spans_report(&path).unwrap();

@@ -74,7 +74,10 @@ fn fleet_campaign_journals_every_unit_including_a_forced_requeue() {
     let bytes = std::fs::read(&span_path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", span_path.display()));
     let log = SpanLog::decode(&bytes).expect("span journal decodes");
-    assert!(!log.torn, "journal of a clean shutdown must not be torn");
+    assert!(
+        !log.tail.is_torn(),
+        "journal of a clean shutdown must not be torn"
+    );
     assert!(log.total_units > 0);
 
     // Every unit must have walked enqueue -> dispatch -> execute -> merge.

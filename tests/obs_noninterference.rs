@@ -156,7 +156,7 @@ fn campaign_csv_identical_with_live_metrics_plane() {
 
     // The journal appended mid-run decodes cleanly afterwards.
     let log = imufit_obs::spans::SpanLog::read(&span_path).expect("span journal decodes");
-    assert!(!log.torn);
+    assert!(!log.tail.is_torn());
     assert_eq!(log.campaign, 0xC0FFEE);
     assert_eq!(log.events.len(), scrapes.len());
     let _ = std::fs::remove_file(&span_path);
