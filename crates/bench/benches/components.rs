@@ -110,39 +110,28 @@ fn bench_sim_step(c: &mut Criterion) {
     });
 }
 
-/// The tick-stage profiler's cost: the same warmed-up vehicle stepped
-/// with the profiler disarmed (`sim/unprofiled_tick`) and armed at the
-/// default 1-in-64 sampling period (`sim/profiled_tick`). The ratio of the
-/// two medians is the profiler overhead `bench_summary --gate` holds under
-/// 2%.
-fn bench_profiled_tick(c: &mut Criterion) {
-    use imufit_obs::profile;
-
+/// The whole obs layer's tick cost: two identically warmed vehicles fly
+/// the same ticks, one with the metric runtime kill-switch thrown
+/// (`sim/tick_obs_off`) and one with obs on, the tick-stage profiler
+/// sampling at its default 1-in-64 period (`sim/tick_obs_on`). The ratio
+/// of the two medians is the obs overhead `bench_summary --gate` holds
+/// under 2%.
+fn bench_obs_tick(c: &mut Criterion) {
     let missions = all_missions();
     let mission = &missions[0];
-    let mut sim = FlightSimulator::new(mission, Vec::new(), SimConfig::default_for(mission, 1));
-    for _ in 0..5000 {
-        sim.step();
+    for (name, obs_on) in [("sim/tick_obs_off", false), ("sim/tick_obs_on", true)] {
+        let mut sim = FlightSimulator::new(mission, Vec::new(), SimConfig::default_for(mission, 1));
+        for _ in 0..5000 {
+            sim.step();
+        }
+        imufit_obs::set_runtime_enabled(obs_on);
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                sim.step();
+                black_box(sim.time())
+            })
+        });
     }
-
-    profile::set_enabled(false);
-    c.bench_function("sim/unprofiled_tick", |b| {
-        b.iter(|| {
-            sim.step();
-            black_box(sim.time())
-        })
-    });
-
-    profile::reset();
-    profile::set_sample_period(imufit_obs::profile::DEFAULT_SAMPLE_PERIOD);
-    profile::set_enabled(true);
-    c.bench_function("sim/profiled_tick", |b| {
-        b.iter(|| {
-            sim.step();
-            black_box(sim.time())
-        })
-    });
-    profile::set_enabled(false);
 }
 
 /// The coordinator's span-journal write path minus the filesystem: frame
@@ -369,7 +358,7 @@ criterion_group!(
     bench_injector,
     bench_controller,
     bench_sim_step,
-    bench_profiled_tick,
+    bench_obs_tick,
     bench_span_record,
     bench_campaign_run,
     bench_trace,

@@ -3,9 +3,9 @@
 //! The campaign runner is an observation instrument — it measures bubble
 //! violations and mission outcomes across an 850-run matrix — and this
 //! crate gives the instrument itself structured visibility: where the time
-//! goes (spans and latency histograms over the sim tick, the EKF update,
-//! the fault injector), what happened (counters for injected faults, voter
-//! exclusions, cascade transitions, detector trips, caught panics), and
+//! goes (the sampled tick-stage histograms fed by [`profile`], spans over
+//! whole runs and phases), what happened (counters for injected faults,
+//! voter exclusions, cascade transitions, detector trips, caught panics), and
 //! how the campaign is progressing (live runs-done / ETA / worker
 //! utilisation reporting).
 //!
@@ -39,7 +39,7 @@
 //! plus a thread-local span stack:
 //!
 //! ```
-//! let timer = imufit_obs::timer("ekf_update"); // histogram ekf_update_seconds
+//! let timer = imufit_obs::timer("report_render"); // histogram report_render_seconds
 //! {
 //!     let _guard = timer.enter();
 //!     // ... measured section ...
@@ -73,8 +73,9 @@
 //! * [`spans`] — the CRC-framed `.ifsp` execution span journal giving
 //!   every campaign work unit an `enqueued → dispatched → executed →
 //!   merged` trace, decoded by `triage spans`;
-//! * [`profile`] — a counting-sampled tick-stage profiler attributing
-//!   self-time to the sensors/faults/estimator/controller/dynamics seams;
+//! * [`profile`] — the one tick-stage clock: a counting-sampled profiler
+//!   attributing self-time to the tick's stage seams and feeding the
+//!   `sim_tick_seconds` and `sim_stage_<stage>_seconds` histograms;
 //! * [`alerts`] — declarative SLO rules (`[obs.alerts]`) with
 //!   firing/resolved state behind `/alerts`.
 //!
@@ -125,8 +126,8 @@ pub use stub::{
 
 /// Fixed bucket boundary sets for [`histogram`] registration.
 pub mod buckets {
-    /// Log-spaced latency buckets, 1 µs .. 10 s: the sim tick, EKF update
-    /// and injector all land comfortably inside.
+    /// Log-spaced latency buckets, 1 µs .. 10 s: the sim tick and its
+    /// stages land at the low end.
     pub const LATENCY_S: &[f64] = &[
         1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2,
         2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,

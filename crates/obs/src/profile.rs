@@ -1,14 +1,17 @@
 //! Tick-stage statistical profiler: where the simulated tick's wall-clock
-//! actually goes.
+//! actually goes. It is the simulator's only tick-stage clock.
 //!
 //! The tick pipeline runs its stages in a fixed order (sensors → faults
 //! → voter → estimator → controller → dynamics); this module samples every
 //! Nth tick per thread (default [`DEFAULT_SAMPLE_PERIOD`]) and, on sampled
-//! ticks only, timestamps each stage seam and accumulates the deltas into
-//! global per-stage self-time counters. Unsampled ticks pay one
-//! thread-local counter increment and a branch, which is what keeps the
-//! profiler cheap enough to leave on (<2% tick overhead, proven by the
-//! `sim/profiled_tick` bench).
+//! ticks only, timestamps each stage seam. Each stage's self-time goes
+//! into the registry histogram `sim_stage_<name>_seconds` and the whole
+//! sampled tick into `sim_tick_seconds`; those histograms are the
+//! profiler's only store, so [`report`] and a `/metrics` scrape read the
+//! same numbers. Unsampled ticks pay one thread-local counter increment
+//! and a branch and read no clock, which is what keeps the profiler cheap
+//! enough to leave on (the `sim/tick_obs_on` vs `sim/tick_obs_off` bench
+//! pair holds the whole obs layer's tick cost under 2%).
 //!
 //! Because one `Instant::now()` closes a stage and opens the next, the
 //! per-stage self-times tile the sampled tick exactly: the accounted
@@ -16,10 +19,12 @@
 //! tick" with data. [`folded`] renders the totals as folded-stack lines
 //! (`tick;estimator 123456`) for flamegraph tooling.
 //!
-//! Like every obs facility the profiler is write-only with respect to the
-//! simulation — it reads clocks and writes its own atomics, never
-//! simulation state or RNG streams — and compiles to zero-sized no-ops
-//! without the `enabled` feature.
+//! The only switch is the metric runtime kill-switch
+//! ([`crate::set_runtime_enabled`]). Like every obs facility the profiler
+//! is write-only with respect to the simulation — it reads clocks and
+//! writes its own histograms, never simulation state or RNG streams.
+//! Without the `enabled` feature the runtime check is a constant `false`
+//! and the histograms are the stub's no-ops, so every seam compiles away.
 
 /// One stage of the tick pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,226 +65,143 @@ pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
 /// Default sampling period: one tick in 64 is timed.
 pub const DEFAULT_SAMPLE_PERIOD: u64 = 64;
 
-#[cfg(feature = "enabled")]
-mod real {
-    use super::{Stage, DEFAULT_SAMPLE_PERIOD, STAGE_COUNT, STAGE_NAMES};
-    use std::cell::Cell;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::time::Instant;
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
+use std::time::Instant;
 
-    static ENABLED: AtomicBool = AtomicBool::new(true);
-    static SAMPLE_PERIOD: AtomicU64 = AtomicU64::new(DEFAULT_SAMPLE_PERIOD);
-    static STAGE_NANOS: [AtomicU64; STAGE_COUNT] = [
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-        AtomicU64::new(0),
-    ];
-    static SAMPLED_TICK_NANOS: AtomicU64 = AtomicU64::new(0);
-    static SAMPLED_TICKS: AtomicU64 = AtomicU64::new(0);
+use crate::{buckets, histogram, Histogram};
 
-    thread_local! {
-        static TICK_COUNTER: Cell<u64> = const { Cell::new(0) };
-    }
+static SAMPLE_PERIOD: AtomicU64 = AtomicU64::new(DEFAULT_SAMPLE_PERIOD);
 
-    /// Turns the profiler on or off at runtime (independent of the metric
-    /// kill-switch so benches can isolate its overhead).
-    pub fn set_enabled(on: bool) {
-        ENABLED.store(on, Ordering::Relaxed);
-    }
+thread_local! {
+    static TICK_COUNTER: Cell<u64> = const { Cell::new(0) };
+}
 
-    /// Sets the per-thread sampling period (clamped to ≥1). Period 1 times
-    /// every tick — used by tests to prove the stage seams tile the tick.
-    pub fn set_sample_period(period: u64) {
-        SAMPLE_PERIOD.store(period.max(1), Ordering::Relaxed);
-    }
+/// The profiler's only accumulators: one registry histogram per stage
+/// (`sim_stage_<name>_seconds`) and the whole sampled tick
+/// (`sim_tick_seconds`). Registered once, on the first sampled tick or
+/// read.
+struct StageClock {
+    stages: [Histogram; STAGE_COUNT],
+    tick: Histogram,
+}
 
-    /// Zeroes every accumulator (tests and benches).
-    pub fn reset() {
-        for slot in &STAGE_NANOS {
-            slot.store(0, Ordering::Relaxed);
-        }
-        SAMPLED_TICK_NANOS.store(0, Ordering::Relaxed);
-        SAMPLED_TICKS.store(0, Ordering::Relaxed);
-    }
+fn clock() -> &'static StageClock {
+    static CLOCK: OnceLock<StageClock> = OnceLock::new();
+    CLOCK.get_or_init(|| StageClock {
+        stages: STAGE_NAMES
+            .map(|name| histogram(&format!("sim_stage_{name}_seconds"), buckets::LATENCY_S)),
+        tick: histogram("sim_tick_seconds", buckets::LATENCY_S),
+    })
+}
 
-    /// An open tick sample. `None` inside means this tick was not sampled
-    /// (the common case): every method is then a no-op.
-    #[derive(Debug)]
-    pub struct TickGuard {
-        active: Option<ActiveTick>,
-    }
+/// A histogram's summed seconds as whole nanoseconds.
+fn nanos(hist: &Histogram) -> u64 {
+    (hist.sum() * 1e9).round() as u64
+}
 
-    #[derive(Debug)]
-    struct ActiveTick {
-        tick_start: Instant,
-        mark: Instant,
-        stage: usize,
-    }
+/// Sets the per-thread sampling period (clamped to ≥1). Period 1 times
+/// every tick — used by tests to prove the stage seams tile the tick.
+pub fn set_sample_period(period: u64) {
+    SAMPLE_PERIOD.store(period.max(1), Ordering::Relaxed);
+}
 
-    /// Opens a tick. On the sampled ticks (every Nth per thread, and only
-    /// while the profiler and the global metric runtime are enabled) the
-    /// guard timestamps stage seams; otherwise it is inert.
-    pub fn tick_begin() -> TickGuard {
-        if !ENABLED.load(Ordering::Relaxed) || !crate::runtime_enabled() {
-            return TickGuard { active: None };
-        }
-        let sampled = TICK_COUNTER.with(|c| {
-            let n = c.get().wrapping_add(1);
-            c.set(n);
-            n % SAMPLE_PERIOD.load(Ordering::Relaxed) == 0
-        });
-        if !sampled {
-            return TickGuard { active: None };
-        }
-        let now = Instant::now();
-        TickGuard {
-            active: Some(ActiveTick {
-                tick_start: now,
-                mark: now,
-                stage: Stage::Env as usize,
-            }),
-        }
-    }
+/// An open tick sample. `None` inside means this tick was not sampled
+/// (the common case): every method is then a no-op.
+#[derive(Debug)]
+pub struct TickGuard {
+    active: Option<ActiveTick>,
+}
 
-    impl TickGuard {
-        /// Marks a stage seam: the time since the previous mark is
-        /// attributed to the stage that just ended, and `stage` begins.
-        /// One clock read closes and opens, so stages tile the tick with
-        /// no gaps.
-        #[inline]
-        pub fn stage(&mut self, stage: Stage) {
-            if let Some(active) = &mut self.active {
-                let now = Instant::now();
-                STAGE_NANOS[active.stage].fetch_add(
-                    now.duration_since(active.mark).as_nanos() as u64,
-                    Ordering::Relaxed,
-                );
-                active.mark = now;
-                active.stage = stage as usize;
-            }
-        }
-    }
+#[derive(Debug)]
+struct ActiveTick {
+    tick_start: Instant,
+    mark: Instant,
+    stage: usize,
+}
 
-    impl Drop for TickGuard {
-        fn drop(&mut self) {
-            if let Some(active) = self.active.take() {
-                let now = Instant::now();
-                STAGE_NANOS[active.stage].fetch_add(
-                    now.duration_since(active.mark).as_nanos() as u64,
-                    Ordering::Relaxed,
-                );
-                SAMPLED_TICK_NANOS.fetch_add(
-                    now.duration_since(active.tick_start).as_nanos() as u64,
-                    Ordering::Relaxed,
-                );
-                SAMPLED_TICKS.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Per-stage sampled self-time, `(name, nanos)`, stage order.
-    pub fn report() -> Vec<(&'static str, u64)> {
-        STAGE_NAMES
-            .iter()
-            .zip(&STAGE_NANOS)
-            .map(|(name, nanos)| (*name, nanos.load(Ordering::Relaxed)))
-            .collect()
-    }
-
-    /// Raw per-stage nanos, for delta-based attribution (fleet workers
-    /// snapshot before/after a unit).
-    pub fn stage_nanos() -> [u64; STAGE_COUNT] {
-        let mut out = [0u64; STAGE_COUNT];
-        for (slot, cell) in out.iter_mut().zip(&STAGE_NANOS) {
-            *slot = cell.load(Ordering::Relaxed);
-        }
-        out
-    }
-
-    /// Total wall-clock of all sampled ticks, nanoseconds.
-    pub fn sampled_tick_nanos() -> u64 {
-        SAMPLED_TICK_NANOS.load(Ordering::Relaxed)
-    }
-
-    /// Number of ticks that were sampled.
-    pub fn sampled_ticks() -> u64 {
-        SAMPLED_TICKS.load(Ordering::Relaxed)
+impl ActiveTick {
+    /// Records the time since the previous seam against the open stage.
+    fn close_stage(&self, clock: &StageClock, now: Instant) {
+        clock.stages[self.stage].observe(now.duration_since(self.mark).as_secs_f64());
     }
 }
 
-#[cfg(feature = "enabled")]
-pub use real::{
-    report, reset, sampled_tick_nanos, sampled_ticks, set_enabled, set_sample_period, stage_nanos,
-    tick_begin, TickGuard,
-};
-
-#[cfg(not(feature = "enabled"))]
-mod noop {
-    use super::{Stage, STAGE_COUNT};
-
-    /// No-op tick sample.
-    #[derive(Debug)]
-    pub struct TickGuard;
-
-    impl TickGuard {
-        /// Discards the seam.
-        #[inline(always)]
-        pub fn stage(&mut self, _stage: Stage) {}
+/// Opens a tick. On the sampled ticks (every Nth per thread, and only
+/// while the metric runtime is enabled) the guard timestamps stage seams;
+/// otherwise it is inert and reads no clock.
+pub fn tick_begin() -> TickGuard {
+    if !crate::runtime_enabled() {
+        return TickGuard { active: None };
     }
-
-    /// No-op tick open.
-    #[inline(always)]
-    pub fn tick_begin() -> TickGuard {
-        TickGuard
+    let sampled = TICK_COUNTER.with(|c| {
+        let n = c.get().wrapping_add(1);
+        c.set(n);
+        n % SAMPLE_PERIOD.load(Ordering::Relaxed) == 0
+    });
+    if !sampled {
+        return TickGuard { active: None };
     }
-
-    /// No-op enable toggle.
-    #[inline(always)]
-    pub fn set_enabled(_on: bool) {}
-
-    /// No-op period setter.
-    #[inline(always)]
-    pub fn set_sample_period(_period: u64) {}
-
-    /// No-op reset.
-    #[inline(always)]
-    pub fn reset() {}
-
-    /// Always empty without the `enabled` feature.
-    #[inline(always)]
-    pub fn report() -> Vec<(&'static str, u64)> {
-        Vec::new()
-    }
-
-    /// Always zero without the `enabled` feature.
-    #[inline(always)]
-    pub fn stage_nanos() -> [u64; STAGE_COUNT] {
-        [0; STAGE_COUNT]
-    }
-
-    /// Always zero without the `enabled` feature.
-    #[inline(always)]
-    pub fn sampled_tick_nanos() -> u64 {
-        0
-    }
-
-    /// Always zero without the `enabled` feature.
-    #[inline(always)]
-    pub fn sampled_ticks() -> u64 {
-        0
+    let now = Instant::now();
+    TickGuard {
+        active: Some(ActiveTick {
+            tick_start: now,
+            mark: now,
+            stage: Stage::Env as usize,
+        }),
     }
 }
 
-#[cfg(not(feature = "enabled"))]
-pub use noop::{
-    report, reset, sampled_tick_nanos, sampled_ticks, set_enabled, set_sample_period, stage_nanos,
-    tick_begin, TickGuard,
-};
+impl TickGuard {
+    /// Marks a stage seam: the time since the previous mark is
+    /// attributed to the stage that just ended, and `stage` begins.
+    /// One clock read closes and opens, so stages tile the tick with
+    /// no gaps.
+    #[inline]
+    pub fn stage(&mut self, stage: Stage) {
+        if let Some(active) = &mut self.active {
+            let now = Instant::now();
+            active.close_stage(clock(), now);
+            active.mark = now;
+            active.stage = stage as usize;
+        }
+    }
+}
+
+impl Drop for TickGuard {
+    fn drop(&mut self) {
+        if let Some(active) = self.active.take() {
+            let now = Instant::now();
+            let clock = clock();
+            active.close_stage(clock, now);
+            clock
+                .tick
+                .observe(now.duration_since(active.tick_start).as_secs_f64());
+        }
+    }
+}
+
+/// Per-stage sampled self-time, `(name, nanos)`, stage order.
+pub fn report() -> Vec<(&'static str, u64)> {
+    STAGE_NAMES.into_iter().zip(stage_nanos()).collect()
+}
+
+/// Raw per-stage nanos, for delta-based attribution (fleet workers
+/// snapshot before/after a unit).
+pub fn stage_nanos() -> [u64; STAGE_COUNT] {
+    clock().stages.each_ref().map(nanos)
+}
+
+/// Total wall-clock of all sampled ticks, nanoseconds.
+pub fn sampled_tick_nanos() -> u64 {
+    nanos(&clock().tick)
+}
+
+/// Number of ticks that were sampled.
+pub fn sampled_ticks() -> u64 {
+    clock().tick.count()
+}
 
 /// The fraction of sampled tick wall-clock accounted to stages. With the
 /// seams tiling the tick this sits at ~1.0; anything below ~0.95 means a
@@ -345,10 +267,20 @@ mod tests {
     /// Global accumulators; tests must not interleave.
     static SERIAL: Mutex<()> = Mutex::new(());
 
+    /// `(sampled ticks, sampled tick nanos, summed stage nanos)` so far;
+    /// tests assert on the difference of two readings.
+    fn totals() -> (u64, u64, u64) {
+        (
+            sampled_ticks(),
+            sampled_tick_nanos(),
+            stage_nanos().iter().sum(),
+        )
+    }
+
     #[test]
     fn sampled_stages_tile_the_tick() {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
+        let (ticks0, tick_ns0, stage_ns0) = totals();
         set_sample_period(1);
         for _ in 0..50 {
             let mut guard = tick_begin();
@@ -359,8 +291,9 @@ mod tests {
             guard.stage(Stage::Dynamics);
             std::hint::black_box((0..100).sum::<u64>());
         }
-        assert_eq!(sampled_ticks(), 50);
-        let fraction = accounted_fraction();
+        let (ticks1, tick_ns1, stage_ns1) = totals();
+        assert_eq!(ticks1 - ticks0, 50);
+        let fraction = (stage_ns1 - stage_ns0) as f64 / (tick_ns1 - tick_ns0) as f64;
         assert!(
             fraction > 0.99 && fraction < 1.01,
             "stages must tile the tick: accounted {fraction}"
@@ -375,7 +308,7 @@ mod tests {
     #[test]
     fn unsampled_ticks_record_nothing() {
         let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
+        let before = totals();
         set_sample_period(1_000_000);
         // Fresh thread: its tick counter starts at zero, so none of these
         // ticks hit the sampling period.
@@ -387,23 +320,7 @@ mod tests {
         })
         .join()
         .unwrap();
-        assert_eq!(sampled_ticks(), 0);
-        assert_eq!(sampled_tick_nanos(), 0);
-        set_sample_period(DEFAULT_SAMPLE_PERIOD);
-    }
-
-    #[test]
-    fn disabled_profiler_is_inert() {
-        let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-        reset();
-        set_enabled(false);
-        set_sample_period(1);
-        for _ in 0..10 {
-            let mut guard = tick_begin();
-            guard.stage(Stage::Voter);
-        }
-        assert_eq!(sampled_ticks(), 0);
-        set_enabled(true);
+        assert_eq!(totals(), before);
         set_sample_period(DEFAULT_SAMPLE_PERIOD);
     }
 }

@@ -115,7 +115,7 @@ pub fn read_log(buf: Bytes) -> Result<FlightLog, WireError> {
     }
     let version = r.u8()?;
     if version != LOG_VERSION && version != LOG_VERSION_V1 {
-        return Err(WireError::UnknownMessage(version));
+        return Err(WireError::UnknownVersion(version));
     }
     let drone_id = r.u32()?;
     let meta_len = r.u16()? as usize;

@@ -68,6 +68,8 @@ pub enum WireError {
     BadChecksum,
     /// Unknown message id.
     UnknownMessage(u8),
+    /// Unknown format version.
+    UnknownVersion(u8),
     /// Structurally invalid bytes (bad UTF-8, trailing bytes, ...).
     Malformed(&'static str),
 }
@@ -79,6 +81,7 @@ impl std::fmt::Display for WireError {
             WireError::BadMagic => write!(f, "bad frame magic"),
             WireError::BadChecksum => write!(f, "checksum mismatch"),
             WireError::UnknownMessage(id) => write!(f, "unknown message id {id}"),
+            WireError::UnknownVersion(v) => write!(f, "unknown format version {v}"),
             WireError::Malformed(what) => write!(f, "malformed frame: {what}"),
         }
     }

@@ -32,22 +32,22 @@ use imufit_obs::{info, warn};
 /// Benches held to the soft perf-regression gate. Kept short and stable:
 /// the closed-loop step is the product's hot path, the trace-off tick
 /// guards the observability layer's zero-cost claim, the whole-run
-/// experiment guards campaign throughput end to end, and the profiled
-/// tick guards the tick-stage profiler's sampling overhead.
+/// experiment guards campaign throughput end to end, and the obs-on tick
+/// guards what observing the tick costs.
 const GATED_BENCHES: [&str; 4] = [
     "sim/closed_loop_step",
     "trace/tick_off",
     "campaign/run_experiment",
-    "sim/profiled_tick",
+    "sim/tick_obs_on",
 ];
 
 /// Regression threshold for the soft gate.
 const GATE_TOLERANCE: f64 = 0.10;
 
-/// The tick-stage profiler's overhead budget: the profiled tick (default
-/// 1-in-64 sampling) may cost at most 2% more than the same tick with the
-/// profiler disabled.
-const PROFILER_OVERHEAD_BUDGET: f64 = 1.02;
+/// The obs layer's tick overhead budget: the tick with obs on (the stage
+/// profiler sampling 1 tick in 64) may cost at most 2% more than the same
+/// tick with the metric runtime kill-switch thrown.
+const OBS_OVERHEAD_BUDGET: f64 = 1.02;
 
 fn main() {
     imufit_obs::log::init();
@@ -154,35 +154,35 @@ fn check_gate(baseline: &[(String, f64)], fresh: &[(String, f64)]) -> usize {
             _ => warn!("perf gate: {name} missing from baseline or fresh run (skipping)"),
         }
     }
-    regressions + check_profiler_overhead(fresh)
+    regressions + check_obs_overhead(fresh)
 }
 
-/// The profiler-overhead gate rides the fresh run alone: profiled vs
-/// unprofiled medians of the same warmed tick must stay within
-/// [`PROFILER_OVERHEAD_BUDGET`]. Returns 1 on breach, counting toward
-/// the `--hard` exit like any other regression.
-fn check_profiler_overhead(fresh: &[(String, f64)]) -> usize {
+/// The obs-overhead gate rides the fresh run alone: obs-on vs obs-off
+/// medians of the same warmed tick must stay within
+/// [`OBS_OVERHEAD_BUDGET`]. Returns 1 on breach, counting toward the
+/// `--hard` exit like any other regression.
+fn check_obs_overhead(fresh: &[(String, f64)]) -> usize {
     let get = |name: &str| fresh.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-    match (get("sim/unprofiled_tick"), get("sim/profiled_tick")) {
+    match (get("sim/tick_obs_off"), get("sim/tick_obs_on")) {
         (Some(off), Some(on)) if off > 0.0 => {
             let ratio = on / off;
-            if ratio > PROFILER_OVERHEAD_BUDGET {
+            if ratio > OBS_OVERHEAD_BUDGET {
                 println!(
-                    "::warning::perf gate: profiler overhead {:.2}% exceeds the \
+                    "::warning::perf gate: obs overhead {:.2}% exceeds the \
                      {:.0}% budget ({off:.1} ns -> {on:.1} ns)",
                     (ratio - 1.0) * 100.0,
-                    (PROFILER_OVERHEAD_BUDGET - 1.0) * 100.0
+                    (OBS_OVERHEAD_BUDGET - 1.0) * 100.0
                 );
                 return 1;
             }
             info!(
-                "perf gate: profiler overhead ok ({off:.1} ns -> {on:.1} ns, {:+.2}%)",
+                "perf gate: obs overhead ok ({off:.1} ns -> {on:.1} ns, {:+.2}%)",
                 (ratio - 1.0) * 100.0
             );
             0
         }
         _ => {
-            warn!("perf gate: profiler overhead pair missing from fresh run (skipping)");
+            warn!("perf gate: obs overhead pair missing from fresh run (skipping)");
             0
         }
     }
@@ -250,7 +250,8 @@ fn extract_number(line: &str, key: &str) -> Option<f64> {
 
 /// Metrics computed from the raw medians rather than measured directly:
 /// whole-campaign throughput (`campaign/runs_per_sec`, per core — one
-/// worker flying back-to-back runs) and the profiler's overhead ratio.
+/// worker flying back-to-back runs) and the obs layer's tick overhead
+/// ratio.
 /// Emitted in their own `derived` section so the gate's median-based
 /// parser ignores them.
 fn derived(estimates: &[(String, f64)]) -> Vec<(String, f64)> {
@@ -261,9 +262,9 @@ fn derived(estimates: &[(String, f64)]) -> Vec<(String, f64)> {
             out.push(("campaign/runs_per_sec".to_string(), 1e9 / ns));
         }
     }
-    if let (Some(off), Some(on)) = (get("sim/unprofiled_tick"), get("sim/profiled_tick")) {
+    if let (Some(off), Some(on)) = (get("sim/tick_obs_off"), get("sim/tick_obs_on")) {
         if off > 0.0 {
-            out.push(("sim/profiler_overhead_ratio".to_string(), on / off));
+            out.push(("sim/obs_overhead_ratio".to_string(), on / off));
         }
     }
     out
@@ -375,22 +376,19 @@ mod tests {
     }
 
     #[test]
-    fn profiler_overhead_ratio_is_derived_from_the_tick_pair() {
+    fn obs_overhead_ratio_is_derived_from_the_tick_pair() {
         let estimates = vec![
-            ("sim/profiled_tick".to_string(), 10_100.0),
-            ("sim/unprofiled_tick".to_string(), 10_000.0),
+            ("sim/tick_obs_off".to_string(), 10_000.0),
+            ("sim/tick_obs_on".to_string(), 10_100.0),
         ];
         let json = render(&estimates);
-        assert!(
-            json.contains("\"sim/profiler_overhead_ratio\": 1.010"),
-            "{json}"
-        );
+        assert!(json.contains("\"sim/obs_overhead_ratio\": 1.010"), "{json}");
         assert_eq!(parse_summary(&json), estimates);
     }
 
     /// `--hard` exits non-zero exactly when this count is non-zero: a
     /// regression past the 10% tolerance on a gated bench counts, and so
-    /// does a profiler overhead budget breach.
+    /// does an obs overhead budget breach.
     #[test]
     fn gate_counts_regressions_for_hard_mode() {
         // The gate's verdict lines go straight to stderr, past the test
@@ -410,9 +408,9 @@ mod tests {
         // A clear regression on one gated bench.
         fresh[0].1 = 1200.0;
         assert_eq!(check_gate(&baseline, &fresh), 1);
-        // A profiler-overhead budget breach counts too.
-        fresh.push(("sim/unprofiled_tick".to_string(), 10_000.0));
-        fresh.push(("sim/profiled_tick".to_string(), 10_500.0));
+        // An obs-overhead budget breach counts too.
+        fresh.push(("sim/tick_obs_off".to_string(), 10_000.0));
+        fresh.push(("sim/tick_obs_on".to_string(), 10_500.0));
         assert_eq!(check_gate(&baseline, &fresh), 2);
     }
 

@@ -489,7 +489,13 @@ fn codecs() -> Vec<Codec> {
             accepts: Accepts::Exact,
             magic: 4,
             cut_errors: &["Truncated"],
-            flip_errors: &["BadChecksum", "Malformed", "Truncated", "UnknownMessage"],
+            flip_errors: &[
+                "BadChecksum",
+                "Malformed",
+                "Truncated",
+                "UnknownMessage",
+                "UnknownVersion",
+            ],
             flip_may_decode: true,
             sealed: log_sealed,
             lengths: vec![
@@ -497,7 +503,7 @@ fn codecs() -> Vec<Codec> {
                 (11 + log_meta, 4, Err("BadChecksum")),
                 (15 + log_meta, 2, Err("Truncated")),
             ],
-            version: bare_version(4, "UnknownMessage(238)"),
+            version: bare_version(4, "UnknownVersion(238)"),
             crafted: vec![],
         },
         Codec {
@@ -508,7 +514,13 @@ fn codecs() -> Vec<Codec> {
             accepts: Accepts::Exact,
             magic: 4,
             cut_errors: &["Truncated"],
-            flip_errors: &["BadChecksum", "Malformed", "Truncated", "UnknownMessage"],
+            flip_errors: &[
+                "BadChecksum",
+                "Malformed",
+                "Truncated",
+                "UnknownMessage",
+                "UnknownVersion",
+            ],
             flip_may_decode: true,
             sealed: log_v1_sealed,
             lengths: vec![
@@ -516,7 +528,7 @@ fn codecs() -> Vec<Codec> {
                 (11 + log_v1_meta, 4, Err("Truncated")),
                 (15 + log_v1_meta, 2, Err("Truncated")),
             ],
-            version: bare_version(4, "UnknownMessage(238)"),
+            version: bare_version(4, "UnknownVersion(238)"),
             crafted: vec![],
         },
     ];

@@ -43,8 +43,8 @@ fn campaign_csv_identical_with_obs_on_and_off() {
             "campaign_runs_total",
             "campaign_run_seconds",
             "sim_tick_seconds",
-            "ekf_update_seconds",
-            "fault_injector_seconds",
+            "sim_stage_estimator_seconds",
+            "sim_stage_faults_seconds",
             "faults_injected_total",
         ] {
             assert!(json.contains(name), "metrics JSON missing {name}: {json}");
@@ -85,9 +85,8 @@ fn campaign_csv_identical_with_live_metrics_plane() {
 
     // Profiler at sample period 1: every tick pays the full stage-seam
     // clock cost, the worst interference case.
-    imufit_obs::profile::reset();
+    let sampled_before = imufit_obs::profile::sampled_ticks();
     imufit_obs::profile::set_sample_period(1);
-    imufit_obs::profile::set_enabled(true);
 
     // SLO rules: one that fires as soon as the campaign runs anything,
     // one that can never fire. Both are evaluated on every /alerts scrape
@@ -165,7 +164,7 @@ fn campaign_csv_identical_with_live_metrics_plane() {
         // The profiler sampled the campaign's ticks and its stage shares
         // account for what it measured.
         assert!(
-            imufit_obs::profile::sampled_ticks() > 0,
+            imufit_obs::profile::sampled_ticks() > sampled_before,
             "profiler sampled no ticks"
         );
         assert!(
