@@ -20,10 +20,8 @@ pub mod tracker;
 pub use route::Route;
 pub use tracker::{BubbleObservation, BubbleTracker, ViolationCounts};
 
-use serde::{Deserialize, Serialize};
-
 /// Inner-bubble inputs (Equation 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InnerBubbleSpec {
     /// `D_o`: drone dimension (wingspan equivalent), meters.
     pub dimension: f64,

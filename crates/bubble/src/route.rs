@@ -1,13 +1,11 @@
 //! Route polylines: the assigned trajectory a bubble is anchored to.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::Vec3;
 
 /// The assigned route of a mission as a 3-D polyline (home → waypoints, all
 /// at their assigned altitudes). Deviation from this polyline is what the
 /// bubble violation check measures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Route {
     points: Vec<Vec3>,
 }

@@ -1,15 +1,13 @@
 //! Per-flight bubble evaluation: counts inner and outer violations at each
 //! tracking instant.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::Vec3;
 
 use crate::route::Route;
 use crate::{anticipated_distance, outer_radius, InnerBubbleSpec};
 
 /// The violation tallies of one flight.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ViolationCounts {
     /// Tracking instants where the deviation exceeded the inner bubble.
     pub inner: u32,
@@ -18,7 +16,7 @@ pub struct ViolationCounts {
 }
 
 /// What the tracker saw at one tracking instant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BubbleObservation {
     /// Deviation from the assigned route, meters.
     pub deviation: f64,
@@ -33,7 +31,7 @@ pub struct BubbleObservation {
 }
 
 /// Evaluates the 2-layer bubble along a flight at the tracking cadence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BubbleTracker {
     route: Route,
     inner_radius: f64,

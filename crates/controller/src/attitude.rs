@@ -1,12 +1,10 @@
 //! Attitude (quaternion) P controller: attitude setpoint → body rate
 //! setpoint, PX4-style with reduced yaw priority.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::{Quat, Vec3};
 
 /// Attitude controller parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttitudeParams {
     /// Proportional gain on roll/pitch attitude error, 1/s.
     pub kp_rp: f64,
@@ -30,7 +28,7 @@ impl Default for AttitudeParams {
 }
 
 /// Quaternion attitude controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttitudeController {
     params: AttitudeParams,
 }

@@ -17,14 +17,12 @@
 //!    paper measured). If the sensor recovers for a sustained window during
 //!    isolation, the sequence is cancelled and the mission continues.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::filter::LowPass;
 use imufit_math::Vec3;
 use imufit_sensors::ImuSample;
 
 /// Why failsafe was (or is being) activated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailsafeReason {
     /// Gyro rate deviated implausibly from the commanded rate.
     GyroImplausible,
@@ -61,7 +59,7 @@ impl FailsafeReason {
 }
 
 /// Detector/failsafe tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailsafeParams {
     /// Gyro implausibility threshold, rad/s. PX4 default cited by the
     /// paper: 60 deg/s.
@@ -119,7 +117,7 @@ impl Default for FailsafeParams {
 }
 
 /// The current phase of the failure-handling state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FailsafePhase {
     /// No suspicion.
     Nominal,
@@ -140,7 +138,7 @@ pub enum FailsafePhase {
 }
 
 /// The failure detector + failsafe sequencer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureDetector {
     params: FailsafeParams,
     phase: FailsafePhase,

@@ -37,8 +37,6 @@ pub mod plan;
 pub mod position;
 pub mod rate;
 
-use serde::{Deserialize, Serialize};
-
 pub use attitude::{AttitudeController, AttitudeParams};
 pub use failsafe::{FailsafeParams, FailsafePhase, FailsafeReason, FailureDetector};
 pub use mitigation::{
@@ -55,7 +53,7 @@ use imufit_math::Vec3;
 use imufit_sensors::ImuSample;
 
 /// Full controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControllerParams {
     /// Outer-loop parameters.
     pub position: PositionParams,
@@ -106,7 +104,7 @@ impl ControllerParams {
 }
 
 /// The flight mode state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightMode {
     /// On the ground, motors off, waiting to arm.
     PreFlight,
@@ -124,7 +122,7 @@ pub enum FlightMode {
 }
 
 /// One control tick's output.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ControlOutput {
     /// Normalized rotor throttles.
     pub throttles: [f64; 4],

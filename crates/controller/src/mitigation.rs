@@ -21,12 +21,10 @@
 //! (the graceful part) requires a sustained dwell at the lower level so a
 //! flapping sensor cannot spam transitions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::failsafe::FailsafeReason;
 
 /// The rungs of the recovery cascade, least to most intrusive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MitigationLevel {
     /// Everything healthy.
     Nominal,
@@ -77,7 +75,7 @@ impl MitigationLevel {
 }
 
 /// Which attitude source survives in the degraded fallback.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradedMode {
     /// Not degraded.
     None,
@@ -89,7 +87,7 @@ pub enum DegradedMode {
 }
 
 /// What the redundancy layer (voter + bank) reports this tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RedundancyStatus {
     /// Number of IMU instances on the vehicle.
     pub instances: usize,
@@ -116,7 +114,7 @@ impl Default for RedundancyStatus {
 }
 
 /// One recorded level change.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CascadeTransition {
     /// Flight time of the transition, s.
     pub time: f64,
@@ -132,7 +130,7 @@ pub struct CascadeTransition {
 const DEESCALATION_DWELL: f64 = 1.0;
 
 /// The cascade state machine. See the module docs for the rung order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryCascade {
     level: MitigationLevel,
     degraded: DegradedMode,

@@ -5,8 +5,6 @@
 //! 0 = front-right (CCW), 1 = back-left (CCW), 2 = front-left (CW),
 //! 3 = back-right (CW).
 
-use serde::{Deserialize, Serialize};
-
 /// Per-rotor (roll, pitch, yaw) contribution signs for quad-X.
 ///
 /// Positive roll command = right side down = more thrust on the left rotors
@@ -21,7 +19,7 @@ const MIX: [[f64; 3]; 4] = [
 ];
 
 /// Normalized actuator demands produced by the control cascade.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ActuatorDemand {
     /// Collective throttle in `[0, 1]`.
     pub collective: f64,
@@ -34,7 +32,7 @@ pub struct ActuatorDemand {
 }
 
 /// Maps demands to rotor throttles.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Mixer;
 
 impl Mixer {

@@ -1,12 +1,10 @@
 //! A PID controller with output limiting, integrator anti-windup and a
 //! filtered derivative term.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::filter::Derivative;
 
 /// PID gains and limits.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PidConfig {
     /// Proportional gain.
     pub kp: f64,
@@ -35,7 +33,7 @@ impl PidConfig {
 }
 
 /// A single-axis PID controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pid {
     config: PidConfig,
     integral: f64,
@@ -91,7 +89,7 @@ impl Pid {
 }
 
 /// Three independent PID controllers (one per axis).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pid3 {
     axes: [Pid; 3],
 }

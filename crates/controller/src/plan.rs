@@ -1,11 +1,9 @@
 //! Flight plans: the waypoint sequences a mission executes.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::Vec3;
 
 /// A single waypoint in the local NED frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Waypoint {
     /// Position in NED, meters (z is negative above ground).
     pub position: Vec3,
@@ -33,7 +31,7 @@ impl Waypoint {
 
 /// A complete flight plan: takeoff, a waypoint sequence flown at
 /// `cruise_speed`, and a landing at the final waypoint.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightPlan {
     /// Home position on the ground (NED, z = 0 plane).
     pub home: Vec3,

@@ -2,14 +2,12 @@
 //! setpoint → acceleration setpoint → (attitude setpoint, collective
 //! throttle).
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::{Mat3, Quat, Vec3, GRAVITY};
 
 use crate::pid::{Pid3, PidConfig};
 
 /// Position/velocity loop parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PositionParams {
     /// Proportional gain position → velocity, 1/s.
     pub kp_pos: f64,
@@ -53,7 +51,7 @@ impl PositionParams {
 }
 
 /// Output of the position cascade.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PositionOutput {
     /// Desired attitude.
     pub attitude_sp: Quat,
@@ -62,7 +60,7 @@ pub struct PositionOutput {
 }
 
 /// The position + velocity controller.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PositionController {
     params: PositionParams,
     vel_pid: Pid3,

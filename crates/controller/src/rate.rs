@@ -4,14 +4,12 @@
 //! fault-corrupted) gyroscope directly — which is why gyro faults are so
 //! immediately destabilizing.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::Vec3;
 
 use crate::pid::{Pid, PidConfig};
 
 /// Rate controller parameters (normalized torque per rad/s).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateParams {
     /// Roll/pitch PID configuration.
     pub rp: PidConfig,
@@ -41,7 +39,7 @@ impl Default for RateParams {
 }
 
 /// Normalized torque demand per axis (roll, pitch, yaw).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RateController {
     roll: Pid,
     pitch: Pid,

@@ -10,8 +10,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use serde::{Deserialize, Serialize};
-
 use imufit_faults::InjectionWindow;
 use imufit_missions::{all_missions, Mission};
 use imufit_scenario::{AttackSettings, FaultSettings, FlightSettings, ScenarioSpec};
@@ -57,7 +55,7 @@ impl std::fmt::Display for CampaignError {
 impl std::error::Error for CampaignError {}
 
 /// Campaign configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Master seed; every experiment derives an independent stream from it.
     pub seed: u64,
@@ -83,7 +81,6 @@ pub struct CampaignConfig {
     /// mission, and whether the innovation monitors defend. Empty kinds
     /// (the default) add no cells, keeping paper-default campaigns
     /// unchanged cell for cell.
-    #[serde(default)]
     pub attacks: AttackSettings,
     /// Black-box tracing per run (disabled by default; tracing never feeds
     /// back into flight state, so results are identical either way).
@@ -204,7 +201,7 @@ impl CampaignConfig {
 }
 
 /// The collected records of a finished campaign.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CampaignResults {
     records: Vec<ExperimentRecord>,
 }

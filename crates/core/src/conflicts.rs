@@ -14,8 +14,6 @@
 //! Injecting a fault into one fleet member shows how a single faulty drone
 //! erodes the separation of everyone around it.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_bubble::{anticipated_distance, outer_radius, InnerBubbleSpec};
 use imufit_faults::FaultSpec;
 use imufit_missions::Mission;
@@ -23,7 +21,7 @@ use imufit_telemetry::TrackPoint;
 use imufit_uav::{FlightResult, FlightSimulator, SimConfig};
 
 /// One drone's contribution to the shared airspace picture.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetMember {
     /// Drone id.
     pub drone_id: u32,
@@ -34,7 +32,7 @@ pub struct FleetMember {
 }
 
 /// Pairwise separation statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PairStats {
     /// The two drone ids.
     pub pair: (u32, u32),
@@ -47,7 +45,7 @@ pub struct PairStats {
 }
 
 /// The fleet-level separation report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConflictReport {
     /// Per-pair statistics (only pairs that were simultaneously airborne).
     pub pairs: Vec<PairStats>,

@@ -1,7 +1,5 @@
 //! Experiment specifications and per-experiment records.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_faults::{AttackKind, AttackSpec, FaultKind, FaultSpec, FaultTarget, InjectionWindow};
 use imufit_math::rng::derive_seed;
 use imufit_uav::FlightOutcome;
@@ -12,15 +10,13 @@ use imufit_uav::FlightOutcome;
 const ATTACK_SEED_TAG: u64 = u64::MAX - 1;
 
 /// One cell of the experiment matrix.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentSpec {
     /// Index into the mission list.
     pub mission_index: usize,
     /// The fault to inject, or `None` for a gold run.
     pub fault: Option<FaultSpec>,
     /// The sensor attack to inject (the beyond-IMU axis), or `None`.
-    /// Deserialization defaults keep pre-attack checkpoints readable.
-    #[serde(default)]
     pub attack: Option<AttackSpec>,
 }
 
@@ -101,7 +97,7 @@ impl ExperimentSpec {
 
 /// Everything recorded about one executed experiment — one row of raw data
 /// behind the paper's tables.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
     /// The experiment that was run.
     pub spec: ExperimentSpec,

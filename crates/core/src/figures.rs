@@ -11,14 +11,12 @@
 //! * **Fig. 5** — Random values injected into the **whole IMU** for 30 s;
 //!   the drone crashes quickly and violently.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_faults::{FaultKind, FaultSpec, FaultTarget, InjectionWindow};
 use imufit_missions::{all_missions, Mission};
 use imufit_uav::{FlightOutcome, FlightSimulator, SimConfig};
 
 /// A figure scenario: one mission + one fault, with a narrative.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigureScenario {
     /// Figure name ("Figure 3", ...).
     pub name: String,
@@ -33,7 +31,7 @@ pub struct FigureScenario {
 }
 
 /// The result of regenerating one figure.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FigureResult {
     /// The scenario that was run.
     pub scenario: FigureScenario,

@@ -17,8 +17,6 @@
 //! (3 instances, all-instances) cell reproduces the main campaign's faulty
 //! records exactly.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_faults::FaultScope;
 use imufit_math::stats::mean;
 
@@ -30,7 +28,7 @@ use crate::experiment::ExperimentSpec;
 pub const INSTANCE_COUNTS: [usize; 3] = [1, 2, 3];
 
 /// One cell of the redundancy grid.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RedundancyCell {
     /// Redundant IMU instances flown.
     pub instances: usize,
@@ -64,7 +62,7 @@ impl RedundancyCell {
 }
 
 /// The finished redundancy sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RedundancySweep {
     /// One cell per (instance count, scope), in sweep order.
     pub cells: Vec<RedundancyCell>,

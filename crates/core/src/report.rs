@@ -7,8 +7,6 @@
 //! authors' PX4/Gazebo testbed. [`shape_checks`] encodes the shape targets
 //! from DESIGN.md §4 and evaluates them against measured records.
 
-use serde::{Deserialize, Serialize};
-
 use crate::campaign::CampaignResults;
 use crate::experiment::ExperimentRecord;
 use crate::figures::FigureResult;
@@ -64,7 +62,7 @@ pub const PAPER_TABLE4: &[(&str, f64, f64, f64)] = &[
 ];
 
 /// One evaluated shape target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShapeCheck {
     /// Short name of the target.
     pub name: String,
@@ -219,7 +217,7 @@ fn render_paper_table(rows: &[(&str, f64, f64, f64, f64, f64)]) -> String {
 }
 
 /// Optional "beyond the paper" sections appended to EXPERIMENTS.md.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ExtraSections {
     /// Sub-2-second duration sweep table (rendered).
     pub duration_sweep: Option<String>,

@@ -6,8 +6,6 @@
 //! the injection start time (fixed at 90 s in the campaign). This module
 //! provides both sweeps on top of the campaign engine.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_faults::{FaultKind, FaultTarget, InjectionWindow};
 use imufit_missions::Mission;
 
@@ -16,7 +14,7 @@ use crate::experiment::{ExperimentRecord, ExperimentSpec};
 use crate::tables::Table2;
 
 /// One sweep point: the campaign's Table II row at a single swept value.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// The swept value (duration in seconds, or start time in seconds).
     pub value: f64,

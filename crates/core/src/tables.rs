@@ -1,14 +1,12 @@
 //! Aggregation of raw experiment records into the paper's Tables II–IV.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_faults::FaultTarget;
 use imufit_math::stats::mean;
 
 use crate::experiment::ExperimentRecord;
 
 /// One aggregated metrics row (Tables II and III share this shape).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricRow {
     /// Row label ("Gold Run", "2 seconds", "Acc Zeros", ...).
     pub label: String,
@@ -69,7 +67,7 @@ fn table_header() -> String {
 
 /// Table II: average summary of all missions for all faults, grouped by
 /// injection duration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table2 {
     /// The gold-run reference row.
     pub gold: MetricRow,
@@ -129,7 +127,7 @@ impl Table2 {
 
 /// Table III: average summary grouped by fault type, component blocks in
 /// Acc → Gyro → IMU order, each block sorted by completion % descending.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table3 {
     /// The gold-run reference row.
     pub gold: MetricRow,
@@ -193,7 +191,7 @@ impl Table3 {
 }
 
 /// One row of Table IV.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureRow {
     /// Row label.
     pub label: String,
@@ -232,7 +230,7 @@ impl FailureRow {
 
 /// Table IV: mission failure analysis by injection duration and by targeted
 /// component.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4 {
     /// The gold reference row (0% failures).
     pub gold: FailureRow,

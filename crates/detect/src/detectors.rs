@@ -2,8 +2,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::filter::LowPass;
 use imufit_math::Vec3;
 use imufit_sensors::ImuSample;
@@ -24,7 +22,7 @@ pub trait Detector {
 
 /// Plausibility-bound detector: smoothed magnitudes beyond what flight can
 /// produce (the commander's own first line of defence).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThresholdDetector {
     gyro_limit: f64,
     accel_limit: f64,
@@ -104,7 +102,7 @@ impl Detector for ThresholdDetector {
 
 /// Stuck-stream detector: real MEMS output never repeats exactly; `window`
 /// consecutive identical samples (or exact zeros) raise the alarm.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StuckDetector {
     window: u32,
     last: Option<(Vec3, Vec3)>,
@@ -151,7 +149,7 @@ impl Detector for StuckDetector {
 /// Windowed-variance detector: alarms when short-term variance explodes
 /// (injected noise/random) or collapses to zero (dead channel) relative to
 /// calibration bounds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VarianceDetector {
     window: usize,
     /// Variance above this (gyro, rad^2/s^2) alarms.
@@ -226,7 +224,7 @@ impl Detector for VarianceDetector {
 /// Two-sided CUSUM mean-shift detector on the gyro-x and accel-z channels:
 /// catches slow bias/drift-style corruption that stays inside plausibility
 /// bounds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CusumDetector {
     /// Allowance (slack) per sample, in channel units.
     slack: f64,
@@ -237,7 +235,7 @@ pub struct CusumDetector {
     state: [CusumChannel; 2],
 }
 
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct CusumChannel {
     mean: f64,
     initialized: bool,

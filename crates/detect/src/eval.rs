@@ -5,8 +5,6 @@
 //! campaign uses). [`evaluate`] replays it through a detector and reports
 //! detection, latency, and false alarms.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_faults::{FaultInjector, FaultKind, FaultSpec, FaultTarget, InjectionWindow};
 use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
@@ -15,7 +13,7 @@ use imufit_sensors::{Imu, ImuSample, ImuSpec};
 use crate::detectors::Detector;
 
 /// A labeled IMU stream: samples plus the ground-truth fault window.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LabeledStream {
     /// The samples, in order, at a fixed rate.
     pub samples: Vec<ImuSample>,
@@ -64,7 +62,7 @@ impl LabeledStream {
 }
 
 /// The outcome of replaying one stream through one detector.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectionReport {
     /// Stream label.
     pub stream: String,

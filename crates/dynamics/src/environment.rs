@@ -1,7 +1,5 @@
 //! Environmental models: wind and atmosphere.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
 
@@ -27,7 +25,7 @@ pub fn altitude_from_pressure(pressure_pa: f64) -> f64 {
 
 /// A stochastic wind model: constant mean wind plus an Ornstein–Uhlenbeck
 /// gust process per axis.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WindModel {
     /// Mean wind vector in the world NED frame, m/s.
     pub mean: Vec3,
@@ -35,7 +33,6 @@ pub struct WindModel {
     pub gust_std: f64,
     /// Gust correlation time, seconds.
     pub gust_tau: f64,
-    #[serde(skip)]
     gust: Vec3,
 }
 
@@ -83,7 +80,7 @@ impl WindModel {
 }
 
 /// The complete environment: wind plus atmosphere constants.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Environment {
     /// Wind model.
     pub wind: WindModel,

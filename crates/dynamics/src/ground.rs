@@ -7,12 +7,10 @@
 //! settle quickly; crash *classification* (impact speed, attitude at impact)
 //! is done by the `imufit-uav` crate on top of this.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::Vec3;
 
 /// Ground contact parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GroundModel {
     /// Normal spring stiffness, N/m of penetration.
     pub stiffness: f64,

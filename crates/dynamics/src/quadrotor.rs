@@ -1,7 +1,5 @@
 //! The assembled quadrotor: parameters, force/torque model, RK4 stepping.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::{Mat3, Vec3, GRAVITY};
 
 use crate::ground::GroundModel;
@@ -9,7 +7,7 @@ use crate::rotor::{Rotor, RotorLayout};
 use crate::state::{RigidBodyState, StateDerivative};
 
 /// Physical parameters of a quadrotor airframe.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuadrotorParams {
     /// Total mass including payload, kg.
     pub mass: f64,
@@ -86,7 +84,7 @@ impl QuadrotorParams {
 
 /// A simulated quadrotor: parameters, rotor states, ground model, and the
 /// rigid-body state, advanced with RK4.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Quadrotor {
     params: QuadrotorParams,
     layout: RotorLayout,

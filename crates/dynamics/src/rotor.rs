@@ -1,12 +1,10 @@
 //! Rotor model: quad-X geometry, first-order spin dynamics, thrust and drag
 //! torque.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::Vec3;
 
 /// Spin direction of a rotor as seen from above.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SpinDirection {
     /// Clockwise (produces counter-clockwise reaction torque, +z in FRD).
     Clockwise,
@@ -27,7 +25,7 @@ impl SpinDirection {
 }
 
 /// Static description of one rotor position in the airframe.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RotorGeometry {
     /// Rotor hub position in the body FRD frame, meters.
     pub position: Vec3,
@@ -40,7 +38,7 @@ pub struct RotorGeometry {
 /// Rotor indices follow the PX4 convention:
 /// 0 = front-right (CCW), 1 = back-left (CCW), 2 = front-left (CW),
 /// 3 = back-right (CW).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RotorLayout {
     rotors: Vec<RotorGeometry>,
 }
@@ -101,7 +99,7 @@ impl RotorLayout {
 ///
 /// Throttle commands are normalized to `[0, 1]`; thrust is quadratic in the
 /// normalized speed, `T = max_thrust * speed^2`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rotor {
     speed: f64,
     /// Spin-up/down time constant, seconds.

@@ -1,11 +1,9 @@
 //! Rigid-body state and its time derivative.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::{Quat, Vec3};
 
 /// Full kinematic state of the rigid body.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RigidBodyState {
     /// Position in the world NED frame, meters. `z` is negative above ground.
     pub position: Vec3,
@@ -74,7 +72,7 @@ impl RigidBodyState {
 }
 
 /// Time derivative of a [`RigidBodyState`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StateDerivative {
     /// d(position)/dt — the world-frame velocity.
     pub velocity: Vec3,

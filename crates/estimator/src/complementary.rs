@@ -11,8 +11,6 @@
 //! with *no* innovation gating, so fault campaigns can quantify how much of
 //! the EKF's resilience comes from gating and resets).
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::{wrap_pi, Quat, Vec3, GRAVITY};
 use imufit_sensors::{BaroSample, GpsSample, ImuSample};
 
@@ -21,7 +19,7 @@ use crate::health::EstimatorHealth;
 use crate::state::NavState;
 
 /// Complementary-filter gains and plausibility thresholds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComplementaryParams {
     /// Position blend per GPS fix (dimensionless, 0..1).
     pub pos_gain: f64,

@@ -15,8 +15,6 @@
 //! chi-square innovation gating. Persistent rejection triggers a PX4-style
 //! reset of the offending states to the measurement.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::{wrap_pi, Mat3, Quat, SMatrix, Vec3, GRAVITY};
 use imufit_sensors::{BaroSample, GpsSample, ImuSample};
 
@@ -35,7 +33,7 @@ const IDX_BG: usize = 9;
 const IDX_BA: usize = 12;
 
 /// EKF tuning parameters. Defaults follow PX4 EKF2 orders of magnitude.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EkfParams {
     /// Accelerometer white-noise density used for process noise, m/s^2.
     pub accel_noise: f64,

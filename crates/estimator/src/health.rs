@@ -1,7 +1,5 @@
 //! Filter health reporting consumed by the failure detector.
 
-use serde::{Deserialize, Serialize};
-
 /// Innovation-consistency health of the estimator.
 ///
 /// Test ratios are normalized innovation squares divided by the gate
@@ -9,7 +7,7 @@ use serde::{Deserialize, Serialize};
 /// failure detector in `imufit-controller` combines these with raw-sensor
 /// plausibility checks to decide when to isolate a sensor and when to
 /// trigger failsafe.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EstimatorHealth {
     /// Largest recent GPS horizontal-position innovation test ratio.
     pub pos_test_ratio: f64,
@@ -22,7 +20,6 @@ pub struct EstimatorHealth {
     /// [`EstimatorHealth::any_rejecting`] and
     /// [`EstimatorHealth::worst_ratio`] so the legacy failsafe path is
     /// untouched by the magnetometer channel.
-    #[serde(default)]
     pub yaw_test_ratio: f64,
     /// Number of state resets performed after persistent rejection.
     pub reset_count: u32,

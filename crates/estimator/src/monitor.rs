@@ -33,8 +33,6 @@
 //! Monitors are opt-in (`SimConfig::innovation_monitors`), keeping the
 //! paper-default campaign bit-identical to the seeded golden results.
 
-use serde::{Deserialize, Serialize};
-
 /// Per-observation ceiling on a ratio's contribution to the windowed mean.
 /// One enormous innovation — a spoof-clear snap-back, a single wild fix —
 /// must not teleport the mean past both thresholds in a single step: the
@@ -44,7 +42,7 @@ use serde::{Deserialize, Serialize};
 const RATIO_CAP: f64 = 2.0;
 
 /// Tuning for one innovation-consistency monitor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorParams {
     /// Sliding-window length, in fused measurements.
     pub window: usize,

@@ -1,11 +1,9 @@
 //! The navigation (nominal) state estimated by the filter.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::{Quat, Vec3};
 
 /// The nominal navigation state: what the flight controller consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NavState {
     /// Estimated position in the local NED frame, meters.
     pub position: Vec3,

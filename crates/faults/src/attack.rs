@@ -19,8 +19,6 @@
 //! activation, from the dedicated per-run attack RNG stream — outside the
 //! window every sample passes through bit-identical.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
 use imufit_sensors::{BaroSample, GpsSample, MagSample};
@@ -39,7 +37,7 @@ const PRESSURE_SCALE_HEIGHT: f64 = 8_434.0;
 const MAG_ROTATION_RATE: f64 = 0.25;
 
 /// One entry of the attack catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum AttackKind {
     /// GNSS spoofing: reported position walks off truth at a constant
     /// horizontal rate (m/s of intensity) in a random direction, with the
@@ -126,7 +124,7 @@ impl std::fmt::Display for AttackKind {
 
 /// One scheduled attack: a kind, its activation window, the instance scope
 /// and an intensity scalar.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackSpec {
     /// What is injected.
     pub kind: AttackKind,

@@ -20,8 +20,6 @@
 //! instance count — `All`-scope results are comparable across redundancy
 //! levels.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
 use imufit_sensors::{ImuSample, ImuSpec};
@@ -45,7 +43,7 @@ pub const GYRO_NOISE_FRACTION: f64 = 0.08;
 
 /// A fully-specified fault to inject: what, where, when, and which
 /// instances.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// The injection primitive.
     pub kind: FaultKind,

@@ -2,11 +2,9 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// One of the seven faulty-output primitives identified in the paper
 /// (Section III-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultKind {
     /// A random constant value, drawn once when the fault activates and held
     /// for the whole window. Represents false-data injection, hardware

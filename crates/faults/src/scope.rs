@@ -9,12 +9,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The set of redundant IMU instances a fault corrupts.
-#[derive(
-    Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultScope {
     /// Every redundant instance is corrupted identically (the paper's
     /// assumption; also what corrupting the merged stream models).

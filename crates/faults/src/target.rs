@@ -7,14 +7,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The component targeted by a fault.
 ///
 /// The first three are the paper's IMU suite (every Table I primitive runs
 /// against each); the rest are the beyond-IMU fault surface driven by the
 /// attack catalog ([`crate::attack::AttackKind`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum FaultTarget {
     /// Only the accelerometer output is corrupted.
     Accelerometer,

@@ -1,13 +1,11 @@
 //! Injection windows: when a fault is active.
 
-use serde::{Deserialize, Serialize};
-
 /// A half-open time window `[start, start + duration)` in seconds of flight
 /// time during which a fault is active.
 ///
 /// The paper's campaign starts every window at the 90-second mark after
 /// takeoff and uses durations of 2, 5, 10 and 30 seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectionWindow {
     /// Activation time, seconds since takeoff.
     pub start: f64,

@@ -1,12 +1,15 @@
 //! Distributed campaign orchestration for the IMU fault-injection
 //! testbed.
 //!
-//! A **coordinator** shards a campaign's experiment matrix into
-//! run-level work units and serves them over localhost TCP to N
-//! **worker processes**, mirroring the paper's broker topology
-//! (tracker / core / edge) at campaign scale: the coordinator plays
-//! the tracker, workers are edge executors, and the framed protocol
-//! is the core broker fabric between them.
+//! A [`WorkerPool`] shards campaigns into run-level work units and serves
+//! them over localhost TCP to N **worker processes**, mirroring the
+//! paper's broker topology (tracker / core / edge) at campaign scale: the
+//! coordinator process running the pool plays the tracker, workers are
+//! edge executors, and the framed protocol is the core broker fabric
+//! between them. The pool is the only server of the protocol: `fleet run`
+//! and `reproduce --fleet-workers` hand it one [`CampaignSession`] built
+//! in their output directory ([`WorkerPool::run`]); the campaign service
+//! submits many ([`WorkerPool::submit`]).
 //!
 //! Design invariants:
 //!
@@ -30,17 +33,15 @@
 //!   the torn tail a SIGKILL leaves — and only outstanding units rerun.
 
 pub mod checkpoint;
-pub mod coordinator;
 pub mod pool;
 pub mod protocol;
 pub mod session;
 pub mod worker;
 
 pub use checkpoint::{CampaignFingerprint, Checkpoint, CheckpointEntry, CheckpointWriter};
-pub use coordinator::{Coordinator, CoordinatorConfig};
 pub use pool::{
     CampaignState, CampaignStatus, PoolConfig, ResultsOutcome, SubmitOutcome, WorkerPool,
 };
 pub use protocol::{decode_msg, encode_msg, read_msg, write_msg, ExecReport, FleetError, FleetMsg};
 pub use session::CampaignSession;
-pub use worker::{run_worker, spawn_local_workers, WorkerExit, MAX_CONNECT_ATTEMPTS};
+pub use worker::{run_worker, spawn_local_workers, worker_main, WorkerExit, MAX_CONNECT_ATTEMPTS};

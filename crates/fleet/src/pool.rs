@@ -1,36 +1,42 @@
-//! A persistent multi-campaign worker pool: the long-running half of the
-//! campaign service.
+//! The worker pool: the one server of the fleet protocol.
 //!
-//! Where the one-shot [`Coordinator`](crate::coordinator::Coordinator)
-//! serves exactly one campaign and exits, a [`WorkerPool`] keeps its
-//! listener and worker connections alive across many campaigns. Each
-//! submitted scenario becomes a [`CampaignSession`]; work units from all
-//! live sessions interleave over the same connections under weighted
-//! fair-share scheduling (stride scheduling: each dispatch advances a
-//! session's virtual time by `1/priority`, and the session with the
-//! smallest virtual time dispatches next), with leases, heartbeats, and
-//! requeue behaving exactly as in the one-shot path.
+//! A [`WorkerPool`] accepts worker connections on an ephemeral localhost
+//! port and serves [`CampaignSession`]s over them. It runs in two ways:
 //!
-//! Completed campaigns land in an on-disk result store keyed by the
-//! campaign fingerprint (FNV-1a over the canonical scenario dump, plus
-//! seed and unit count). A resubmission whose fingerprint already has a
-//! stored CSV is served from cache without dispatching a single unit —
-//! and because the fingerprint hashes the canonical *re-dump* of the
-//! parsed scenario, semantically-identical submissions with different key
-//! order or whitespace hit the same cache entry.
+//! - **One campaign** (`fleet run`, `reproduce --fleet-workers`):
+//!   [`WorkerPool::run`] takes a session the caller built in its output
+//!   directory (checkpoint, `--resume` replay, span journal), blocks until
+//!   the last unit merged, and returns the merged results. Every later
+//!   worker request is answered with `Done`.
+//! - **Many campaigns** (the campaign service): [`WorkerPool::submit`]
+//!   turns each scenario into a session, and units from all live sessions
+//!   interleave over the same connections under weighted fair-share
+//!   scheduling (stride scheduling: each dispatch advances a session's
+//!   virtual time by `1/priority`, and the session with the smallest
+//!   virtual time dispatches next).
+//!
+//! Leases, heartbeats and requeues behave the same either way. Submitted
+//! campaigns land in an on-disk result store keyed by the campaign
+//! fingerprint (FNV-1a over the canonical scenario dump, plus seed and
+//! unit count). A resubmission whose fingerprint already has a stored CSV
+//! is served from cache without dispatching a single unit — and because
+//! the fingerprint hashes the canonical *re-dump* of the parsed scenario,
+//! semantically-identical submissions with different key order or
+//! whitespace hit the same cache entry.
 
 use std::collections::{HashMap, HashSet};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use imufit_core::CampaignResults;
 use imufit_obs::snapshot::{Aggregate, Snapshot};
 use imufit_scenario::ScenarioSpec;
 
 use crate::checkpoint::CampaignFingerprint;
-use crate::coordinator::register_fleet_metrics;
 use crate::protocol::{read_msg, write_msg, FleetError, FleetMsg};
 use crate::session::CampaignSession;
 
@@ -54,18 +60,42 @@ pub struct PoolConfig {
     /// unlimited). Breach pauses the tenant's dispatches, not the
     /// submission.
     pub max_inflight_units_per_tenant: usize,
+    /// Black-box output directory announced to workers in `Welcome`, if
+    /// tracing is armed.
+    pub trace_dir: Option<PathBuf>,
 }
 
 impl PoolConfig {
-    /// A pool storing results under `store_dir`, with no tenant quotas.
+    /// A pool storing results under `store_dir`, with no tenant quotas
+    /// and no tracing.
     pub fn new(store_dir: PathBuf) -> Self {
         PoolConfig {
             store_dir,
             lease_timeout_s: 30.0,
             max_queued_per_tenant: 0,
             max_inflight_units_per_tenant: 0,
+            trace_dir: None,
         }
     }
+}
+
+/// Pre-registers the fleet counters so exports always carry them, and
+/// resets the stale worker-count gauge.
+fn register_fleet_metrics() {
+    // Back-to-back campaigns in one process must not report the
+    // previous campaign's worker count while this one spins up.
+    imufit_obs::gauge("campaign_workers").set(0.0);
+    imufit_obs::counter("fleet_units_dispatched_total");
+    imufit_obs::counter("fleet_units_completed_total");
+    imufit_obs::counter("fleet_units_requeued_total");
+    imufit_obs::counter("fleet_units_aborted_total");
+    imufit_obs::counter("fleet_unit_retries_total");
+    imufit_obs::counter("fleet_lease_expiries_total");
+    imufit_obs::counter("fleet_bytes_sent_total");
+    imufit_obs::counter("fleet_bytes_received_total");
+    imufit_obs::counter("fleet_worker_disconnects_total");
+    imufit_obs::counter("fleet_snapshots_received_total");
+    imufit_obs::counter("fleet_snapshot_decode_errors_total");
 }
 
 /// Where a campaign is in its service lifecycle.
@@ -133,6 +163,17 @@ struct ActiveCampaign {
     priority: u32,
     /// Stride-scheduling virtual time; smallest dispatches next.
     vtime: f64,
+    /// The [`WorkerPool::run`] caller waiting on this campaign; `None` for
+    /// a submitted one, whose CSV goes to the store.
+    caller: Option<Sender<Merged>>,
+}
+
+/// What a [`WorkerPool::run`] caller hears from the connection threads.
+enum Merged {
+    /// One more unit merged; the campaign's merged count so far.
+    Unit(usize),
+    /// The last unit merged.
+    All(CampaignResults),
 }
 
 /// Bookkeeping that outlives the session (status after completion).
@@ -161,6 +202,8 @@ struct PoolState {
 
 struct Shared {
     state: Mutex<PoolState>,
+    /// Set at shutdown, or when a [`WorkerPool::run`] campaign finished:
+    /// every later request gets `Done` and the accept loop drains.
     stop: AtomicBool,
     config: PoolConfig,
     aggregate: Arc<Aggregate>,
@@ -311,16 +354,7 @@ impl WorkerPool {
         std::fs::write(dir.join("scenario.toml"), spec.to_toml())?;
         let session = CampaignSession::create(spec, None, &dir.join("fleet.ckpt"), false)?;
 
-        let campaign = state.next_campaign;
-        state.next_campaign += 1;
-        // A new arrival starts at the smallest live virtual time so it
-        // neither owes backlog nor preempts everyone.
-        let vtime = state
-            .active
-            .values()
-            .map(|c| c.vtime)
-            .fold(f64::INFINITY, f64::min);
-        let vtime = if vtime.is_finite() { vtime } else { 0.0 };
+        let campaign = admit(&mut state, session, tenant, priority, None);
         let meta = CampaignMeta {
             tenant: tenant.to_string(),
             priority,
@@ -328,24 +362,63 @@ impl WorkerPool {
             cached: false,
             fingerprint,
             units_total: units as u32,
-            units_done: session.done() as u32,
+            units_done: 0,
             dispatched: 0,
             dir,
         };
         let status = status_of(campaign, &meta);
         state.meta.insert(campaign, meta);
-        state.active.insert(
-            campaign,
-            ActiveCampaign {
-                session,
-                tenant: tenant.to_string(),
-                priority,
-                vtime,
-            },
-        );
         imufit_obs::gauge("pool_campaigns_active").set(state.active.len() as f64);
         imufit_obs::status::board().grow_campaign(units as u64);
         Ok(SubmitOutcome::Accepted(status))
+    }
+
+    /// Runs one campaign the caller built and returns its merged results,
+    /// in matrix order, as soon as the last unit merged. The session's
+    /// checkpoint, `--resume` replay and span journal live wherever the
+    /// caller created them; the result store is not involved. `progress`
+    /// is called on this thread with `(done, total)` after each merge,
+    /// and once per journal-replayed unit up front. At the last merge the
+    /// pool stops: every later worker request is answered with `Done`,
+    /// and dropping the pool waits until each connected worker has heard
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FleetError::Io`] if the campaign can no longer finish.
+    pub fn run(
+        &self,
+        session: CampaignSession,
+        progress: &dyn Fn(usize, usize),
+    ) -> Result<CampaignResults, FleetError> {
+        let (total, resumed) = (session.total(), session.resumed());
+        imufit_obs::gauge("fleet_units_total").set(total as f64);
+        imufit_obs::gauge("fleet_units_resumed").set(resumed as f64);
+        imufit_obs::status::board().begin_campaign(
+            &session.spec().name,
+            total as u64,
+            resumed as u64,
+        );
+        for done in 1..=resumed {
+            progress(done, total);
+        }
+        let (tx, rx) = channel();
+        {
+            let mut state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+            state.total_done += resumed as u64;
+            admit(&mut state, session, "", 1, Some(tx));
+            // A journal that was already complete finishes here.
+            finalize_finished(&self.shared, &mut state);
+        }
+        for merged in rx {
+            match merged {
+                Merged::Unit(done) => progress(done, total),
+                Merged::All(results) => return Ok(results),
+            }
+        }
+        Err(FleetError::Io(
+            "campaign dropped before its last merge".into(),
+        ))
     }
 
     /// A point-in-time view of one campaign, or `None` for an unknown id.
@@ -387,8 +460,9 @@ impl WorkerPool {
             .count()
     }
 
-    /// Stops accepting work: connected workers get `Done` on their next
-    /// request and the accept loop exits. Incomplete campaigns keep their
+    /// Stops the pool: connected workers get `Done` on their next request,
+    /// and this returns once each of them has heard it (or gone away) and
+    /// the accept loop has exited. Incomplete campaigns keep their
     /// checkpoints in the store.
     pub fn shutdown(&self) {
         self.shared.stop.store(true, Ordering::SeqCst);
@@ -421,6 +495,37 @@ fn status_of(campaign: u32, meta: &CampaignMeta) -> CampaignStatus {
         dispatched: meta.dispatched,
         fingerprint: meta.fingerprint,
     }
+}
+
+/// Queues `session` under a fresh campaign id. A new arrival starts at the
+/// smallest live virtual time so it neither owes backlog nor preempts
+/// everyone.
+fn admit(
+    state: &mut PoolState,
+    session: CampaignSession,
+    tenant: &str,
+    priority: u32,
+    caller: Option<Sender<Merged>>,
+) -> u32 {
+    let campaign = state.next_campaign;
+    state.next_campaign += 1;
+    let vtime = state
+        .active
+        .values()
+        .map(|c| c.vtime)
+        .fold(f64::INFINITY, f64::min);
+    let vtime = if vtime.is_finite() { vtime } else { 0.0 };
+    state.active.insert(
+        campaign,
+        ActiveCampaign {
+            session,
+            tenant: tenant.to_string(),
+            priority,
+            vtime,
+            caller,
+        },
+    );
+    campaign
 }
 
 /// Picks the next dispatch under weighted fair-share: among sessions with
@@ -470,10 +575,12 @@ fn next_dispatch(
     Some((id, dispatch, canonical))
 }
 
-/// Moves every finished session out of the active set and writes its CSV
-/// into the store (tmp + rename, so the results file only ever appears
-/// complete — its presence is the cache marker).
-fn finalize_finished(state: &mut PoolState) {
+/// Moves every finished session out of the active set. A
+/// [`WorkerPool::run`] caller gets its results, and the pool stops handing
+/// out work; a submitted campaign's CSV goes into the store (tmp + rename,
+/// so the results file only ever appears complete — its presence is the
+/// cache marker).
+fn finalize_finished(shared: &Shared, state: &mut PoolState) {
     let finished: Vec<u32> = state
         .active
         .iter()
@@ -484,10 +591,15 @@ fn finalize_finished(state: &mut PoolState) {
         let Some(entry) = state.active.remove(&id) else {
             continue;
         };
-        let csv = entry.session.into_results().to_csv();
+        let results = entry.session.into_results();
+        if let Some(caller) = entry.caller {
+            shared.stop.store(true, Ordering::SeqCst);
+            let _ = caller.send(Merged::All(results));
+            continue;
+        }
         if let Some(meta) = state.meta.get_mut(&id) {
             let tmp = meta.dir.join("campaign_results.csv.tmp");
-            let wrote = std::fs::write(&tmp, &csv)
+            let wrote = std::fs::write(&tmp, results.to_csv())
                 .and_then(|()| std::fs::rename(&tmp, meta.dir.join(RESULTS_FILE)));
             if wrote.is_err() {
                 imufit_obs::counter("pool_store_write_errors_total").inc();
@@ -500,9 +612,12 @@ fn finalize_finished(state: &mut PoolState) {
     imufit_obs::gauge("pool_campaigns_active").set(state.active.len() as f64);
 }
 
+/// Accepts worker connections until the pool stops, then waits for every
+/// connection thread to end, so no worker is left without its `Done`.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     let sweep_every = (shared.lease_timeout / 4).max(Duration::from_millis(25));
     let mut last_sweep = Instant::now();
+    let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !shared.stop.load(Ordering::SeqCst) {
         if last_sweep.elapsed() >= sweep_every {
             last_sweep = Instant::now();
@@ -512,14 +627,18 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
                 c.session.sweep_expired(now);
             }
             // A sweep can finish a campaign by aborting its last unit.
-            finalize_finished(&mut state);
+            finalize_finished(&shared, &mut state);
         }
         match listener.accept() {
             Ok((stream, _)) => {
                 let shared = Arc::clone(&shared);
-                let _ = std::thread::Builder::new()
-                    .name("pool-conn".into())
-                    .spawn(move || handle_connection(stream, shared));
+                connections.retain(|c| !c.is_finished());
+                connections.extend(
+                    std::thread::Builder::new()
+                        .name("pool-conn".into())
+                        .spawn(move || handle_connection(stream, shared))
+                        .ok(),
+                );
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(10));
@@ -527,12 +646,16 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             Err(_) => break,
         }
     }
+    for connection in connections {
+        let _ = connection.join();
+    }
 }
 
-/// One pool worker connection: handshake into pool mode, then a
-/// request/assign/result loop that never ends until shutdown. Campaign
-/// scenarios ship inline with the first `Assign` of each campaign on this
-/// connection.
+/// One worker connection: handshake, then a request/assign/result loop
+/// until the pool stops or the worker goes away. Campaign scenarios ship
+/// inline with the first `Assign` of each campaign on this connection.
+/// Any protocol or transport error drops the connection and requeues its
+/// leases.
 fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.lease_timeout));
@@ -551,8 +674,11 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             FleetMsg::Hello { worker_id: id } => {
                 worker_id = id;
                 Some(FleetMsg::Welcome {
-                    spec_toml: None,
-                    trace_dir: None,
+                    trace_dir: shared
+                        .config
+                        .trace_dir
+                        .as_ref()
+                        .map(|p| p.display().to_string()),
                     lease_timeout_s: shared.config.lease_timeout_s,
                 })
             }
@@ -587,11 +713,13 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                 None
             }
             FleetMsg::Request => {
+                let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+                // Read under the lock that the last merge sets it under, so
+                // no request after that merge is told `NoWork`.
                 if shared.stop.load(Ordering::SeqCst) {
                     let _ = write_msg(&mut stream, &FleetMsg::Done);
                     break false;
                 }
-                let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
                 match next_dispatch(&mut state, &shared.config, worker_id) {
                     Some((campaign, d, canonical)) => Some(FleetMsg::Assign {
                         unit: d.unit,
@@ -613,10 +741,17 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
             } => {
                 let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
                 let newly_done = state.active.get_mut(&campaign).and_then(|entry| {
-                    entry
+                    if !entry
                         .session
                         .handle_result(unit, record, span, exec, worker_id)
-                        .then(|| entry.session.done() as u32)
+                    {
+                        return None;
+                    }
+                    let done = entry.session.done();
+                    if let Some(caller) = &entry.caller {
+                        let _ = caller.send(Merged::Unit(done));
+                    }
+                    Some(done as u32)
                 });
                 if let Some(done) = newly_done {
                     if let Some(meta) = state.meta.get_mut(&campaign) {
@@ -625,10 +760,10 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                     state.total_done += 1;
                     imufit_obs::status::board().set_progress(state.total_done);
                 }
-                finalize_finished(&mut state);
+                finalize_finished(&shared, &mut state);
                 None
             }
-            // Pool-bound connections never receive these.
+            // Workers never send these.
             FleetMsg::Welcome { .. }
             | FleetMsg::Assign { .. }
             | FleetMsg::NoWork
@@ -728,6 +863,59 @@ mod tests {
             SubmitOutcome::Accepted(_)
         ));
         drop(pool);
+        let _ = std::fs::remove_dir_all(&store);
+    }
+
+    /// A caller-built session runs to completion on the pool, which
+    /// announces its trace directory in `Welcome`; a request after the last
+    /// merge is told `Done`, not `NoWork`, and the worker exits cleanly.
+    #[test]
+    fn run_serves_one_session_then_answers_done() {
+        let store = fresh_store("run");
+        let mut spec = ScenarioSpec::paper_default();
+        spec.campaign.missions = 1;
+        spec.campaign.durations = vec![2.0];
+        let session =
+            CampaignSession::create(spec, None, &store.join("fleet.ckpt"), false).unwrap();
+        let total = session.total();
+        let boxes = store.join("boxes");
+        let pool = WorkerPool::start(PoolConfig {
+            trace_dir: Some(boxes.clone()),
+            ..PoolConfig::new(store.clone())
+        })
+        .unwrap();
+
+        // A client that joins before the campaign ends but never asks for
+        // work until after it.
+        let mut late = TcpStream::connect(pool.addr()).unwrap();
+        write_msg(&mut late, &FleetMsg::Hello { worker_id: 9 }).unwrap();
+        let (welcome, _) = read_msg(&mut late).unwrap();
+        assert_eq!(
+            welcome,
+            FleetMsg::Welcome {
+                trace_dir: Some(boxes.display().to_string()),
+                lease_timeout_s: 30.0,
+            }
+        );
+
+        let addr = pool.addr();
+        let worker = std::thread::spawn(move || crate::worker::run_worker(addr, 1));
+        let seen = Mutex::new(Vec::new());
+        let results = pool
+            .run(session, &|done, of| seen.lock().unwrap().push((done, of)))
+            .unwrap();
+        assert_eq!(results.records().len(), total);
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen.len(), total);
+        assert_eq!(seen.last(), Some(&(total, total)));
+
+        write_msg(&mut late, &FleetMsg::Request).unwrap();
+        assert_eq!(read_msg(&mut late).unwrap().0, FleetMsg::Done);
+        drop(pool);
+        assert_eq!(
+            worker.join().unwrap(),
+            Ok(crate::worker::WorkerExit::CampaignComplete)
+        );
         let _ = std::fs::remove_dir_all(&store);
     }
 

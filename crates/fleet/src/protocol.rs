@@ -1,5 +1,5 @@
 //! The fleet wire protocol: length-prefixed, CRC-framed, versioned
-//! messages between the campaign coordinator and its worker processes.
+//! messages between a worker pool and its worker processes.
 //!
 //! Frame layout (little-endian), following the `telemetry::wire` and
 //! `trace::wire` conventions:
@@ -30,7 +30,7 @@ use imufit_uav::FlightOutcome;
 /// `IFBB` so a stray cross-protocol byte stream is rejected immediately).
 pub const MAGIC: u8 = 0xF1;
 
-/// Current protocol version. A coordinator and worker must agree exactly;
+/// Current protocol version. A pool and its workers must agree exactly;
 /// version skew is a typed error, not silent misinterpretation. Version 2
 /// added the attack field to the experiment-spec codec; version 3 added
 /// the optional metric-snapshot payload piggybacked on heartbeats;
@@ -40,14 +40,16 @@ pub const MAGIC: u8 = 0xF1;
 /// (pool mode), `Assign` carries the campaign id plus — on a worker's
 /// first unit from that campaign — the campaign's scenario inline, and
 /// `Result` echoes the campaign id so unit indices stay campaign-local.
-pub const PROTOCOL_VERSION: u8 = 5;
+/// Version 6 dropped the `Welcome` scenario: every campaign's scenario
+/// travels inline with its first `Assign` on a connection.
+pub const PROTOCOL_VERSION: u8 = 6;
 
 /// Upper bound on per-stage entries in an execution report (mirrors the
 /// span journal's stage cap).
 pub const MAX_EXEC_STAGES: usize = 64;
 
-/// Upper bound on a frame payload. The largest legitimate message is a
-/// `Welcome` carrying a scenario document (a few KiB); anything claiming
+/// Upper bound on a frame payload. The largest legitimate message is an
+/// `Assign` carrying a scenario document (a few KiB); anything claiming
 /// more than this is corruption, not data.
 pub const MAX_PAYLOAD: usize = 1 << 20;
 
@@ -115,7 +117,7 @@ impl From<FrameError> for FleetError {
 }
 
 /// Per-unit execution report a worker attaches to its `Result`: the raw
-/// material for the coordinator's `executed` span event.
+/// material for the pool's `executed` span event.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ExecReport {
     /// Simulation ticks the unit consumed.
@@ -127,31 +129,26 @@ pub struct ExecReport {
     pub stages: Vec<(String, u64)>,
 }
 
-/// Messages exchanged between the coordinator and its workers.
+/// Messages exchanged between a worker pool and its workers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FleetMsg {
-    /// Worker → coordinator: first message on a fresh connection.
+    /// Worker → pool: first message on a fresh connection.
     Hello {
         /// The worker's self-assigned id (stable across reconnects).
         worker_id: u32,
     },
-    /// Coordinator → worker: handshake reply carrying the campaign.
+    /// Pool → worker: handshake reply. Campaigns arrive later,
+    /// each one's scenario inline with its first `Assign`.
     Welcome {
-        /// The full scenario document (TOML) the worker must realize —
-        /// the same unknown-/missing-key-rejecting codec as `--scenario`.
-        /// `None` puts the worker in pool mode: campaigns arrive
-        /// dynamically, each unit's scenario delivered inline on the
-        /// first `Assign` from that campaign.
-        spec_toml: Option<String>,
         /// Black-box output directory, if tracing is armed.
         trace_dir: Option<String>,
-        /// Lease timeout the coordinator enforces, seconds (workers pace
+        /// Lease timeout the pool enforces, seconds (workers pace
         /// their heartbeats off it).
         lease_timeout_s: f64,
     },
-    /// Worker → coordinator: give me a unit.
+    /// Worker → pool: give me a unit.
     Request,
-    /// Coordinator → worker: fly this unit.
+    /// Pool → worker: fly this unit.
     Assign {
         /// Matrix index of the unit within its campaign (the merge key).
         unit: u32,
@@ -165,22 +162,22 @@ pub enum FleetMsg {
         /// delivery, so a redelivered unit's retry chain stays
         /// distinguishable in the span journal.
         span: u64,
-        /// Pool campaign id this unit belongs to (0 for the one-shot
-        /// coordinator, which serves exactly one campaign).
+        /// Pool campaign id this unit belongs to.
         campaign: u32,
-        /// The campaign's scenario document, sent once per connection the
-        /// first time this campaign assigns a unit to the worker; the
-        /// worker caches it by campaign id. Always `None` from the
-        /// one-shot coordinator (its `Welcome` carried the scenario).
+        /// The campaign's scenario document (TOML, the same
+        /// unknown-/missing-key-rejecting codec as `--scenario`), sent
+        /// once per connection the first time this campaign assigns a
+        /// unit to the worker; the worker caches it by campaign id.
         spec_toml: Option<String>,
     },
-    /// Coordinator → worker: nothing to hand out right now, but the
+    /// Pool → worker: nothing to hand out right now, but the
     /// campaign is still in flight (leased units may yet be re-queued) —
     /// re-request after a short delay.
     NoWork,
-    /// Coordinator → worker: the campaign is complete; disconnect.
+    /// Pool → worker: no more work will come (the campaign is complete or
+    /// the pool is shutting down); disconnect.
     Done,
-    /// Worker → coordinator: a finished unit's record.
+    /// Worker → pool: a finished unit's record.
     Result {
         /// Matrix index of the unit within its campaign.
         unit: u32,
@@ -193,10 +190,10 @@ pub enum FleetMsg {
         /// The campaign id echoed from the `Assign`.
         campaign: u32,
     },
-    /// Worker → coordinator: still alive, extend my leases. Optionally
+    /// Worker → pool: still alive, extend my leases. Optionally
     /// carries the worker's encoded metric-registry snapshot
     /// (`imufit_obs::snapshot` wire format, its own inner CRC frame) so
-    /// the coordinator can serve a merged fleet-wide `/metrics` view.
+    /// the pool can serve a merged fleet-wide `/metrics` view.
     Heartbeat {
         /// Encoded snapshot, absent when the worker has nothing to report
         /// (e.g. instrumentation compiled out).
@@ -485,11 +482,9 @@ pub fn encode_msg(msg: &FleetMsg) -> Vec<u8> {
     match msg {
         FleetMsg::Hello { worker_id } => frame.put_u32(*worker_id),
         FleetMsg::Welcome {
-            spec_toml,
             trace_dir,
             lease_timeout_s,
         } => {
-            put_opt_str(&mut frame, spec_toml.as_deref());
             put_opt_str(&mut frame, trace_dir.as_deref());
             frame.put_f64(*lease_timeout_s);
         }
@@ -544,16 +539,10 @@ fn decode_payload(msg_id: u8, mut r: Cursor) -> Result<FleetMsg, FleetError> {
         1 => FleetMsg::Hello {
             worker_id: r.u32()?,
         },
-        2 => {
-            let spec_toml = get_opt_str(&mut r)?;
-            let trace_dir = get_opt_str(&mut r)?;
-            let lease_timeout_s = r.f64()?;
-            FleetMsg::Welcome {
-                spec_toml,
-                trace_dir,
-                lease_timeout_s,
-            }
-        }
+        2 => FleetMsg::Welcome {
+            trace_dir: get_opt_str(&mut r)?,
+            lease_timeout_s: r.f64()?,
+        },
         3 => FleetMsg::Request,
         4 => FleetMsg::Assign {
             unit: r.u32()?,
@@ -706,13 +695,10 @@ mod tests {
     fn all_messages_round_trip() {
         round_trip(FleetMsg::Hello { worker_id: 42 });
         round_trip(FleetMsg::Welcome {
-            spec_toml: Some("name = \"quick\"\n[campaign]\nseed = 7".to_string()),
             trace_dir: Some("out/traces".to_string()),
             lease_timeout_s: 12.5,
         });
-        // Pool mode: no inline scenario in the handshake.
         round_trip(FleetMsg::Welcome {
-            spec_toml: None,
             trace_dir: None,
             lease_timeout_s: 30.0,
         });

@@ -1,14 +1,15 @@
-//! One campaign's scheduling state, factored out of the one-shot
-//! coordinator so a persistent worker pool can interleave many campaigns
-//! over the same connections.
+//! One campaign's scheduling state, which a [`WorkerPool`] serves over its
+//! worker connections.
 //!
-//! A [`CampaignSession`] owns everything that was previously buried in the
-//! coordinator: the sharded spec matrix, the pending queue, leases,
-//! retries, the checkpoint journal, the span journal, and the merged
-//! results. The coordinator wraps exactly one session; the pool keeps a
-//! map of them keyed by campaign id. Both rely on the same invariant: a
-//! session's merged [`CampaignResults`] is byte-identical to the
-//! single-process campaign's, whatever the dispatch interleaving.
+//! A [`CampaignSession`] owns the sharded spec matrix, the pending queue,
+//! leases, retries, the checkpoint journal, the span journal, and the
+//! merged results. The pool keeps a map of live sessions keyed by
+//! campaign id: one caller-built session for `fleet run`, or many
+//! submitted ones for the campaign service. Either way a session's merged
+//! [`CampaignResults`] is byte-identical to the single-process
+//! campaign's, whatever the dispatch interleaving.
+//!
+//! [`WorkerPool`]: crate::pool::WorkerPool
 
 use std::collections::{HashMap, VecDeque};
 use std::path::{Path, PathBuf};
@@ -187,11 +188,6 @@ impl CampaignSession {
         &self.canonical_toml
     }
 
-    /// The campaign fingerprint (canonical dump + seed + unit count).
-    pub fn fingerprint(&self) -> CampaignFingerprint {
-        self.fingerprint
-    }
-
     /// Total work units in the sharded matrix.
     pub fn total(&self) -> usize {
         self.results.len()
@@ -220,11 +216,6 @@ impl CampaignSession {
     /// Whether every unit has a merged record.
     pub fn finished(&self) -> bool {
         self.done >= self.results.len()
-    }
-
-    /// This session's lease timeout (from its scenario's `[fleet]`).
-    pub fn lease_timeout(&self) -> Duration {
-        self.lease_timeout
     }
 
     /// `(units_done, busy_ms)` for one worker, for the status board.

@@ -1,13 +1,13 @@
-//! The fleet worker: connects to a coordinator, pulls work units, runs
-//! each experiment with the same panic-isolated harness as the
-//! single-process campaign, and streams records back.
+//! The fleet worker: connects to a [`WorkerPool`](crate::pool::WorkerPool),
+//! pulls work units, runs each experiment with the same panic-isolated
+//! harness as the single-process campaign, and streams records back.
 //!
-//! Workers are stateless: everything they need — the scenario, trace
-//! directory, lease timeout — arrives in the coordinator's `Welcome`.
-//! A worker that loses its connection reconnects with exponential
-//! backoff plus jitter, up to a capped attempt budget, so a coordinator
-//! restart (e.g. a `--resume` after a crash) picks the fleet back up
-//! without respawning processes.
+//! Workers are stateless: the trace directory and lease timeout arrive in
+//! the pool's `Welcome`, and each campaign's scenario inline with its
+//! first `Assign`. A worker that loses its connection reconnects with
+//! exponential backoff plus jitter, up to a capped attempt budget, so a
+//! coordinator restart (e.g. a `--resume` after a crash) picks the fleet
+//! back up without respawning processes.
 
 use std::collections::HashMap;
 use std::io::Write as _;
@@ -36,7 +36,7 @@ const BACKOFF_CAP: Duration = Duration::from_secs(2);
 /// How a worker session ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerExit {
-    /// Coordinator said `Done`: the campaign is complete.
+    /// The pool said `Done`: no more work will come.
     CampaignComplete,
     /// The coordinator became unreachable and the reconnect budget ran
     /// out. The coordinator's lease sweep re-queues anything we held.
@@ -130,42 +130,24 @@ fn flaky_unit_should_drop(unit: u32) -> bool {
     target == Some(unit) && !TRIPPED.swap(true, Ordering::SeqCst)
 }
 
-/// What a `Welcome` sets up for the session: the lease timeout, and in the
-/// classic one-campaign mode the campaign itself (`None` in pool mode,
-/// where scenarios arrive inline with the first `Assign` of each campaign).
-struct Session {
-    one_shot: Option<CampaignConfig>,
-    lease_timeout: Duration,
-}
-
-fn session_from_welcome(msg: &FleetMsg) -> Result<Session, FleetError> {
-    let (spec_toml, trace_dir, lease_timeout_s) = match msg {
-        FleetMsg::Welcome {
-            spec_toml,
-            trace_dir,
-            lease_timeout_s,
-        } => (spec_toml, trace_dir, *lease_timeout_s),
-        _ => return Err(FleetError::Malformed("expected Welcome after Hello")),
+/// Reads the handshake reply: the lease timeout and the black-box
+/// directory every campaign on this connection traces into.
+fn read_welcome(msg: &FleetMsg) -> Result<(Duration, Option<PathBuf>), FleetError> {
+    let FleetMsg::Welcome {
+        trace_dir,
+        lease_timeout_s,
+    } = msg
+    else {
+        return Err(FleetError::Malformed("expected Welcome after Hello"));
     };
-    let lease_timeout = Duration::from_secs_f64(lease_timeout_s.max(0.001));
-    let Some(spec_toml) = spec_toml else {
-        return Ok(Session {
-            one_shot: None,
-            lease_timeout,
-        });
-    };
-    let spec = ScenarioSpec::from_toml(spec_toml)
-        .map_err(|e| FleetError::Io(format!("coordinator sent invalid scenario: {e}")))?;
-    let mut config = CampaignConfig::from_scenario(&spec);
-    if let Some(dir) = trace_dir {
-        let dir = PathBuf::from(dir);
-        let _ = std::fs::create_dir_all(&dir);
-        config.trace_dir = Some(dir);
+    let trace_dir = trace_dir.as_ref().map(PathBuf::from);
+    if let Some(dir) = &trace_dir {
+        let _ = std::fs::create_dir_all(dir);
     }
-    Ok(Session {
-        one_shot: Some(config),
-        lease_timeout,
-    })
+    Ok((
+        Duration::from_secs_f64(lease_timeout_s.max(0.001)),
+        trace_dir,
+    ))
 }
 
 /// Runs a worker against the coordinator at `addr` until the campaign
@@ -195,15 +177,61 @@ pub fn run_worker(addr: SocketAddr, worker_id: u32) -> Result<WorkerExit, FleetE
     }
 }
 
+/// The worker subcommand every fleet-capable binary exposes: parses
+/// `--connect ADDR [--id N]` from `args` and runs [`run_worker`]. Returns
+/// the process exit code: 0 once the pool said `Done` (or for `--help`),
+/// 1 when the coordinator was lost or the session failed, and 2 for
+/// malformed arguments, which are reported with `usage`.
+pub fn worker_main(args: impl IntoIterator<Item = String>, usage: &str) -> i32 {
+    let malformed = |msg: &str| {
+        eprintln!("error: {msg}\n{usage}");
+        2
+    };
+    let mut it = args.into_iter();
+    let mut connect = None;
+    let mut id = 0u32;
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "--connect" => match it.next() {
+                Some(addr) => connect = Some(addr),
+                None => return malformed("missing value for --connect"),
+            },
+            "--id" => match it.next().map(|v| v.parse()) {
+                Some(Ok(n)) => id = n,
+                _ => return malformed("cannot parse --id value"),
+            },
+            "--help" | "-h" => {
+                println!("{usage}");
+                return 0;
+            }
+            other => return malformed(&format!("unknown argument: {other}")),
+        }
+    }
+    let Some(connect) = connect else {
+        return malformed("worker requires --connect ADDR");
+    };
+    let Ok(addr) = connect.parse() else {
+        return malformed(&format!("cannot parse --connect address '{connect}'"));
+    };
+    match run_worker(addr, id) {
+        Ok(WorkerExit::CampaignComplete) => 0,
+        Ok(WorkerExit::CoordinatorLost) => {
+            eprintln!("worker {id}: coordinator lost; exiting");
+            1
+        }
+        Err(e) => {
+            eprintln!("worker {id}: {e}");
+            1
+        }
+    }
+}
+
 /// One connected session: handshake, then request/run/report until
 /// `Done` or a transport error.
 fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, FleetError> {
     write_msg(&mut stream, &FleetMsg::Hello { worker_id })?;
     let (welcome, _) = read_msg(&mut stream)?;
-    let Session {
-        one_shot,
-        lease_timeout,
-    } = session_from_welcome(&welcome)?;
+    let (lease_timeout, trace_dir) = read_welcome(&welcome)?;
 
     // Heartbeats ride a cloned handle so a long experiment doesn't let
     // the lease lapse. The writer mutex keeps heartbeat frames from
@@ -241,7 +269,7 @@ fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, Fl
         })
     };
 
-    let result = work_loop(one_shot.as_ref(), &mut stream, &writer);
+    let result = work_loop(trace_dir, &mut stream, &writer);
 
     stop.store(true, Ordering::SeqCst);
     let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -250,12 +278,11 @@ fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, Fl
 }
 
 /// The work loop: request, fly, report, one run at a time, until the
-/// coordinator says `Done`. A one-shot session flies every unit under
-/// `one_shot`. In pool mode each `Assign` carries a campaign id, the first
+/// pool says `Done`. Each `Assign` carries a campaign id, the first
 /// assignment from a campaign brings its scenario inline, and results echo
 /// the id so unit indices stay campaign-local.
 fn work_loop(
-    one_shot: Option<&CampaignConfig>,
+    trace_dir: Option<PathBuf>,
     stream: &mut TcpStream,
     writer: &Arc<Mutex<TcpStream>>,
 ) -> Result<WorkerExit, FleetError> {
@@ -289,10 +316,12 @@ fn work_loop(
                 if let Some(toml) = spec_toml {
                     let scenario = ScenarioSpec::from_toml(&toml)
                         .map_err(|e| FleetError::Io(format!("pool sent invalid scenario: {e}")))?;
-                    contexts.insert(campaign, CampaignConfig::from_scenario(&scenario));
+                    let mut config = CampaignConfig::from_scenario(&scenario);
+                    config.trace_dir = trace_dir.clone();
+                    contexts.insert(campaign, config);
                 }
-                let config = one_shot
-                    .or_else(|| contexts.get(&campaign))
+                let config = contexts
+                    .get(&campaign)
                     .ok_or(FleetError::Malformed("assign for unknown campaign"))?;
                 if flaky_unit_should_drop(unit) {
                     return Err(FleetError::Io("flaky-unit test hook tripped".into()));
@@ -350,4 +379,28 @@ pub fn spawn_local_workers(
         children.push(child);
     }
     Ok(children)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// Malformed worker arguments exit 2 before any connection attempt.
+    #[test]
+    fn malformed_arguments_exit_2() {
+        for bad in [
+            &[][..],
+            &["--connect"],
+            &["--connect", "not-an-address"],
+            &["--connect", "127.0.0.1:1", "--id", "x"],
+            &["--bogus"],
+        ] {
+            assert_eq!(worker_main(args(bad), "usage"), 2, "{bad:?}");
+        }
+        assert_eq!(worker_main(args(&["--help"]), "usage"), 0);
+    }
 }

@@ -1,7 +1,5 @@
 //! Small digital filters used by the sensor models and the controller.
 
-use serde::{Deserialize, Serialize};
-
 use crate::vec3::Vec3;
 
 /// First-order low-pass filter (exponential smoothing) parameterized by its
@@ -19,7 +17,7 @@ use crate::vec3::Vec3;
 /// }
 /// assert!((y - 1.0).abs() < 1e-3); // converges to the DC value
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LowPass {
     cutoff_hz: f64,
     state: Option<f64>,
@@ -71,7 +69,7 @@ impl LowPass {
 }
 
 /// Three-axis first-order low-pass filter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LowPass3 {
     x: LowPass,
     y: LowPass,
@@ -113,7 +111,7 @@ impl LowPass3 {
 /// Filtered numeric differentiator: low-passes the finite difference of its
 /// input. Used for PID derivative terms so that saturated sensor faults do
 /// not produce unbounded derivative kicks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Derivative {
     lp: LowPass,
     prev: Option<f64>,

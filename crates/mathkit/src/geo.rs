@@ -6,8 +6,6 @@
 //! 25 km²) a curvature-correct equirectangular projection is accurate to
 //! centimetres, matching what PX4 itself uses for local position.
 
-use serde::{Deserialize, Serialize};
-
 use crate::vec3::Vec3;
 
 /// WGS-84 semi-major axis in meters.
@@ -17,7 +15,7 @@ pub const WGS84_E2: f64 = 6.694_379_990_141_316e-3;
 
 /// A geodetic position: latitude/longitude in degrees, altitude in meters
 /// above the ellipsoid.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct GeoPoint {
     /// Latitude in degrees, positive north.
     pub lat_deg: f64,
@@ -52,7 +50,7 @@ impl GeoPoint {
 /// assert!(ned.x > 100.0 && ned.x < 120.0); // ~111 m north
 /// assert!((ned.z + 10.0).abs() < 1e-9);    // 10 m up = -10 m down
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalFrame {
     origin: GeoPoint,
     /// Meridional radius of curvature at the origin (meters per radian).

@@ -2,8 +2,6 @@
 
 use std::ops::{Add, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::vec3::Vec3;
 
 /// A dense, row-major 3x3 matrix of `f64`.
@@ -16,7 +14,7 @@ use crate::vec3::Vec3;
 /// let m = Mat3::from_diagonal(Vec3::new(1.0, 2.0, 3.0));
 /// assert_eq!(m * Vec3::new(1.0, 1.0, 1.0), Vec3::new(1.0, 2.0, 3.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mat3 {
     /// Rows of the matrix.
     pub rows: [[f64; 3]; 3],

@@ -7,8 +7,6 @@
 
 use std::ops::Mul;
 
-use serde::{Deserialize, Serialize};
-
 use crate::mat3::Mat3;
 use crate::vec3::Vec3;
 
@@ -25,7 +23,7 @@ use crate::vec3::Vec3;
 /// // Rolling 90 degrees maps body-Y onto world-Z (down).
 /// assert!((v - Vec3::new(0.0, 0.0, 1.0)).norm() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quat {
     /// Scalar part.
     pub w: f64,

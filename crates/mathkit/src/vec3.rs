@@ -11,8 +11,6 @@ use std::ops::{
     Add, AddAssign, Div, DivAssign, Index, IndexMut, Mul, MulAssign, Neg, Sub, SubAssign,
 };
 
-use serde::{Deserialize, Serialize};
-
 /// A 3-D vector of `f64` components.
 ///
 /// # Example
@@ -25,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.dot(b), 32.0);
 /// assert_eq!(a.cross(b), Vec3::new(-3.0, 6.0, -3.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X (north / forward) component.
     pub x: f64,

@@ -26,8 +26,6 @@
 
 pub mod generator;
 
-use serde::{Deserialize, Serialize};
-
 use imufit_controller::{FlightPlan, Waypoint};
 use imufit_math::{GeoPoint, LocalFrame, Vec3};
 
@@ -44,7 +42,7 @@ pub const AREA_ORIGIN: GeoPoint = GeoPoint::new(39.4699, -0.3763, 0.0);
 pub const AREA_HALF_EXTENT: f64 = 2500.0;
 
 /// Static description of one drone in the fleet.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DroneSpec {
     /// Stable identifier (0-based).
     pub id: u32,
@@ -74,7 +72,7 @@ impl DroneSpec {
 }
 
 /// One mission: a drone spec plus its route.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mission {
     /// The drone flying this mission.
     pub drone: DroneSpec,

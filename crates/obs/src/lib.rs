@@ -12,7 +12,7 @@
 //! # Design constraints
 //!
 //! * **Zero registry dependencies.** Only the workspace's vendored
-//!   stand-ins (`parking_lot`, `serde`) are used; everything else is std.
+//!   `parking_lot` stand-in is used; everything else is std.
 //! * **Non-interference.** Metrics are strictly write-only from the
 //!   simulation's point of view: nothing in this crate is ever read back
 //!   into simulation state, and no RNG stream is touched. A campaign run

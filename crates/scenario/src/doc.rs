@@ -1,8 +1,7 @@
 //! A minimal self-contained document model with TOML and JSON frontends.
 //!
-//! The workspace vendors a no-op `serde` stand-in (no real serializer
-//! exists in the dependency tree), so the scenario layer carries its own
-//! tiny reader/writer pair. Both frontends share one [`Value`] tree:
+//! No serializer exists in the dependency tree, so the scenario layer
+//! carries its own tiny reader/writer pair. Both frontends share one [`Value`] tree:
 //!
 //! * **TOML** — the human-facing format for preset files: bare top-level
 //!   keys plus one level of `[section]` tables, single-line arrays,

@@ -11,9 +11,9 @@
 //! fault vocabularies, never on the vehicle or campaign engines. Builders in
 //! `imufit-uav` and `imufit-core` turn a validated spec into running parts.
 //!
-//! The serialization is hand-rolled in [`doc`] (the workspace's `serde` is a
-//! no-op marker stub, see `vendor/serde`), using shortest-round-trip float
-//! formatting so a spec → text → spec cycle is bit-exact.
+//! The serialization is hand-rolled in [`doc`] (the workspace has no
+//! serialization framework), using shortest-round-trip float formatting so
+//! a spec → text → spec cycle is bit-exact.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,12 +1,10 @@
 //! MEMS accelerometer model.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::rng::Pcg;
 use imufit_math::{Vec3, GRAVITY};
 
 /// Accelerometer noise/bias/range specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AccelSpec {
     /// Full-scale range, m/s^2 (symmetric: measurements clamp to ±range).
     pub range: f64,
@@ -33,7 +31,7 @@ impl Default for AccelSpec {
 
 /// A simulated accelerometer instance with its own turn-on bias and bias
 /// random walk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Accelerometer {
     spec: AccelSpec,
     bias: Vec3,

@@ -1,11 +1,9 @@
 //! Barometric altimeter model.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::rng::Pcg;
 
 /// A barometer reading already converted to altitude.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaroSample {
     /// Pressure altitude above the local-frame origin, meters (positive up).
     pub altitude: f64,
@@ -14,7 +12,7 @@ pub struct BaroSample {
 }
 
 /// Barometer specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BaroSpec {
     /// Altitude white-noise standard deviation, meters.
     pub noise_std: f64,
@@ -54,7 +52,7 @@ impl BaroSpec {
 }
 
 /// A simulated barometer referenced to the local-frame origin altitude.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Barometer {
     spec: BaroSpec,
     /// Mean sea-level altitude of the local origin, meters.

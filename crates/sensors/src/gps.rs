@@ -1,12 +1,10 @@
 //! GNSS receiver model.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
 
 /// A GNSS fix in the local NED frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsSample {
     /// Position in the local NED frame, meters.
     pub position: Vec3,
@@ -20,7 +18,7 @@ pub struct GpsSample {
 }
 
 /// GNSS receiver specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsSpec {
     /// Horizontal position noise standard deviation, meters.
     pub horizontal_noise_std: f64,
@@ -77,7 +75,7 @@ impl GpsSpec {
 
 /// A simulated GNSS receiver with correlated (random-walk-like) position
 /// error plus white noise.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gps {
     spec: GpsSpec,
     correlated_error: Vec3,

@@ -1,12 +1,10 @@
 //! MEMS gyroscope model.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
 
 /// Gyroscope noise/bias/range specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GyroSpec {
     /// Full-scale range, rad/s (symmetric).
     pub range: f64,
@@ -32,7 +30,7 @@ impl Default for GyroSpec {
 
 /// A simulated gyroscope instance with its own turn-on bias and bias random
 /// walk.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Gyroscope {
     spec: GyroSpec,
     bias: Vec3,

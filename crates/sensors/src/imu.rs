@@ -1,8 +1,6 @@
 //! The inertial measurement unit: accelerometer + gyroscope, with redundant
 //! instances.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
 
@@ -10,7 +8,7 @@ use crate::accel::{AccelSpec, Accelerometer};
 use crate::gyro::{GyroSpec, Gyroscope};
 
 /// One IMU reading: the pair of vectors the flight stack consumes each tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImuSample {
     /// Body-frame specific force, m/s^2.
     pub accel: Vec3,
@@ -33,7 +31,7 @@ impl ImuSample {
 }
 
 /// Combined accelerometer + gyroscope specification.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ImuSpec {
     /// Accelerometer specification.
     pub accel: AccelSpec,
@@ -54,7 +52,7 @@ impl ImuSpec {
 }
 
 /// One IMU instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Imu {
     spec: ImuSpec,
     accel: Accelerometer,
@@ -103,7 +101,7 @@ impl Imu {
 /// when the health monitor isolates a sensor; per the paper's assumption,
 /// injected faults corrupt the *merged* output, so switching cannot mask an
 /// injected fault — but it does help with natural per-instance bias outliers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RedundantImu {
     instances: Vec<Imu>,
     primary: usize,

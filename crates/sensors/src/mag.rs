@@ -6,21 +6,19 @@
 //! vector rotated into the body frame with hard-iron bias and noise, plus
 //! the tilt-compensated yaw extraction the flight stack performs.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::rng::Pcg;
 use imufit_math::{Quat, Vec3};
 
 /// A magnetometer reading: the geomagnetic field in the body frame,
 /// normalized units (Gauss-like).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MagSample {
     /// Body-frame field vector.
     pub field: Vec3,
 }
 
 /// Magnetometer specification.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MagSpec {
     /// Magnetic declination (true north minus magnetic north), radians.
     /// Valencia, Spain is about +0.7 degrees (2024).
@@ -87,7 +85,7 @@ impl MagSpec {
 }
 
 /// A simulated magnetometer with a fixed hard-iron residual.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Magnetometer {
     spec: MagSpec,
     /// The local field in the NED frame (derived from the spec).

@@ -14,12 +14,10 @@
 //! finding, and the recovery cascade must escalate past redundancy in that
 //! case.
 
-use serde::{Deserialize, Serialize};
-
 use crate::imu::{consensus, ImuSample};
 
 /// Voting thresholds and persistence counts.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VoterConfig {
     /// Gyro deviation (rad/s, vector norm vs consensus) flagging an
     /// instance. Natural cross-instance spread (noise + turn-on bias) stays
@@ -57,7 +55,7 @@ impl Default for VoterConfig {
 }
 
 /// Per-instance health as seen by the voter this tick.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceHealth {
     /// The instance is currently excluded from the merged output.
     pub excluded: bool,
@@ -106,7 +104,7 @@ impl VoterReport {
 /// inside. Needs at least three instances to out-vote a liar; with fewer it
 /// degrades to a pass-through of the primary (no exclusion is ever
 /// possible, because consensus cannot identify the faulty party).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImuVoter {
     config: VoterConfig,
     flag_streak: Vec<u32>,

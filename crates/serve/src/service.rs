@@ -59,10 +59,10 @@ impl CampaignService {
     /// created.
     pub fn start(config: ServiceConfig) -> Result<Arc<CampaignService>, FleetError> {
         let pool = WorkerPool::start(PoolConfig {
-            store_dir: config.store_dir.clone(),
             lease_timeout_s: config.lease_timeout_s,
             max_queued_per_tenant: config.max_queued_per_tenant,
             max_inflight_units_per_tenant: config.max_inflight_units_per_tenant,
+            ..PoolConfig::new(config.store_dir.clone())
         })?;
         Ok(Arc::new(CampaignService { pool, config }))
     }

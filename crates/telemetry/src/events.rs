@@ -6,10 +6,8 @@
 //! primary switchovers, mitigation-level changes, and failsafe activation
 //! are recorded as timestamped [`FlightEvent`]s alongside the 1 Hz track.
 
-use serde::{Deserialize, Serialize};
-
 /// What happened.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightEventKind {
     /// A fault injection window opened.
     FaultInjected,
@@ -92,7 +90,7 @@ impl FlightEventKind {
 }
 
 /// One timestamped event.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightEvent {
     /// Flight time, seconds.
     pub time: f64,

@@ -1,13 +1,11 @@
 //! The in-memory flight recorder: the platform's flight-log equivalent.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_math::Vec3;
 
 use crate::events::FlightEvent;
 
 /// One recorded sample of a flight.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrackPoint {
     /// Flight time, seconds.
     pub time: f64,
@@ -29,7 +27,7 @@ pub struct TrackPoint {
 /// Records [`TrackPoint`]s at a fixed interval, plus discrete
 /// [`FlightEvent`]s (fault windows, exclusions, mitigation transitions) at
 /// their exact times.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecorder {
     interval: f64,
     next_time: f64,

@@ -1,14 +1,12 @@
 //! Per-flight simulator configuration.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_dynamics::WindModel;
 use imufit_missions::Mission;
 use imufit_scenario::{EstimatorBackend, FlightSettings, ScenarioSpec};
 use imufit_trace::TraceSettings;
 
 /// Simulation configuration for one flight.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Physics and control base rate, Hz.
     pub physics_rate: f64,
@@ -47,7 +45,6 @@ pub struct SimConfig {
     /// (reject → drop-sensor → dead-reckon → failsafe). Off by default so
     /// the paper-default campaign stays bit-identical to the golden
     /// results; the `attack-sweep` scenario turns them on.
-    #[serde(default)]
     pub innovation_monitors: bool,
     /// Which navigation filter flies the vehicle (EKF for the paper's
     /// reproduction; the complementary filter is the gating-free baseline).

@@ -1,7 +1,5 @@
 //! Flight outcomes and per-flight results.
 
-use serde::{Deserialize, Serialize};
-
 use imufit_bubble::ViolationCounts;
 use imufit_controller::FailsafeReason;
 use imufit_telemetry::FlightRecorder;
@@ -11,7 +9,7 @@ use imufit_telemetry::FlightRecorder;
 /// missions split into crashes and failsafe activations. If failsafe latched
 /// before an eventual ground impact, the flight counts as a failsafe
 /// activation (the flight controller gave up before physics did).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FlightOutcome {
     /// Landed, disarmed, all waypoints visited, no failsafe.
     Completed,
@@ -77,7 +75,7 @@ impl FlightOutcome {
 /// The scalar metrics of one flight — everything the campaign tables need,
 /// without the recorded track. `Copy`, so campaign workers can pull it out
 /// of a recycled vehicle and keep flying the same allocation.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FlightSummary {
     /// How the flight ended.
     pub outcome: FlightOutcome,
@@ -95,7 +93,7 @@ pub struct FlightSummary {
 }
 
 /// Everything measured from one flight.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlightResult {
     /// How the flight ended.
     pub outcome: FlightOutcome,

@@ -17,12 +17,12 @@
 //! `--resume`: journaled units replay, only outstanding ones rerun, and
 //! the merged CSV is still byte-identical.
 
-use std::net::SocketAddr;
-use std::path::{Path, PathBuf};
+mod driver;
 
-use imufit_fleet::{CoordinatorConfig, WorkerExit};
+use std::path::PathBuf;
+
 use imufit_obs::info;
-use imufit_scenario::{ScenarioSpec, PRESET_NAMES};
+use imufit_scenario::ScenarioSpec;
 
 const USAGE: &str = "usage: fleet run [--scenario FILE|PRESET] [--workers N] [--out DIR]
                  [--seed N] [--missions M] [--quick] [--trace-dir DIR]
@@ -149,22 +149,9 @@ fn parse_run_args(mut it: std::env::Args) -> RunArgs {
     args
 }
 
-/// Resolves `--scenario`: a preset name first, a document path otherwise.
-fn load_scenario(name_or_path: &str) -> ScenarioSpec {
-    if let Some(spec) = ScenarioSpec::preset(name_or_path) {
-        return spec;
-    }
-    ScenarioSpec::from_file(Path::new(name_or_path)).unwrap_or_else(|e| {
-        die(&format!(
-            "cannot load scenario '{name_or_path}': {e} (presets: {})",
-            PRESET_NAMES.join(", ")
-        ))
-    })
-}
-
 fn run_coordinator(args: RunArgs) {
     let mut spec = match &args.scenario {
-        Some(s) => load_scenario(s),
+        Some(s) => driver::load_scenario(s).unwrap_or_else(|e| die(&e)),
         None => ScenarioSpec::paper_default(),
     };
     if let Some(seed) = args.seed {
@@ -198,107 +185,36 @@ fn run_coordinator(args: RunArgs) {
     }
     // SLO rules (scenario [obs] alerts plus --alert flags) go live before
     // the plane starts so the first recorder sample already evaluates them.
-    if !spec.obs.alerts.is_empty() {
-        let rules: Vec<_> = spec
-            .obs
-            .alerts
-            .iter()
-            .map(|r| {
-                imufit_obs::alerts::parse_rule(r)
-                    .unwrap_or_else(|e| die(&format!("invalid obs.alerts rule '{r}': {e}")))
-            })
-            .collect();
-        info!("alerting on {} SLO rule(s)", rules.len());
-        imufit_obs::alerts::board().install(rules);
-    }
+    driver::install_alert_rules(&spec).unwrap_or_else(|e| die(&e));
 
     let out = PathBuf::from(&args.out);
     std::fs::create_dir_all(&out)
         .unwrap_or_else(|e| die(&format!("cannot create output dir {}: {e}", out.display())));
-
-    let mut config = CoordinatorConfig::new(spec.clone(), &out);
-    config.resume = args.resume;
-    if spec.trace.enabled {
-        config.trace_dir = Some(
-            args.trace_dir
-                .as_deref()
-                .map(PathBuf::from)
-                .unwrap_or_else(|| out.join("traces")),
-        );
-    }
-
-    let coordinator = imufit_fleet::Coordinator::bind(config).unwrap_or_else(|e| {
-        eprintln!("error: cannot start coordinator: {e}");
-        std::process::exit(1);
+    let trace_dir = spec.trace.enabled.then(|| {
+        args.trace_dir
+            .as_deref()
+            .map(PathBuf::from)
+            .unwrap_or_else(|| out.join("traces"))
     });
-    let total = coordinator.total_units();
-    let workers = campaign_worker_count(&spec, total);
-    info!(
-        "fleet: {} units, {} workers, listening on {} ({} replayed from checkpoint)",
-        total,
-        workers,
-        coordinator.addr(),
-        coordinator.resumed_units()
-    );
-
-    // The plane scrapes merged per-worker snapshots via the coordinator's
-    // aggregate, so one /metrics endpoint covers the whole fleet.
-    let plane = if spec.obs.serve {
-        match imufit_obs::plane::Plane::start(
-            &spec.obs.addr,
-            std::time::Duration::from_secs_f64(spec.obs.sample_interval_s),
-            spec.obs.series_capacity,
-            Some(coordinator.aggregate()),
-        ) {
-            Ok(plane) => {
-                if let Some(addr) = plane.addr() {
-                    info!("serving /metrics, /status, /healthz, /alerts on http://{addr}");
-                }
-                plane
-            }
-            Err(e) => {
-                eprintln!(
-                    "error: cannot start metrics server on {}: {e}",
-                    spec.obs.addr
-                );
-                std::process::exit(1);
-            }
-        }
-    } else {
-        imufit_obs::plane::Plane::off()
-    };
-
-    let mut children = Vec::new();
-    if args.spawn {
-        let exe = std::env::current_exe()
-            .unwrap_or_else(|e| die(&format!("cannot locate own executable: {e}")));
-        let cmd = vec![exe.display().to_string(), "worker".to_string()];
-        children = imufit_fleet::spawn_local_workers(&cmd, coordinator.addr(), workers)
-            .unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(1);
-            });
-    } else {
-        println!("fleet: connect workers to {}", coordinator.addr());
-    }
+    let total = imufit_core::CampaignConfig::from_scenario(&spec)
+        .matrix()
+        .len();
+    let workers = driver::fleet_workers(&spec, total);
 
     let reporter = imufit_obs::progress::ProgressReporter::new("fleet", total, workers);
     let progress = move |done: usize, _total: usize| {
         reporter.record(done, 0.0);
     };
     let started = std::time::Instant::now();
-    let results = coordinator.serve(Some(&progress)).unwrap_or_else(|e| {
-        eprintln!("error: coordinator failed: {e}");
-        std::process::exit(1);
-    });
-    for child in &mut children {
-        let _ = child.wait();
-    }
-    match plane.finish(&out.join("campaign_metrics.ifms")) {
-        Ok(Some(path)) => info!("wrote {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: cannot write metrics series: {e}"),
-    }
+    let (results, _workers) = driver::run_fleet(
+        &spec,
+        trace_dir,
+        &out,
+        args.resume,
+        workers,
+        args.spawn.then_some("worker"),
+        &progress,
+    );
     info!(
         "fleet campaign finished in {:.0} s wall-clock; faulty completion {:.1}%",
         started.elapsed().as_secs_f64(),
@@ -317,64 +233,13 @@ fn run_coordinator(args: RunArgs) {
     }
 }
 
-/// The worker-process count: CLI/scenario value, with 0 meaning one per
-/// CPU clamped to the number of runs (same rule as `campaign.threads`).
-fn campaign_worker_count(spec: &ScenarioSpec, runs: usize) -> usize {
-    if spec.fleet.workers == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .clamp(1, runs.max(1))
-    } else {
-        spec.fleet.workers
-    }
-}
-
-fn run_worker(mut it: std::env::Args) {
-    let mut connect: Option<String> = None;
-    let mut id: u32 = 0;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => {
-                connect = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("missing value for --connect")),
-                )
-            }
-            "--id" => id = parse_value("--id", it.next()),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument: {other}")),
-        }
-    }
-    let Some(addr) = connect else {
-        die("worker requires --connect ADDR");
-    };
-    let addr: SocketAddr = addr
-        .parse()
-        .unwrap_or_else(|_| die(&format!("cannot parse --connect address '{addr}'")));
-    match imufit_fleet::run_worker(addr, id) {
-        Ok(WorkerExit::CampaignComplete) => {}
-        Ok(WorkerExit::CoordinatorLost) => {
-            eprintln!("worker {id}: coordinator lost; exiting");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("worker {id}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     imufit_obs::log::init();
     let mut it = std::env::args();
     let _ = it.next();
     match it.next().as_deref() {
         Some("run") => run_coordinator(parse_run_args(it)),
-        Some("worker") => run_worker(it),
+        Some("worker") => std::process::exit(imufit_fleet::worker_main(it, USAGE)),
         Some("--help") | Some("-h") => println!("{USAGE}"),
         Some(other) => die(&format!("unknown subcommand: {other}")),
         None => die("expected a subcommand: run | worker"),

@@ -28,6 +28,8 @@
 //! compiles the whole observability layer to no-ops — the resulting
 //! `campaign_results.csv` is byte-identical, which CI checks.
 
+mod driver;
+
 use std::io::Write as _;
 
 use imufit_core::{conflicts, figures, redundancy, report, sweep, Campaign, CampaignConfig};
@@ -35,7 +37,7 @@ use imufit_detect::{evaluate, EnsembleDetector, LabeledStream};
 use imufit_faults::{FaultKind, FaultSpec, FaultTarget, InjectionWindow};
 use imufit_missions::all_missions;
 use imufit_obs::info;
-use imufit_scenario::{ScenarioSpec, PRESET_NAMES};
+use imufit_scenario::ScenarioSpec;
 use imufit_uav::{FlightSimulator, SimConfig};
 
 const USAGE: &str = "usage: reproduce [--seed N] [--missions M] [--out DIR] [--quick]
@@ -232,19 +234,6 @@ fn parse_args() -> Args {
     args
 }
 
-/// Resolves `--scenario`: a preset name first, a document path otherwise.
-fn load_scenario(name_or_path: &str) -> ScenarioSpec {
-    if let Some(spec) = ScenarioSpec::preset(name_or_path) {
-        return spec;
-    }
-    ScenarioSpec::from_file(std::path::Path::new(name_or_path)).unwrap_or_else(|e| {
-        die(&format!(
-            "cannot load scenario '{name_or_path}': {e} (presets: {})",
-            PRESET_NAMES.join(", ")
-        ))
-    })
-}
-
 /// Collects the beyond-the-paper sections (duration sweep, fleet
 /// separation, redundancy ablation).
 fn collect_extras(seed: u64) -> report::ExtraSections {
@@ -338,153 +327,20 @@ fn collect_extras(seed: u64) -> report::ExtraSections {
     }
 }
 
-/// Hidden self-worker mode backing `--fleet-workers`: the coordinator
-/// re-execs this binary as `reproduce --fleet-worker --connect ADDR
-/// --id N`, which serves fleet work units until the campaign completes.
-fn run_fleet_worker(rest: &[String]) -> ! {
-    let mut connect: Option<&str> = None;
-    let mut id: u32 = 0;
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => connect = it.next().map(String::as_str),
-            "--id" => {
-                id = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("cannot parse --id value"))
-            }
-            other => die(&format!("unknown fleet-worker argument: {other}")),
-        }
-    }
-    let addr: std::net::SocketAddr = connect
-        .unwrap_or_else(|| die("fleet worker requires --connect ADDR"))
-        .parse()
-        .unwrap_or_else(|_| die("cannot parse --connect address"));
-    match imufit_fleet::run_worker(addr, id) {
-        Ok(imufit_fleet::WorkerExit::CampaignComplete) => std::process::exit(0),
-        Ok(imufit_fleet::WorkerExit::CoordinatorLost) => std::process::exit(1),
-        Err(e) => {
-            eprintln!("fleet worker {id}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Runs the campaign through the fleet coordinator with `workers`
-/// self-spawned worker processes, journaling to `out/fleet.ckpt`.
-fn run_fleet_campaign(
-    spec: &ScenarioSpec,
-    trace_dir: Option<std::path::PathBuf>,
-    out: &std::path::Path,
-    workers: usize,
-    progress: &(dyn Fn(usize, usize) + Sync),
-) -> imufit_core::CampaignResults {
-    std::fs::create_dir_all(out)
-        .unwrap_or_else(|e| panic!("cannot create output dir {}: {e}", out.display()));
-    let mut fleet_config = imufit_fleet::CoordinatorConfig::new(spec.clone(), out);
-    fleet_config.trace_dir = trace_dir;
-    let coordinator = imufit_fleet::Coordinator::bind(fleet_config).unwrap_or_else(|e| {
-        eprintln!("error: cannot start fleet coordinator: {e}");
-        std::process::exit(1);
-    });
-    // The plane scrapes merged per-worker snapshots via the coordinator's
-    // aggregate, so one /metrics endpoint covers the whole fleet.
-    let plane = start_plane(spec, Some(coordinator.aggregate()));
-    let exe =
-        std::env::current_exe().unwrap_or_else(|e| panic!("cannot locate own executable: {e}"));
-    let cmd = vec![exe.display().to_string(), "--fleet-worker".to_string()];
-    let mut children = imufit_fleet::spawn_local_workers(&cmd, coordinator.addr(), workers)
-        .unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(1);
-        });
-    let results = coordinator.serve(Some(progress)).unwrap_or_else(|e| {
-        eprintln!("error: fleet coordinator failed: {e}");
-        std::process::exit(1);
-    });
-    for child in &mut children {
-        let _ = child.wait();
-    }
-    finish_plane(plane, out);
-    results
-}
-
-/// Starts the live observability plane when the scenario asks for it;
-/// an unrequested plane is inert.
-fn start_plane(
-    spec: &ScenarioSpec,
-    aggregate: Option<std::sync::Arc<imufit_obs::snapshot::Aggregate>>,
-) -> imufit_obs::plane::Plane {
-    if !spec.obs.serve {
-        return imufit_obs::plane::Plane::off();
-    }
-    match imufit_obs::plane::Plane::start(
-        &spec.obs.addr,
-        std::time::Duration::from_secs_f64(spec.obs.sample_interval_s),
-        spec.obs.series_capacity,
-        aggregate,
-    ) {
-        Ok(plane) => {
-            if let Some(addr) = plane.addr() {
-                info!("serving /metrics, /status, /healthz, /alerts on http://{addr}");
-            }
-            plane
-        }
-        Err(e) => {
-            eprintln!(
-                "error: cannot start metrics server on {}: {e}",
-                spec.obs.addr
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Installs the scenario's SLO alert rules (including any `--alert`
-/// additions) into the global alert board. The rules were already
-/// syntax-checked at scenario load / flag parse, so a failure here is a
-/// programming error, not user input.
-fn install_alert_rules(spec: &ScenarioSpec) {
-    if spec.obs.alerts.is_empty() {
-        return;
-    }
-    let rules: Vec<_> = spec
-        .obs
-        .alerts
-        .iter()
-        .map(|r| {
-            imufit_obs::alerts::parse_rule(r)
-                .unwrap_or_else(|e| die(&format!("invalid obs.alerts rule '{r}': {e}")))
-        })
-        .collect();
-    info!("alerting on {} SLO rule(s)", rules.len());
-    imufit_obs::alerts::board().install(rules);
-}
-
-/// Flushes the plane's recorded series to `OUT/campaign_metrics.ifms`.
-fn finish_plane(plane: imufit_obs::plane::Plane, out: &std::path::Path) {
-    match plane.finish(&out.join("campaign_metrics.ifms")) {
-        Ok(Some(path)) => info!("wrote {}", path.display()),
-        Ok(None) => {}
-        Err(e) => eprintln!("warning: cannot write metrics series: {e}"),
-    }
-}
-
 fn main() {
     imufit_obs::log::init();
     // The hidden worker mode must short-circuit before normal parsing:
     // its flags are not part of the public interface.
-    let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("--fleet-worker") {
-        run_fleet_worker(&raw[1..]);
+    let mut raw = std::env::args().skip(1).peekable();
+    if raw.next_if(|a| a == "--fleet-worker").is_some() {
+        std::process::exit(imufit_fleet::worker_main(raw, USAGE));
     }
     let args = parse_args();
 
     // One scenario document describes the whole run; the remaining CLI
     // flags are overrides layered on top of it.
     let mut spec = match &args.scenario {
-        Some(s) => load_scenario(s),
+        Some(s) => driver::load_scenario(s).unwrap_or_else(|e| die(&e)),
         None => ScenarioSpec::paper_default(),
     };
     if let Some(seed) = args.seed {
@@ -534,7 +390,7 @@ fn main() {
         print!("{}", spec.to_toml());
         return;
     }
-    install_alert_rules(&spec);
+    driver::install_alert_rules(&spec).unwrap_or_else(|e| die(&e));
     let seed = spec.campaign.seed;
     let mut config = CampaignConfig::from_scenario(&spec);
     if spec.trace.enabled {
@@ -553,16 +409,9 @@ fn main() {
     // With `--fleet-workers` the unit of parallelism is a worker process
     // (scenario `[fleet] workers`, 0 = auto); otherwise it is an
     // in-process thread (`campaign.threads`, same auto rule).
-    let fleet_procs = args.fleet_workers.map(|_| {
-        if spec.fleet.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-                .clamp(1, total.max(1))
-        } else {
-            spec.fleet.workers
-        }
-    });
+    let fleet_procs = args
+        .fleet_workers
+        .map(|_| driver::fleet_workers(&spec, total));
     let workers = fleet_procs.unwrap_or_else(|| config.effective_workers(total));
     info!(
         "campaign: {} experiments across {} missions (seed {}, {} {})",
@@ -588,22 +437,20 @@ fn main() {
         imufit_obs::status::board().set_progress(done as u64);
     };
     let started = std::time::Instant::now();
+    let out_dir = std::path::Path::new(&args.out);
+    std::fs::create_dir_all(out_dir)
+        .unwrap_or_else(|e| panic!("cannot create output dir {}: {e}", out_dir.display()));
     let results = if let Some(procs) = fleet_procs {
-        run_fleet_campaign(
-            &spec,
-            config.trace_dir.clone(),
-            std::path::Path::new(&args.out),
-            procs,
-            &progress,
-        )
+        // Dropping the returned fleet right away waits for the workers and
+        // flushes the plane.
+        let trace_dir = config.trace_dir.clone();
+        let worker = Some("--fleet-worker");
+        driver::run_fleet(&spec, trace_dir, out_dir, false, procs, worker, &progress).0
     } else {
         imufit_obs::status::board().begin_campaign(&spec.name, total as u64, 0);
-        let out_dir = std::path::Path::new(&args.out);
-        std::fs::create_dir_all(out_dir)
-            .unwrap_or_else(|e| panic!("cannot create output dir {}: {e}", out_dir.display()));
-        let plane = start_plane(&spec, None);
+        let plane = driver::start_plane(&spec, None);
         let r = Campaign::new(config).run_with_progress(Some(&progress));
-        finish_plane(plane, out_dir);
+        driver::finish_plane(plane, out_dir);
         r
     };
     info!(

@@ -19,10 +19,8 @@
 //! dispatching a single unit. The obs built-ins (`/metrics`, `/status`,
 //! `/healthz`) ride the same listener.
 
-use std::net::SocketAddr;
 use std::path::PathBuf;
 
-use imufit_fleet::WorkerExit;
 use imufit_obs::info;
 use imufit_serve::{handler, CampaignService, ServiceConfig};
 
@@ -179,51 +177,15 @@ fn run_service(args: ServeArgs) {
     }
 }
 
-fn run_worker(mut it: impl Iterator<Item = String>) {
-    let mut connect: Option<String> = None;
-    let mut id: u32 = 0;
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => {
-                connect = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("missing value for --connect")),
-                )
-            }
-            "--id" => id = parse_value("--id", it.next()),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => die(&format!("unknown argument: {other}")),
-        }
-    }
-    let Some(addr) = connect else {
-        die("worker requires --connect ADDR");
-    };
-    let addr: SocketAddr = addr
-        .parse()
-        .unwrap_or_else(|_| die(&format!("cannot parse --connect address '{addr}'")));
-    match imufit_fleet::run_worker(addr, id) {
-        Ok(WorkerExit::CampaignComplete) => {}
-        Ok(WorkerExit::CoordinatorLost) => {
-            eprintln!("worker {id}: pool lost; exiting");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("worker {id}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     imufit_obs::log::init();
     let mut it = std::env::args();
     let _ = it.next();
     // Peek for the hidden worker subcommand; everything else is flags.
     match it.next() {
-        Some(first) if first == "worker" => run_worker(it),
+        Some(first) if first == "worker" => {
+            std::process::exit(imufit_fleet::worker_main(it, USAGE))
+        }
         Some(first) => run_service(parse_serve_args(std::iter::once(first).chain(it))),
         None => run_service(parse_serve_args(std::iter::empty())),
     }

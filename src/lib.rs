@@ -24,7 +24,7 @@
 //! | [`detect`] | `imufit-detect` | online fault detectors + evaluation harness |
 //! | [`scenario`] | `imufit-scenario` | one-document run descriptions + presets |
 //! | [`trace`] | `imufit-trace` | black-box flight tracing + `.ifbb` post-mortems |
-//! | [`fleet`] | `imufit-fleet` | distributed campaigns: coordinator/workers + checkpoints |
+//! | [`fleet`] | `imufit-fleet` | distributed campaigns: one worker pool, its workers + checkpoints |
 //! | [`serve`] | `imufit-serve` | campaign-as-a-service: multi-tenant HTTP + result cache |
 //!
 //! # Quickstart

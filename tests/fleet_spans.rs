@@ -1,7 +1,9 @@
-//! End-to-end test for the fleet execution span journal: a 2-worker
+//! End-to-end test for the fleet execution span journal: a traced 2-worker
 //! campaign with a forced mid-campaign requeue must leave a decodable
 //! `.ifsp` accounting every unit from enqueue to merge, including the
-//! requeue edge, and `triage spans` must render it.
+//! requeue edge, and `triage spans` must render it. The pool forwards the
+//! trace directory to its workers, so the same run leaves one decodable
+//! black box per matrix run.
 //!
 //! Drives the real `fleet` binary over localhost TCP (via
 //! `CARGO_BIN_EXE_fleet`), with the worker-side
@@ -13,7 +15,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
+use imufit::core::CampaignConfig;
 use imufit::scenario::ScenarioSpec;
+use imufit::trace::BlackBox;
 use imufit_obs::spans::{unit_timelines, SpanKind, SpanLog};
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -25,7 +29,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 
 /// Small campaign (1 mission x 2 durations) so the run finishes fast but
 /// still spreads units across both workers.
-fn write_scenario(dir: &Path) -> PathBuf {
+fn write_scenario(dir: &Path) -> (PathBuf, ScenarioSpec) {
     let mut spec = ScenarioSpec::paper_default();
     spec.campaign.missions = 1;
     spec.campaign.durations = vec![2.0, 30.0];
@@ -33,13 +37,14 @@ fn write_scenario(dir: &Path) -> PathBuf {
     spec.validate().expect("test scenario is valid");
     let path = dir.join("scenario.toml");
     std::fs::write(&path, spec.to_toml()).unwrap();
-    path
+    (path, spec)
 }
 
 #[test]
 fn fleet_campaign_journals_every_unit_including_a_forced_requeue() {
     let dir = fresh_dir("requeue");
-    let scenario = write_scenario(&dir);
+    let (scenario, spec) = write_scenario(&dir);
+    let boxes = dir.join("boxes");
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_fleet"))
         .arg("run")
@@ -49,6 +54,8 @@ fn fleet_campaign_journals_every_unit_including_a_forced_requeue() {
         .arg("2")
         .arg("--out")
         .arg(&dir)
+        .arg("--trace-dir")
+        .arg(&boxes)
         // Worker processes inherit this and drop the connection on the
         // first assignment of unit 1, once.
         .env("IMUFIT_FLEET_FLAKY_UNIT", "1")
@@ -124,6 +131,20 @@ fn fleet_campaign_journals_every_unit_including_a_forced_requeue() {
         unit1_spans.last(),
         "redelivery must stamp a fresh span id"
     );
+
+    // Every matrix run left one black box, written by whichever worker
+    // flew it into the directory the pool forwarded in `Welcome`.
+    let runs = CampaignConfig::from_scenario(&spec).matrix().len();
+    let box_paths: Vec<PathBuf> = std::fs::read_dir(&boxes)
+        .unwrap_or_else(|e| panic!("cannot list {}: {e}", boxes.display()))
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "ifbb"))
+        .collect();
+    assert_eq!(box_paths.len(), runs, "one black box per matrix run");
+    for path in &box_paths {
+        let bytes = std::fs::read(path).unwrap();
+        BlackBox::decode(&bytes).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    }
 
     // `triage spans` renders the journal: waterfall plus critical path.
     let out = Command::new(env!("CARGO_BIN_EXE_triage"))
