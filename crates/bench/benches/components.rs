@@ -24,27 +24,53 @@ fn bench_dynamics_step(c: &mut Criterion) {
 }
 
 fn bench_ekf(c: &mut Criterion) {
-    let mut ekf = Ekf::new(EkfParams::default());
-    ekf.initialize(Vec3::ZERO, Vec3::ZERO, 0.0);
+    // Time the filter in flight: 250 Hz predicts with one GPS fix per 50 of
+    // them, the simulator's rate ratio, so the predict row carries one fix
+    // amortized over 50 predicts. Unaided, the largest variance pins at the
+    // 1e9 clamp after ~30k predicts and every later predict times the
+    // clamp's rebuild path instead.
     let imu = ImuSample {
         accel: Vec3::new(0.01, -0.02, -9.80665),
         gyro: Vec3::new(0.001, 0.002, -0.001),
         time: 0.0,
     };
-    c.bench_function("ekf/predict", |b| {
-        b.iter(|| {
-            ekf.predict(black_box(&imu), 0.004);
-            black_box(ekf.state().position)
-        })
-    });
     let gps = GpsSample {
         position: Vec3::ZERO,
         velocity: Vec3::ZERO,
         horizontal_accuracy: 1.2,
         vertical_accuracy: 1.8,
     };
+    let mut ekf = Ekf::new(EkfParams::default());
+    ekf.initialize(Vec3::ZERO, Vec3::ZERO, 0.0);
+    let mut predicts = 0u32;
+    let mut fly = |ekf: &mut Ekf| {
+        ekf.predict(black_box(&imu), 0.004);
+        predicts += 1;
+        if predicts.is_multiple_of(50) {
+            ekf.fuse_gps(&gps);
+        }
+    };
+    let assert_in_flight = |ekf: &Ekf| {
+        let worst = ekf.covariance_diagonal().into_iter().fold(0.0, f64::max);
+        assert!(worst < 1e9, "EKF variance {worst} reached the clamp");
+    };
+    for _ in 0..5_000 {
+        fly(&mut ekf);
+    }
+    assert_in_flight(&ekf);
+    c.bench_function("ekf/predict", |b| {
+        b.iter(|| {
+            fly(&mut ekf);
+            black_box(ekf.state().position)
+        })
+    });
+    assert_in_flight(&ekf);
+    // Every fix starts from the same in-flight state; back-to-back fixes
+    // with no predicts between them would shrink the covariance instead.
+    let in_flight = ekf.clone();
     c.bench_function("ekf/fuse_gps", |b| {
         b.iter(|| {
+            ekf.clone_from(&in_flight);
             ekf.fuse_gps(black_box(&gps));
             black_box(ekf.health().pos_test_ratio)
         })

@@ -228,21 +228,16 @@ impl Ekf {
         self.distance_traveled += (self.nominal.position - self.last_position).norm();
         self.last_position = self.nominal.position;
 
-        // Error-state Jacobian F = I + A dt.
-        let mut f = Cov::identity();
-        let i3 = Mat3::IDENTITY;
-        // d(dp)/d(dv) = I dt
-        set_block3(&mut f, IDX_POS, IDX_VEL, &i3.scale(dt));
-        // d(dv)/d(dtheta) = -R [a]x dt
-        let ra = (rot * Mat3::skew(accel_body)).scale(-dt);
-        set_block3(&mut f, IDX_VEL, IDX_ANG, &ra);
-        // d(dv)/d(dba) = -R dt
-        set_block3(&mut f, IDX_VEL, IDX_BA, &rot.scale(-dt));
-        // d(dtheta)/d(dtheta) = I - [w]x dt
-        let ww = i3 - Mat3::skew(omega).scale(dt);
-        set_block3(&mut f, IDX_ANG, IDX_ANG, &ww);
-        // d(dtheta)/d(dbg) = -I dt
-        set_block3(&mut f, IDX_ANG, IDX_BG, &i3.scale(-dt));
+        // Error-state Jacobian F = I + A dt, kept as its non-identity blocks.
+        let f = Jacobian {
+            dt,
+            // d(dv)/d(dtheta) = -R [a]x dt
+            vel_ang: (rot * Mat3::skew(accel_body)).scale(-dt),
+            // d(dv)/d(dba) = -R dt
+            vel_ba: rot.scale(-dt),
+            // d(dtheta)/d(dtheta) = I - [w]x dt
+            ang_ang: Mat3::IDENTITY - Mat3::skew(omega).scale(dt),
+        };
 
         // Process noise.
         let mut q = [0.0; N];
@@ -254,8 +249,12 @@ impl Ekf {
             q[IDX_BA + i] = p.accel_bias_walk * p.accel_bias_walk * dt;
         }
 
-        self.covariance =
-            (f * self.covariance * f.transpose() + Cov::from_diagonal(q)).symmetrize();
+        // F·(F·P)^T = (F·P·F^T)^T, which the symmetrize makes immaterial.
+        let mut fpf = f.apply(&f.apply(&self.covariance).transpose());
+        for (i, qi) in q.iter().enumerate() {
+            fpf[(i, i)] += qi;
+        }
+        self.covariance = fpf.symmetrize();
         self.clamp_covariance();
 
         self.health.time_since_aiding += dt;
@@ -424,7 +423,7 @@ impl Ekf {
         self.inject(&delta);
 
         // Covariance update: P <- (I - K H) P, H = e_idx^T.
-        let p_row: Vec<f64> = (0..N).map(|j| self.covariance[(idx, j)]).collect();
+        let p_row = self.covariance.rows()[idx];
         for i in 0..N {
             for j in 0..N {
                 self.covariance[(i, j)] -= k[i] * p_row[j];
@@ -477,7 +476,11 @@ impl Ekf {
     /// Keeps the covariance numerically sane during extreme fault windows.
     fn clamp_covariance(&mut self) {
         const MAX_VAR: f64 = 1e9;
-        if !self.covariance.is_finite() || self.covariance.max_abs() > MAX_VAR {
+        // One pass with no early exit. NaN and +-inf fail `<=` just as an
+        // oversized entry does, so this is `is_finite() && max_abs() <= MAX`.
+        let in_bounds =
+            (self.covariance.rows().iter().flatten()).fold(true, |ok, v| ok & (v.abs() <= MAX_VAR));
+        if !in_bounds {
             // Rebuild a conservative diagonal from the clamped current one.
             let d = self.covariance.diagonal();
             let mut nd = [0.0; N];
@@ -499,12 +502,51 @@ impl Ekf {
     }
 }
 
-/// Writes a 3x3 block into the big matrix.
-fn set_block3(m: &mut Cov, row: usize, col: usize, b: &Mat3) {
-    for r in 0..3 {
-        for c in 0..3 {
-            m[(row + r, col + c)] = b.at(r, c);
+/// The error-state Jacobian `F = I + A dt` as its non-identity 3x3 blocks.
+/// The two not stored, `d(dp)/d(dv) = I dt` and `d(dtheta)/d(dbg) = -I dt`,
+/// are `dt` times the identity.
+struct Jacobian {
+    dt: f64,
+    vel_ang: Mat3,
+    vel_ba: Mat3,
+    ang_ang: Mat3,
+}
+
+impl Jacobian {
+    /// `F * m`. Each entry sums its terms in ascending column order of `F`
+    /// from `+0.0`, so for a finite `m` it has the bits of the dense product
+    /// that skips `F`'s zeros: a structural zero adds only a signed zero.
+    fn apply(&self, m: &Cov) -> Cov {
+        let m = m.rows();
+        let mut out = [[0.0; N]; N];
+        let dt = self.dt;
+        for i in 0..3 {
+            let (a, b, w) = (
+                self.vel_ang.rows[i],
+                self.vel_ba.rows[i],
+                self.ang_ang.rows[i],
+            );
+            for c in 0..N {
+                let col = |k: usize| m[k][c];
+                out[IDX_POS + i][c] = 0.0 + col(IDX_POS + i) + dt * col(IDX_VEL + i);
+                out[IDX_VEL + i][c] = 0.0
+                    + col(IDX_VEL + i)
+                    + a[0] * col(IDX_ANG)
+                    + a[1] * col(IDX_ANG + 1)
+                    + a[2] * col(IDX_ANG + 2)
+                    + b[0] * col(IDX_BA)
+                    + b[1] * col(IDX_BA + 1)
+                    + b[2] * col(IDX_BA + 2);
+                out[IDX_ANG + i][c] = 0.0
+                    + w[0] * col(IDX_ANG)
+                    + w[1] * col(IDX_ANG + 1)
+                    + w[2] * col(IDX_ANG + 2)
+                    + -dt * col(IDX_BG + i);
+                out[IDX_BG + i][c] = 0.0 + col(IDX_BG + i);
+                out[IDX_BA + i][c] = 0.0 + col(IDX_BA + i);
+            }
         }
+        Cov::from_rows(out)
     }
 }
 
@@ -806,5 +848,230 @@ mod tests {
         for v in ekf.covariance_diagonal() {
             assert!(v > 0.0 && v.is_finite(), "variance {v}");
         }
+    }
+
+    /// The dense predict the block product replaced: `F` built as a 15x15
+    /// identity with five blocks written in, `F * P * F^T` through a
+    /// product that skips the left operand's zeros, and the clamp's
+    /// `!is_finite() || max_abs() > MAX_VAR` test. Returns true when the
+    /// clamp rebuilt the covariance.
+    fn predict_dense(ekf: &mut Ekf, imu: &ImuSample, dt: f64) -> bool {
+        fn mul(a: &Cov, b: &Cov) -> Cov {
+            let mut out = Cov::zeros();
+            for r in 0..N {
+                for k in 0..N {
+                    if a[(r, k)] == 0.0 {
+                        continue;
+                    }
+                    for c in 0..N {
+                        out[(r, c)] += a[(r, k)] * b[(k, c)];
+                    }
+                }
+            }
+            out
+        }
+        fn set_block3(m: &mut Cov, row: usize, col: usize, b: &Mat3) {
+            for r in 0..3 {
+                for c in 0..3 {
+                    m[(row + r, col + c)] = b.at(r, c);
+                }
+            }
+        }
+        if !ekf.initialized || !imu.accel.is_finite() || !imu.gyro.is_finite() {
+            return false;
+        }
+        let p = ekf.params;
+        let omega = imu.gyro - ekf.nominal.gyro_bias;
+        let accel_body = if imu.accel.norm() < p.bad_accel_threshold {
+            (ekf.nominal.attitude).rotate_inverse(Vec3::new(0.0, 0.0, -GRAVITY))
+        } else {
+            imu.accel - ekf.nominal.accel_bias
+        };
+        let rot = ekf.nominal.attitude.to_rotation_matrix();
+        let accel_world = rot * accel_body + Vec3::new(0.0, 0.0, GRAVITY);
+        ekf.nominal.velocity += accel_world * dt;
+        ekf.nominal.position += ekf.nominal.velocity * dt;
+        ekf.nominal.attitude = ekf.nominal.attitude.integrate(omega, dt);
+        ekf.distance_traveled += (ekf.nominal.position - ekf.last_position).norm();
+        ekf.last_position = ekf.nominal.position;
+
+        let mut f = Cov::from_diagonal([1.0; N]);
+        let i3 = Mat3::IDENTITY;
+        set_block3(&mut f, IDX_POS, IDX_VEL, &i3.scale(dt));
+        let ra = (rot * Mat3::skew(accel_body)).scale(-dt);
+        set_block3(&mut f, IDX_VEL, IDX_ANG, &ra);
+        set_block3(&mut f, IDX_VEL, IDX_BA, &rot.scale(-dt));
+        let ww = i3 - Mat3::skew(omega).scale(dt);
+        set_block3(&mut f, IDX_ANG, IDX_ANG, &ww);
+        set_block3(&mut f, IDX_ANG, IDX_BG, &i3.scale(-dt));
+        let mut q = [0.0; N];
+        for i in 0..3 {
+            q[IDX_POS + i] = 1e-9;
+            q[IDX_VEL + i] = p.accel_noise * p.accel_noise * dt;
+            q[IDX_ANG + i] = p.gyro_noise * p.gyro_noise * dt;
+            q[IDX_BG + i] = p.gyro_bias_walk * p.gyro_bias_walk * dt;
+            q[IDX_BA + i] = p.accel_bias_walk * p.accel_bias_walk * dt;
+        }
+        let fpf = mul(&mul(&f, &ekf.covariance), &f.transpose());
+        let q = Cov::from_diagonal(q);
+        let sum = Cov::from_fn(|r, c| fpf[(r, c)] + q[(r, c)]);
+        ekf.covariance = Cov::from_fn(|r, c| 0.5 * (sum[(r, c)] + sum[(c, r)]));
+
+        let values = || ekf.covariance.rows().iter().flatten();
+        let max_abs = values().fold(0.0_f64, |acc, v| acc.max(v.abs()));
+        let rebuild = !values().all(|v| v.is_finite()) || max_abs > 1e9;
+        if rebuild {
+            let d = ekf.covariance.diagonal();
+            let nd = d.map(|v| {
+                if v.is_finite() {
+                    v.clamp(1e-12, 1e9)
+                } else {
+                    1e9
+                }
+            });
+            ekf.covariance = Cov::from_diagonal(nd);
+        }
+        for i in 0..N {
+            if ekf.covariance[(i, i)] < 1e-12 {
+                ekf.covariance[(i, i)] = 1e-12;
+            }
+        }
+        ekf.health.time_since_aiding += dt;
+        ekf.time_since_pos_aiding += dt;
+        ekf.time_since_vel_aiding += dt;
+        ekf.time_since_hgt_aiding += dt;
+        rebuild
+    }
+
+    #[test]
+    fn block_predict_matches_the_dense_product_bit_for_bit() {
+        fn assert_same(block: &Ekf, dense: &Ekf, step: usize) {
+            let bits = |e: &Ekf| -> Vec<u64> {
+                e.covariance
+                    .rows()
+                    .iter()
+                    .flatten()
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert!(
+                bits(block) == bits(dense),
+                "covariance differs at step {step}"
+            );
+            // Debug prints every f64 in shortest round-trip form, signed
+            // zeros included.
+            let rest = |e: &Ekf| {
+                format!(
+                    "{:?}",
+                    (e.nominal, e.health, e.distance_traveled, e.last_position)
+                )
+            };
+            assert_eq!(rest(block), rest(dense), "state differs at step {step}");
+        }
+
+        let mut block = Ekf::new(EkfParams::default());
+        block.initialize(Vec3::new(3.0, -2.0, -10.0), Vec3::ZERO, 0.3);
+        let mut dense = block.clone();
+        let mut rng = Pcg::seed_from(17);
+        let (mut rebuilds, mut bad_accel, mut dropped) = (0, 0, 0);
+        let mut resets = [0u32; 3]; // position, velocity, height
+        let dt = 0.004;
+        for step in 0..12_000 {
+            // Six 2000-step phases: 0 aided flight, 1 near-zero accel,
+            // 2 saturated IMU with GPS and baro far off (position, height
+            // and clamp-rebuild paths), 3 aided flight with dropped
+            // non-finite samples, 4 hover with a GPS velocity far off
+            // (velocity reset), 5 aided flight with noisier gyro.
+            let phase = step / 2000;
+            let noise = |rng: &mut Pcg, s: f64| {
+                Vec3::new(
+                    rng.normal_with(0.0, s),
+                    rng.normal_with(0.0, s),
+                    rng.normal_with(0.0, s),
+                )
+            };
+            let mut accel = Vec3::new(0.3, -0.2, -GRAVITY) + noise(&mut rng, 0.5);
+            let mut gyro = noise(&mut rng, if phase == 5 { 0.3 } else { 0.02 });
+            match phase {
+                1 => accel = noise(&mut rng, 0.2),
+                2 => {
+                    let sign = |rng: &mut Pcg| if rng.uniform() < 0.5 { -1.0 } else { 1.0 };
+                    accel = Vec3::new(sign(&mut rng), sign(&mut rng), sign(&mut rng))
+                        * (16.0 * GRAVITY);
+                    gyro = Vec3::new(sign(&mut rng), sign(&mut rng), sign(&mut rng)) * 34.9;
+                }
+                3 if step % 97 == 0 => accel.y = f64::NAN,
+                _ => {}
+            }
+            if step == 7000 {
+                // A signed zero in P: the dense product's `+0.0` accumulator
+                // turns it positive, so the block product must too.
+                for e in [&mut block, &mut dense] {
+                    e.covariance[(IDX_BG, IDX_BA)] = -0.0;
+                    e.covariance[(IDX_BA, IDX_BG)] = -0.0;
+                }
+            }
+            bad_accel += usize::from(accel.norm() < 1.0);
+            dropped += usize::from(!accel.is_finite());
+            let imu = ImuSample {
+                accel,
+                gyro,
+                time: step as f64 * dt,
+            };
+            block.predict(&imu, dt);
+            rebuilds += usize::from(predict_dense(&mut dense, &imu, dt));
+            assert_same(&block, &dense, step);
+
+            // The saturated phase ends with 600 unaided steps, long enough
+            // for the attitude variance to outgrow the clamp.
+            if phase == 2 && step % 2000 >= 1400 {
+                continue;
+            }
+            if step % 50 == 0 {
+                let (p, v) = match phase {
+                    2 => (Vec3::new(800.0, -600.0, -40.0), Vec3::new(20.0, 0.0, 0.0)),
+                    4 => (block.nominal.position, Vec3::new(0.0, 25.0, 0.0)),
+                    _ => (
+                        Vec3::new(3.0, -2.0, -10.0) + noise(&mut rng, 1.0),
+                        noise(&mut rng, 0.2),
+                    ),
+                };
+                let gps = gps_at(p, v);
+                let before = block.health.reset_count;
+                block.fuse_gps(&gps);
+                dense.fuse_gps(&gps);
+                if block.health.reset_count > before {
+                    let pos_reset = block.nominal.position == gps.position;
+                    resets[usize::from(!pos_reset)] += 1;
+                }
+            }
+            if step % 10 == 0 {
+                let altitude = if phase == 2 {
+                    300.0
+                } else {
+                    10.0 + rng.normal_with(0.0, 0.3)
+                };
+                let baro = BaroSample {
+                    altitude,
+                    pressure_pa: 101_000.0,
+                };
+                let before = block.health.reset_count;
+                block.fuse_baro(&baro);
+                dense.fuse_baro(&baro);
+                resets[2] += block.health.reset_count - before;
+            }
+            if step % 25 == 0 {
+                let yaw = 0.3 + rng.normal_with(0.0, 0.02);
+                block.fuse_yaw(yaw);
+                dense.fuse_yaw(yaw);
+            }
+            assert_same(&block, &dense, step);
+        }
+        assert!(rebuilds > 0, "clamp rebuild never ran");
+        assert!(
+            bad_accel > 1000 && dropped > 10,
+            "{bad_accel} bad-accel, {dropped} dropped"
+        );
+        assert!(resets.iter().all(|&n| n > 0), "resets by kind {resets:?}");
     }
 }

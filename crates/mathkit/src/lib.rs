@@ -5,8 +5,8 @@
 //!
 //! * [`Vec3`] / [`Mat3`] / [`Quat`] — 3-D kinematics types used by the rigid
 //!   body simulator, the sensors, and the flight controller.
-//! * [`SMatrix`] / [`SVector`] — stack-allocated, const-generic dense matrices
-//!   used by the 15-state error-state EKF.
+//! * [`SMatrix`] — a stack-allocated, const-generic dense matrix holding the
+//!   15-state error-state EKF's covariance.
 //! * [`geo`] — WGS-84 geodesy: converting between geodetic coordinates and a
 //!   local north-east-down (NED) tangent frame.
 //! * [`stats`] — descriptive statistics used by the campaign aggregator.
@@ -42,7 +42,7 @@ pub mod vec3;
 pub use angles::{wrap_pi, wrap_two_pi};
 pub use geo::{GeoPoint, LocalFrame};
 pub use mat3::Mat3;
-pub use matrix::{SMatrix, SVector};
+pub use matrix::SMatrix;
 pub use quat::Quat;
 pub use vec3::Vec3;
 
