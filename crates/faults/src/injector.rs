@@ -176,11 +176,23 @@ impl ChannelEffect {
 /// [`FaultInjector::apply_bank`] (or a merged stream through
 /// [`FaultInjector::apply`]); outside all windows the samples pass through
 /// untouched. See the crate-level example.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct FaultInjector {
     imu_spec: ImuSpec,
     faults: Vec<ScheduledFault>,
     last_clean: Vec<ImuSample>,
+    /// This tick's clean samples; swapped with `last_clean` at the end of
+    /// [`FaultInjector::apply_bank`] so neither buffer reallocates. Scratch,
+    /// so equality ignores it.
+    clean: Vec<ImuSample>,
+}
+
+impl PartialEq for FaultInjector {
+    fn eq(&self, other: &Self) -> bool {
+        self.imu_spec == other.imu_spec
+            && self.faults == other.faults
+            && self.last_clean == other.last_clean
+    }
 }
 
 impl FaultInjector {
@@ -197,6 +209,7 @@ impl FaultInjector {
                 })
                 .collect(),
             last_clean: Vec::new(),
+            clean: Vec::new(),
         }
     }
 
@@ -248,7 +261,9 @@ impl FaultInjector {
             return;
         };
         let t = first.time;
-        let clean: Vec<ImuSample> = samples.to_vec();
+        self.clean.clear();
+        self.clean.extend_from_slice(samples);
+        let clean = &self.clean;
         let accel_range = self.imu_spec.accel_range();
         let gyro_range = self.imu_spec.gyro_range();
 
@@ -342,7 +357,7 @@ impl FaultInjector {
 
         // Record the clean (pre-corruption) samples for future Freeze
         // activations.
-        self.last_clean = clean;
+        std::mem::swap(&mut self.last_clean, &mut self.clean);
     }
 }
 

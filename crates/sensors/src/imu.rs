@@ -158,10 +158,28 @@ impl RedundantImu {
         dt: f64,
         rng: &mut Pcg,
     ) -> Vec<ImuSample> {
-        self.instances
-            .iter_mut()
-            .map(|imu| imu.sample(true_specific_force, true_rate, dt, rng))
-            .collect()
+        let mut out = Vec::with_capacity(self.instances.len());
+        self.sample_into(true_specific_force, true_rate, dt, rng, &mut out);
+        out
+    }
+
+    /// [`RedundantImu::sample_all`] into a caller-owned buffer: `out` is
+    /// cleared and refilled, so a buffer kept across ticks never
+    /// reallocates.
+    pub fn sample_into(
+        &mut self,
+        true_specific_force: Vec3,
+        true_rate: Vec3,
+        dt: f64,
+        rng: &mut Pcg,
+        out: &mut Vec<ImuSample>,
+    ) {
+        out.clear();
+        out.extend(
+            self.instances
+                .iter_mut()
+                .map(|imu| imu.sample(true_specific_force, true_rate, dt, rng)),
+        );
     }
 
     /// Convenience: samples all instances and returns only the primary's
@@ -189,11 +207,24 @@ impl RedundantImu {
 ///
 /// Panics if `samples` is empty.
 pub fn consensus(samples: &[ImuSample]) -> ImuSample {
+    consensus_with(samples, &mut Vec::with_capacity(samples.len()))
+}
+
+/// [`consensus`] with a caller-owned scratch buffer for the per-axis
+/// medians, so a voter that keeps one allocates nothing per tick.
+///
+/// # Panics
+///
+/// Panics if `samples` is empty.
+pub(crate) fn consensus_with(samples: &[ImuSample], scratch: &mut Vec<f64>) -> ImuSample {
     assert!(!samples.is_empty(), "consensus of zero samples");
-    let median_axis = |extract: &dyn Fn(&ImuSample) -> f64| -> f64 {
-        let mut v: Vec<f64> = samples.iter().map(extract).collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-        v[v.len() / 2]
+    let mut median_axis = |extract: &dyn Fn(&ImuSample) -> f64| -> f64 {
+        scratch.clear();
+        scratch.extend(samples.iter().map(extract));
+        // Stable sort: equal values (e.g. -0.0 and +0.0) keep bank order,
+        // so the median is always the same element.
+        scratch.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
+        scratch[scratch.len() / 2]
     };
     ImuSample {
         accel: Vec3::new(

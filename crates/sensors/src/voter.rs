@@ -14,7 +14,7 @@
 //! finding, and the recovery cascade must escalate past redundancy in that
 //! case.
 
-use crate::imu::{consensus, ImuSample};
+use crate::imu::{consensus_with, ImuSample};
 
 /// Voting thresholds and persistence counts.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,12 +104,26 @@ impl VoterReport {
 /// inside. Needs at least three instances to out-vote a liar; with fewer it
 /// degrades to a pass-through of the primary (no exclusion is ever
 /// possible, because consensus cannot identify the faulty party).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ImuVoter {
     config: VoterConfig,
     flag_streak: Vec<u32>,
     clean_streak: Vec<u32>,
     excluded: Vec<bool>,
+    /// Per-tick scratch, reused so a steady-state vote does not allocate:
+    /// the trusted subset and the per-axis median buffer. Not voter state,
+    /// so equality ignores it.
+    trusted: Vec<ImuSample>,
+    medians: Vec<f64>,
+}
+
+impl PartialEq for ImuVoter {
+    fn eq(&self, other: &Self) -> bool {
+        self.config == other.config
+            && self.flag_streak == other.flag_streak
+            && self.clean_streak == other.clean_streak
+            && self.excluded == other.excluded
+    }
 }
 
 impl ImuVoter {
@@ -120,6 +134,8 @@ impl ImuVoter {
             flag_streak: vec![0; count],
             clean_streak: vec![0; count],
             excluded: vec![false; count],
+            trusted: Vec::with_capacity(count),
+            medians: Vec::with_capacity(count),
         }
     }
 
@@ -167,15 +183,17 @@ impl ImuVoter {
         // Consensus over the trusted subset; if everything is excluded
         // (can't happen through normal updates, but be safe) use the full
         // bank.
-        let trusted: Vec<ImuSample> = samples
-            .iter()
-            .zip(&self.excluded)
-            .filter_map(|(s, e)| (!e).then_some(*s))
-            .collect();
-        let reference = if trusted.is_empty() {
-            consensus(samples)
+        self.trusted.clear();
+        self.trusted.extend(
+            samples
+                .iter()
+                .zip(&self.excluded)
+                .filter_map(|(s, e)| (!e).then_some(*s)),
+        );
+        let reference = if self.trusted.is_empty() {
+            consensus_with(samples, &mut self.medians)
         } else {
-            consensus(&trusted)
+            consensus_with(&self.trusted, &mut self.medians)
         };
 
         // Voting needs a majority to out-vote a liar: with fewer than three
