@@ -9,7 +9,7 @@ use imufit_faults::{FaultInjector, FaultKind, FaultSpec, FaultTarget, InjectionW
 use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
 use imufit_missions::all_missions;
-use imufit_sensors::{GpsSample, ImuSample, ImuSpec};
+use imufit_sensors::{GpsSample, ImuSample, ImuSpec, RedundantImu};
 use imufit_uav::{FlightSimulator, SimConfig};
 
 fn bench_dynamics_step(c: &mut Criterion) {
@@ -74,6 +74,19 @@ fn bench_ekf(c: &mut Criterion) {
             ekf.fuse_gps(black_box(&gps));
             black_box(ekf.health().pos_test_ratio)
         })
+    });
+}
+
+fn bench_sampler(c: &mut Criterion) {
+    // One Gaussian draw, and the IMU bank the simulator samples every tick:
+    // three instances, 36 draws for white noise and bias random walks.
+    let mut rng = Pcg::seed_from(1);
+    c.bench_function("rng/normal", |b| b.iter(|| black_box(rng.normal())));
+    let mut bank = RedundantImu::new(ImuSpec::default(), 3, &mut Pcg::seed_from(2));
+    let mut noise = Pcg::seed_from(3);
+    let hover_force = Vec3::new(0.0, 0.0, -9.80665);
+    c.bench_function("sensors/imu_bank_sample", |b| {
+        b.iter(|| black_box(bank.sample_all(black_box(hover_force), Vec3::ZERO, 0.004, &mut noise)))
     });
 }
 
@@ -381,6 +394,7 @@ criterion_group!(
     benches,
     bench_dynamics_step,
     bench_ekf,
+    bench_sampler,
     bench_injector,
     bench_controller,
     bench_sim_step,
