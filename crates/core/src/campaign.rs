@@ -808,7 +808,8 @@ mod tests {
             assert!(bb.metadata.contains("kind=Freeze"));
             assert!(!bb.events.is_empty());
         } else {
-            // Stub collector: the directory exists but captures nothing.
+            // Collector compiled unarmed: the directory exists but
+            // captures nothing.
             let count = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
             assert_eq!(count, 0);
         }

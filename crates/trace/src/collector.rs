@@ -1,4 +1,5 @@
-//! The live collector, compiled only with the `enabled` feature.
+//! The black-box collector. It arms only in builds with the `enabled`
+//! feature; without it, armed settings still give an unarmed collector.
 //!
 //! Strictly write-only from the simulation's point of view: the collector
 //! consumes no RNG and nothing it stores feeds back into simulation state,
@@ -45,13 +46,15 @@ pub struct TraceCollector {
 }
 
 impl TraceCollector {
-    /// Builds a collector for one run; disarmed settings yield a collector
-    /// whose every call is a cheap early return.
+    /// Builds a collector for one run; disarmed settings (or a build
+    /// without the `enabled` feature) yield a collector whose every call is
+    /// a cheap early return.
     pub fn new(settings: &TraceSettings) -> Self {
+        let armed = cfg!(feature = "enabled") && settings.enabled;
         TraceCollector {
-            armed: settings.enabled,
+            armed,
             settings: settings.clone(),
-            ring: TraceRing::new(settings.ring_capacity),
+            ring: TraceRing::new(if armed { settings.ring_capacity } else { 0 }),
             events: Vec::new(),
             segments: Vec::new(),
             capture: None,
@@ -72,17 +75,18 @@ impl TraceCollector {
     }
 
     /// True when the collector is recording this run. Call sites use this
-    /// to skip building records and detail strings entirely.
+    /// to skip building records and detail strings entirely; without the
+    /// `enabled` feature it is a compile-time `false`, so they compile away.
     #[inline]
     pub fn is_armed(&self) -> bool {
-        self.armed
+        cfg!(feature = "enabled") && self.armed
     }
 
     /// Feeds one full-rate record through the ring (and any open capture).
     /// Returns the record evicted off the back of the ring, if any, so the
     /// caller can recycle its allocations on the next tick.
     pub fn record(&mut self, record: TraceRecord) -> Option<TraceRecord> {
-        if !self.armed {
+        if !self.is_armed() {
             return Some(record);
         }
         if let Some(capture) = self.capture.as_mut() {
@@ -112,7 +116,7 @@ impl TraceCollector {
         param: u32,
         detail: String,
     ) -> u32 {
-        if !self.armed {
+        if !self.is_armed() {
             return 0;
         }
         let id = self.next_id;
@@ -200,7 +204,7 @@ impl TraceCollector {
     /// Emits the terminal `RunOutcome` event; idempotent, so recyclers can
     /// call it defensively.
     pub fn finalize(&mut self, outcome_label: &str, tick: u64, time: f64) {
-        if !self.armed || self.finalized {
+        if !self.is_armed() || self.finalized {
             return;
         }
         self.finalized = true;
@@ -216,7 +220,7 @@ impl TraceCollector {
     /// Records that the simulation panicked; the campaign worker calls this
     /// from its unwind handler before extracting the black box.
     pub fn note_panic(&mut self, tick: u64, time: f64) {
-        if !self.armed {
+        if !self.is_armed() {
             return;
         }
         self.event(
@@ -246,7 +250,7 @@ impl TraceCollector {
     /// Seals any in-flight capture and serializes the run's black box.
     /// Returns `None` when disarmed or nothing at all was recorded.
     pub fn take_black_box(&mut self, drone_id: u32, metadata: &str) -> Option<Vec<u8>> {
-        if !self.armed {
+        if !self.is_armed() {
             return None;
         }
         if let Some(open) = self.capture.take() {
@@ -283,7 +287,31 @@ fn trigger_for(kind: TraceEventKind) -> Option<TraceTrigger> {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, not(feature = "enabled")))]
+mod disabled_tests {
+    use super::*;
+
+    /// Without the `enabled` feature, armed settings still give an unarmed
+    /// collector that records no events and seals no box.
+    #[test]
+    fn disabled_build_never_arms() {
+        let settings = TraceSettings {
+            enabled: true,
+            ..Default::default()
+        };
+        let mut c = TraceCollector::new(&settings);
+        assert!(!c.is_armed());
+        c.record(TraceRecord::default());
+        let id = c.event(TraceEventKind::FaultActivated, 0, 0.0, 0, String::new());
+        assert_eq!(id, 0);
+        c.note_panic(1, 0.004);
+        c.finalize("completed", 1, 0.004);
+        assert_eq!(c.stats(), TraceStats::default());
+        assert!(c.take_black_box(0, "").is_none());
+    }
+}
+
+#[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
     use crate::wire::BlackBox;

@@ -11,7 +11,7 @@ pub enum TraceEventKind {
     FaultActivated,
     /// A fault injection window closed.
     FaultCleared,
-    /// The shadow detection ensemble's alarm rose.
+    /// The detection ensemble's persisted alarm rose.
     DetectorEdge,
     /// The consensus voter excluded an instance (param: instance index).
     VoterExclusion,

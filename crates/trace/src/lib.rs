@@ -30,9 +30,10 @@
 //! Like `imufit-obs`, the collector is strictly write-only from the
 //! simulation's point of view: it consumes no RNG, and nothing it stores is
 //! ever read back into simulation state. Without the `enabled` feature
-//! [`TraceCollector`] is a zero-sized struct whose every method is an
-//! inlined no-op, and a traced campaign produces byte-identical
-//! `campaign_results.csv` output either way.
+//! [`TraceCollector::is_armed`] is a compile-time `false`: the collector
+//! never arms, so every traced call site compiles away, and a traced
+//! campaign produces byte-identical `campaign_results.csv` output either
+//! way.
 
 #![forbid(unsafe_code)]
 
@@ -43,16 +44,9 @@ pub mod settings;
 pub mod triage;
 pub mod wire;
 
-#[cfg(feature = "enabled")]
 mod collector;
-#[cfg(feature = "enabled")]
+
 pub use collector::TraceCollector;
-
-#[cfg(not(feature = "enabled"))]
-mod stub;
-#[cfg(not(feature = "enabled"))]
-pub use stub::TraceCollector;
-
 pub use event::{TraceEvent, TraceEventKind};
 pub use record::{ImuInstanceTrace, TraceRecord};
 pub use ring::TraceRing;

@@ -8,7 +8,7 @@ use std::fmt;
 /// black box.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum TraceTrigger {
-    /// The shadow detection ensemble's alarm rose.
+    /// The detection ensemble's persisted alarm rose.
     DetectorEdge,
     /// The consensus voter excluded an IMU instance.
     VoterExclusion,
