@@ -4,7 +4,10 @@
 //! corrupted) IMU stream with the `imufit-detect` ensemble and decides when
 //! a persistent alarm should pull the failsafe handle — the "quick
 //! detection and tolerance techniques" the paper's discussion calls for.
-//! Disabled (the paper's configuration) it is a no-op that holds no state.
+//! The same ensemble times the persisted alarm's rising edge for the black
+//! box, so detection latency is measurable on mitigation-off flights too.
+//! With neither use armed (the paper's configuration) it is a no-op that
+//! holds no state.
 
 use imufit_detect::{Detector, EnsembleDetector};
 use imufit_sensors::ImuSample;
@@ -13,7 +16,16 @@ use imufit_sensors::ImuSample;
 #[derive(Debug)]
 pub struct MitigationStage {
     detector: Option<EnsembleDetector>,
+    /// A persisted alarm asks for the failsafe (fast detection is on).
+    fast_detection: bool,
+    /// Rising edges of the persisted alarm are reported.
+    edges: bool,
     alarm_since: Option<f64>,
+    /// The current alarm has persisted; its edge is reported only once.
+    persisted: bool,
+    /// Set by the observation on which the persisted alarm rose: how long
+    /// the alarm had been up.
+    edge: Option<f64>,
     persist: f64,
 }
 
@@ -21,40 +33,69 @@ impl MitigationStage {
     /// Creates the stage; `enabled = false` yields the paper's
     /// mitigation-free configuration.
     pub fn new(enabled: bool, persist: f64) -> Self {
-        MitigationStage {
-            detector: enabled.then(EnsembleDetector::flight),
+        let mut stage = MitigationStage {
+            detector: None,
+            fast_detection: false,
+            edges: false,
             alarm_since: None,
+            persisted: false,
+            edge: None,
             persist,
-        }
+        };
+        stage.reconfigure(enabled, false, persist);
+        stage
     }
 
     /// True when fast detection is active.
     pub fn enabled(&self) -> bool {
-        self.detector.is_some()
+        self.fast_detection
     }
 
     /// Rearms the stage for a new flight with (possibly different)
-    /// settings, discarding all detector state.
-    pub fn reconfigure(&mut self, enabled: bool, persist: f64) {
-        self.detector = enabled.then(EnsembleDetector::flight);
+    /// settings, discarding all detector state. The ensemble runs when
+    /// either `fast_detection` or `edges` (alarm edges for the black box)
+    /// is set; only `fast_detection` ever asks for the failsafe.
+    pub fn reconfigure(&mut self, fast_detection: bool, edges: bool, persist: f64) {
+        self.detector = (fast_detection || edges).then(EnsembleDetector::flight);
+        self.fast_detection = fast_detection;
+        self.edges = edges;
         self.alarm_since = None;
+        self.persisted = false;
+        self.edge = None;
         self.persist = persist;
     }
 
     /// Feeds one consumed IMU sample; returns true when the failsafe should
-    /// latch (the alarm has persisted while airborne).
+    /// latch (fast detection is on and the alarm has persisted while
+    /// airborne).
     pub fn observe(&mut self, imu: &ImuSample, dt: f64, time: f64, airborne: bool) -> bool {
+        self.edge = None;
         let Some(detector) = self.detector.as_mut() else {
             return false;
         };
-        let alarm = detector.observe(imu, dt);
-        if alarm && airborne {
-            let since = *self.alarm_since.get_or_insert(time);
-            time - since >= self.persist
-        } else {
+        if !(detector.observe(imu, dt) && airborne) {
             self.alarm_since = None;
+            self.persisted = false;
+            return false;
+        }
+        let since = *self.alarm_since.get_or_insert(time);
+        if time - since >= self.persist {
+            if !self.persisted && self.edges {
+                self.edge = Some(time - since);
+            }
+            self.persisted = true;
+            self.fast_detection
+        } else {
             false
         }
+    }
+
+    /// How long the alarm had been up, when the last [`observe`] saw the
+    /// persisted alarm rise and edges are armed; `None` otherwise.
+    ///
+    /// [`observe`]: MitigationStage::observe
+    pub(crate) fn rising_edge(&self) -> Option<f64> {
+        self.edge
     }
 }
 
@@ -124,6 +165,44 @@ mod tests {
         assert!(at - onset < 2.0, "took too long: {:.3}s", at - onset);
     }
 
+    /// One ensemble serves both uses: a stage armed only for edges reports
+    /// its first edge on the tick where a fast-detection stage first asks
+    /// for the failsafe, and itself never asks.
+    #[test]
+    fn edge_only_stage_reports_the_fast_detection_tick() {
+        let mut fast = MitigationStage::new(true, 0.25);
+        let mut edges = MitigationStage::new(false, 0.25);
+        edges.reconfigure(false, true, 0.25);
+        assert!(!edges.enabled());
+        let mut rng = Pcg::seed_from(7);
+        let mut t = 0.0;
+        for _ in 0..2500 {
+            let sample = quiet(t, &mut rng);
+            assert!(!fast.observe(&sample, 0.004, t, true));
+            assert!(!edges.observe(&sample, 0.004, t, true));
+            assert_eq!(edges.rising_edge(), None);
+            t += 0.004;
+        }
+        let mut first_trigger = None;
+        let mut reported = Vec::new();
+        for _ in 0..2500 {
+            let sample = saturated(t);
+            if fast.observe(&sample, 0.004, t, true) && first_trigger.is_none() {
+                first_trigger = Some(t);
+            }
+            assert!(!edges.observe(&sample, 0.004, t, true));
+            if let Some(persisted) = edges.rising_edge() {
+                assert!(persisted >= 0.25, "edge after {persisted:.3}s");
+                reported.push(t);
+            }
+            t += 0.004;
+        }
+        let at = first_trigger.expect("saturated stream must trip the ensemble");
+        assert_eq!(reported, vec![at], "exactly one edge, on the trigger tick");
+        // The fast-detection stage keeps no edge of its own to report.
+        assert_eq!(fast.rising_edge(), None);
+    }
+
     #[test]
     fn grounded_vehicle_never_triggers() {
         let mut stage = MitigationStage::new(true, 0.25);
@@ -146,7 +225,7 @@ mod tests {
         while !stage.observe(&saturated(t), 0.004, t, true) {
             t += 0.004;
         }
-        stage.reconfigure(true, 0.0);
+        stage.reconfigure(true, false, 0.0);
         // Fresh detector: clean data must not trigger.
         for _ in 0..100 {
             assert!(!stage.observe(&quiet(t, &mut rng), 0.004, t, true));

@@ -7,14 +7,13 @@
 
 use imufit_bubble::{BubbleTracker, InnerBubbleSpec, Route};
 use imufit_controller::{ControllerParams, FlightController, RedundancyStatus};
-use imufit_detect::{Detector, EnsembleDetector};
 use imufit_dynamics::{Quadrotor, QuadrotorParams, WindModel};
 use imufit_estimator::{
     AttitudeEstimator, BoxedEstimator, ComplementaryFilter, DegradationMonitors, Ekf, EkfParams,
     MonitorStage,
 };
 use imufit_faults::{
-    AttackInjector, AttackSpec, FaultInjector, FaultScope, FaultSpec, FaultTarget,
+    AttackInjector, AttackSpec, FaultInjector, FaultScope, FaultSpec, FaultTarget, InjectionWindow,
 };
 use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
@@ -53,6 +52,47 @@ const FLYAWAY_ALTITUDE: f64 = 150.0; // m ceiling bust
 /// Narrows a vector to the black box's f32 channel triple.
 fn vec3_f32(v: Vec3) -> [f32; 3] {
     [v.x as f32, v.y as f32, v.z as f32]
+}
+
+/// The black-box kind of a flight-log event kind.
+fn trace_kind(kind: FlightEventKind) -> TraceEventKind {
+    match kind {
+        FlightEventKind::FaultInjected => TraceEventKind::FaultActivated,
+        FlightEventKind::FaultCleared => TraceEventKind::FaultCleared,
+        FlightEventKind::InstanceExcluded => TraceEventKind::VoterExclusion,
+        FlightEventKind::InstanceReinstated => TraceEventKind::VoterReinstatement,
+        FlightEventKind::PrimarySwitch => TraceEventKind::PrimarySwitch,
+        FlightEventKind::MitigationEscalated | FlightEventKind::MitigationRecovered => {
+            TraceEventKind::CascadeTransition
+        }
+        FlightEventKind::FailsafeActivated => TraceEventKind::FailsafeActivated,
+        FlightEventKind::AttackInjected => TraceEventKind::AttackActivated,
+        FlightEventKind::AttackCleared => TraceEventKind::AttackCleared,
+        FlightEventKind::SensorDegradation => TraceEventKind::SensorDegradation,
+    }
+}
+
+/// Labels of the specs whose window is open at `time` (`active`) or
+/// already past it, joined for an event detail.
+fn window_labels<S>(
+    specs: &[S],
+    time: f64,
+    active: bool,
+    window_and_label: impl Fn(&S) -> (InjectionWindow, String),
+) -> String {
+    specs
+        .iter()
+        .map(window_and_label)
+        .filter(|(window, _)| {
+            if active {
+                window.contains(time)
+            } else {
+                window.is_past(time)
+            }
+        })
+        .map(|(_, label)| label)
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 /// Instantiates the estimator backend a config names.
@@ -111,7 +151,6 @@ pub struct FlightSimulator {
     /// When GPS fusion was dropped, for the dead-reckon failsafe timer.
     dead_reckon_since: Option<f64>,
     attack_was_active: bool,
-    trace_attack_was: bool,
 
     airborne: bool,
     distance_true: f64,
@@ -122,16 +161,9 @@ pub struct FlightSimulator {
     failsafe_was_active: bool,
 
     // Black-box tracing. The collector is strictly write-only (no RNG, no
-    // feedback into flight state); with the `trace` feature off it is a
-    // zero-sized no-op and every `if tracing` block below is dead code.
+    // feedback into flight state); with the `trace` feature off it is
+    // never armed and every `if tracing` block below is dead code.
     tracer: TraceCollector,
-    /// Shadow detection ensemble: runs the `imufit-detect` ensemble on the
-    /// consumed stream purely to timestamp detector rising edges in the
-    /// trace, independent of whether fast-detection mitigation is enabled.
-    shadow: Option<EnsembleDetector>,
-    shadow_was: bool,
-    shadow_since: Option<f64>,
-    trace_fault_was: bool,
     last_bubble: (f64, f64, f64),
     bubble_inner_was: bool,
     bubble_outer_was: bool,
@@ -209,7 +241,6 @@ impl FlightSimulator {
             monitors: None,
             dead_reckon_since: None,
             attack_was_active: false,
-            trace_attack_was: false,
             airborne: false,
             distance_true: 0.0,
             last_true_position: mission.home,
@@ -218,10 +249,6 @@ impl FlightSimulator {
             fault_was_active: false,
             failsafe_was_active: false,
             tracer: TraceCollector::new(&config.trace),
-            shadow: None,
-            shadow_was: false,
-            shadow_since: None,
-            trace_fault_was: false,
             last_bubble: (NO_BUBBLE as f64, NO_BUBBLE as f64, NO_BUBBLE as f64),
             bubble_inner_was: false,
             bubble_outer_was: false,
@@ -350,8 +377,6 @@ impl FlightSimulator {
         self.distance_true = 0.0;
         self.last_true_position = mission.home;
         self.outcome = None;
-        self.mitigation
-            .reconfigure(config.fast_detection, config.mitigation_persist);
         self.fault_was_active = false;
         self.failsafe_was_active = false;
         self.monitors = config
@@ -359,17 +384,16 @@ impl FlightSimulator {
             .then(DegradationMonitors::default);
         self.dead_reckon_since = None;
         self.attack_was_active = false;
-        self.trace_attack_was = false;
         self.tracer.reset(&config.trace);
-        // The shadow ensemble only earns its per-tick cost when detection
-        // edges are wanted: without the detector-edge trigger the ring runs
-        // alone and armed tracing stays within its overhead budget.
-        self.shadow = (self.tracer.is_armed()
-            && config.trace.triggers_on(TraceTrigger::DetectorEdge))
-        .then(EnsembleDetector::flight);
-        self.shadow_was = false;
-        self.shadow_since = None;
-        self.trace_fault_was = false;
+        // The detection ensemble runs for fast detection, or to time alarm
+        // edges for the black box when the detector-edge trigger is armed.
+        // Without either it is not built, so armed tracing without that
+        // trigger costs only the ring.
+        self.mitigation.reconfigure(
+            config.fast_detection,
+            self.tracer.is_armed() && config.trace.triggers_on(TraceTrigger::DetectorEdge),
+            config.mitigation_persist,
+        );
         self.last_bubble = (NO_BUBBLE as f64, NO_BUBBLE as f64, NO_BUBBLE as f64);
         self.bubble_inner_was = false;
         self.bubble_outer_was = false;
@@ -536,21 +560,21 @@ impl FlightSimulator {
         prof.stage(imufit_obs::profile::Stage::Faults);
         self.injector
             .apply_bank(&mut self.imu_samples, &mut self.rng_fault);
-        if tracing {
-            // Fault window edges go to the trace here, right after
-            // injection, so within a tick the activation precedes any
-            // detection or mitigation event it causes.
-            let active_now = self.injector.any_active(self.time);
-            if active_now != self.trace_fault_was {
-                let kind = if active_now {
-                    TraceEventKind::FaultActivated
-                } else {
-                    TraceEventKind::FaultCleared
-                };
-                self.tracer
-                    .event(kind, self.tick, self.time, 0, self.fault_labels(active_now));
-                self.trace_fault_was = active_now;
-            }
+        // Fault window edges are reported right after injection, so within
+        // a tick the activation precedes any detection or mitigation event
+        // it causes.
+        let fault_active = self.injector.any_active(self.time);
+        if fault_active != self.fault_was_active {
+            let kind = if fault_active {
+                FlightEventKind::FaultInjected
+            } else {
+                FlightEventKind::FaultCleared
+            };
+            let detail = window_labels(&self.injector.specs(), self.time, fault_active, |f| {
+                (f.window, f.label())
+            });
+            self.emit(kind, self.time, 0, detail);
+            self.fault_was_active = fault_active;
         }
         // --- Sensor attacks: window phases advance once per tick ---
         // Activation draws attack parameters from the dedicated stream;
@@ -564,27 +588,10 @@ impl FlightSimulator {
             } else {
                 FlightEventKind::AttackCleared
             };
-            self.recorder.push_event(FlightEvent::new(
-                self.time,
-                kind,
-                self.attack_labels(attack_active),
-            ));
+            let specs = self.attack_injector.specs();
+            let detail = window_labels(&specs, self.time, attack_active, |a| (a.window, a.label()));
+            self.emit(kind, self.time, 0, detail);
             self.attack_was_active = attack_active;
-        }
-        if tracing && attack_active != self.trace_attack_was {
-            let kind = if attack_active {
-                TraceEventKind::AttackActivated
-            } else {
-                TraceEventKind::AttackCleared
-            };
-            self.tracer.event(
-                kind,
-                self.tick,
-                self.time,
-                0,
-                self.attack_labels(attack_active),
-            );
-            self.trace_attack_was = attack_active;
         }
 
         prof.stage(imufit_obs::profile::Stage::Voter);
@@ -595,67 +602,36 @@ impl FlightSimulator {
         // Voter bookkeeping: log exclusions/reinstatements and move the
         // bank's primary off an excluded instance.
         for &i in &report.newly_excluded {
-            self.recorder.push_event(FlightEvent::instance(
-                self.time,
+            let detail = format!(
+                "imu{i}: consensus deviation gyro {:.2} rad/s, accel {:.2} m/s^2",
+                report.health[i].gyro_deviation, report.health[i].accel_deviation
+            );
+            self.emit(
                 FlightEventKind::InstanceExcluded,
-                i,
-                format!(
-                    "consensus deviation gyro {:.2} rad/s, accel {:.2} m/s^2",
-                    report.health[i].gyro_deviation, report.health[i].accel_deviation
-                ),
-            ));
-            if tracing {
-                self.tracer.event(
-                    TraceEventKind::VoterExclusion,
-                    self.tick,
-                    self.time,
-                    i as u32,
-                    format!(
-                        "imu{i}: consensus deviation gyro {:.2} rad/s, accel {:.2} m/s^2",
-                        report.health[i].gyro_deviation, report.health[i].accel_deviation
-                    ),
-                );
-            }
+                self.time,
+                i as u32,
+                detail,
+            );
         }
         for &i in &report.newly_reinstated {
-            self.recorder.push_event(FlightEvent::instance(
-                self.time,
+            let detail = format!("imu{i} rejoined consensus");
+            self.emit(
                 FlightEventKind::InstanceReinstated,
-                i,
-                "rejoined consensus",
-            ));
-            if tracing {
-                self.tracer.event(
-                    TraceEventKind::VoterReinstatement,
-                    self.tick,
-                    self.time,
-                    i as u32,
-                    format!("imu{i} rejoined consensus"),
-                );
-            }
+                self.time,
+                i as u32,
+                detail,
+            );
         }
         let mut switched = false;
         if report.primary_excluded && report.selected != primary {
             self.imu_bank.switch_primary(report.selected);
             switched = true;
-            self.recorder.push_event(FlightEvent::instance(
-                self.time,
-                FlightEventKind::PrimarySwitch,
-                report.selected,
-                format!("voter: primary imu{primary} excluded"),
-            ));
-            if tracing {
-                self.tracer.event(
-                    TraceEventKind::PrimarySwitch,
-                    self.tick,
-                    self.time,
-                    report.selected as u32,
-                    format!(
-                        "voter: primary imu{primary} excluded, imu{} selected",
-                        report.selected
-                    ),
-                );
-            }
+            let detail = format!(
+                "voter: primary imu{primary} excluded, imu{} selected",
+                report.selected
+            );
+            let selected = report.selected as u32;
+            self.emit(FlightEventKind::PrimarySwitch, self.time, selected, detail);
         }
         let redundancy = RedundancyStatus {
             instances: self.imu_bank.count(),
@@ -730,13 +706,25 @@ impl FlightSimulator {
         let rejecting = self.estimator.health().any_rejecting();
         let nav = *self.estimator.state();
 
-        // Optional fast-detection mitigation: the detect ensemble watches
-        // the same corrupted stream and pulls the failsafe handle early.
+        // The detection ensemble watches the consumed stream: with fast
+        // detection on it pulls the failsafe handle early, and with the
+        // detector-edge trigger armed the black box gets the persisted
+        // alarm's rising edge, so detection latency is traced even on
+        // paper-default runs where mitigation is off.
         if self
             .mitigation
             .observe(&corrupted, dt, self.time, self.airborne)
         {
             self.controller.trigger_external_failsafe(self.time, &nav);
+        }
+        if let Some(persisted) = self.mitigation.rising_edge() {
+            self.tracer.event(
+                TraceEventKind::DetectorEdge,
+                self.tick,
+                self.time,
+                0,
+                format!("detection ensemble alarm persisted {persisted:.2} s"),
+            );
         }
 
         // Bottom rung of the degradation ladder: a dropped GPS leaves the
@@ -752,56 +740,14 @@ impl FlightSimulator {
             self.dead_reckon_since = None;
         }
 
-        // The shadow detection ensemble timestamps detector rising edges for
-        // the black box. It watches the same consumed stream as the
-        // fast-detection stage but never feeds back into the flight stack,
-        // so the trace carries detection latency even on paper-default runs
-        // where mitigation is off. Only exists while the tracer is armed.
-        // The same persistence filter the mitigation stage applies keeps
-        // takeoff transients from registering as rising edges.
-        if let Some(shadow) = self.shadow.as_mut() {
-            let alarm = shadow.observe(&corrupted, dt) && self.airborne;
-            if alarm {
-                let since = *self.shadow_since.get_or_insert(self.time);
-                if !self.shadow_was && self.time - since >= self.config.mitigation_persist {
-                    self.tracer.event(
-                        TraceEventKind::DetectorEdge,
-                        self.tick,
-                        self.time,
-                        0,
-                        format!(
-                            "detection ensemble alarm persisted {:.2} s",
-                            self.time - since
-                        ),
-                    );
-                    self.shadow_was = true;
-                }
-            } else {
-                self.shadow_since = None;
-                self.shadow_was = false;
-            }
-        }
-
         let out = self
             .controller
             .update_with_redundancy(self.time, dt, &nav, &corrupted, rejecting, redundancy);
         if out.rotate_imu {
             self.imu_bank.rotate_primary();
-            self.recorder.push_event(FlightEvent::instance(
-                self.time,
-                FlightEventKind::PrimarySwitch,
-                self.imu_bank.primary(),
-                "failsafe isolation rotation",
-            ));
-            if tracing {
-                self.tracer.event(
-                    TraceEventKind::PrimarySwitch,
-                    self.tick,
-                    self.time,
-                    self.imu_bank.primary() as u32,
-                    "failsafe isolation rotation".to_string(),
-                );
-            }
+            let primary = self.imu_bank.primary() as u32;
+            let detail = "failsafe isolation rotation".to_string();
+            self.emit(FlightEventKind::PrimarySwitch, self.time, primary, detail);
         }
         for tr in self.controller.take_cascade_transitions() {
             let kind = if tr.to > tr.from {
@@ -809,54 +755,16 @@ impl FlightSimulator {
             } else {
                 FlightEventKind::MitigationRecovered
             };
-            self.recorder.push_event(FlightEvent::new(
-                tr.time,
-                kind,
-                format!("{} -> {}: {}", tr.from.label(), tr.to.label(), tr.detail),
-            ));
-            if tracing {
-                self.tracer.event(
-                    TraceEventKind::CascadeTransition,
-                    self.tick,
-                    tr.time,
-                    tr.to.code() as u32,
-                    format!("{} -> {}: {}", tr.from.label(), tr.to.label(), tr.detail),
-                );
-            }
+            let detail = format!("{} -> {}: {}", tr.from.label(), tr.to.label(), tr.detail);
+            self.emit(kind, tr.time, tr.to.code() as u32, detail);
         }
 
-        // Edge-detect the fault windows and the failsafe latch so the log
-        // carries explicit markers, not just per-point booleans.
-        let fault_active = self.injector.any_active(self.time);
-        if fault_active != self.fault_was_active {
-            let kind = if fault_active {
-                FlightEventKind::FaultInjected
-            } else {
-                FlightEventKind::FaultCleared
-            };
-            self.recorder.push_event(FlightEvent::new(
-                self.time,
-                kind,
-                self.fault_labels(fault_active),
-            ));
-            self.fault_was_active = fault_active;
-        }
+        // Edge-detect the failsafe latch so the log carries an explicit
+        // marker, not just per-point booleans.
         let failsafe_active = self.controller.failsafe_active();
         if failsafe_active && !self.failsafe_was_active {
-            self.recorder.push_event(FlightEvent::new(
-                self.time,
-                FlightEventKind::FailsafeActivated,
-                "descend-and-land latched",
-            ));
-            if tracing {
-                self.tracer.event(
-                    TraceEventKind::FailsafeActivated,
-                    self.tick,
-                    self.time,
-                    0,
-                    "descend-and-land latched".to_string(),
-                );
-            }
+            let detail = "descend-and-land latched".to_string();
+            self.emit(FlightEventKind::FailsafeActivated, self.time, 0, detail);
             self.failsafe_was_active = true;
         }
 
@@ -910,8 +818,8 @@ impl FlightSimulator {
                 est_position: nav.position,
                 true_velocity: s.velocity,
                 airspeed: s.velocity.norm(),
-                fault_active: self.injector.any_active(self.time),
-                failsafe: self.controller.failsafe_active(),
+                fault_active,
+                failsafe: failsafe_active,
             });
             let msg = Message::Position {
                 drone_id: self.drone_id,
@@ -988,40 +896,20 @@ impl FlightSimulator {
         self.evaluate_end_conditions(&s);
     }
 
-    /// Labels of the faults currently inside (`active`) or already past
-    /// their injection windows, joined for event details.
-    fn fault_labels(&self, active: bool) -> String {
-        self.injector
-            .specs()
-            .iter()
-            .filter(|f| {
-                if active {
-                    f.window.contains(self.time)
-                } else {
-                    f.window.is_past(self.time)
-                }
-            })
-            .map(|f| f.label())
-            .collect::<Vec<_>>()
-            .join(", ")
-    }
-
-    /// Labels of the attacks currently inside (`active`) or already past
-    /// their windows, joined for event details.
-    fn attack_labels(&self, active: bool) -> String {
-        self.attack_injector
-            .specs()
-            .iter()
-            .filter(|a| {
-                if active {
-                    a.window.contains(self.time)
-                } else {
-                    a.window.is_past(self.time)
-                }
-            })
-            .map(|a| a.label())
-            .collect::<Vec<_>>()
-            .join(", ")
+    /// Reports one flight transition: the flight-log event and, while the
+    /// black box is armed, the trace event with the same time, param and
+    /// detail.
+    fn emit(&mut self, kind: FlightEventKind, time: f64, param: u32, detail: String) {
+        if self.tracer.is_armed() {
+            self.tracer
+                .event(trace_kind(kind), self.tick, time, param, detail.clone());
+        }
+        self.recorder.push_event(FlightEvent {
+            time,
+            kind,
+            param,
+            detail,
+        });
     }
 
     /// The monitor tuning in force (the default set when monitors are off,
@@ -1060,21 +948,8 @@ impl FlightSimulator {
             mean
         );
         imufit_obs::counter_labeled("sensor_degradations_total", "sensor", sensor.label()).inc();
-        self.recorder.push_event(FlightEvent {
-            time: self.time,
-            kind: FlightEventKind::SensorDegradation,
-            param: (sensor.id() as u32) << 8 | stage.code(),
-            detail: detail.clone(),
-        });
-        if self.tracer.is_armed() {
-            self.tracer.event(
-                TraceEventKind::SensorDegradation,
-                self.tick,
-                self.time,
-                (sensor.id() as u32) << 8 | stage.code(),
-                detail,
-            );
-        }
+        let param = (sensor.id() as u32) << 8 | stage.code();
+        self.emit(FlightEventKind::SensorDegradation, self.time, param, detail);
     }
 
     /// Ticks a sub-rate scheduler: true when an event at `rate` Hz is due.
@@ -1509,29 +1384,127 @@ mod tests {
     }
 
     /// Tracing never feeds back into flight state: the same seeded fault
-    /// run produces identical scalar results with the black box on or off.
+    /// run produces identical scalar results and an identical flight log
+    /// with the black box on or off, also when one detection ensemble both
+    /// times edges for the box and pulls the fast-detection failsafe.
     #[test]
     fn tracing_does_not_change_the_flight() {
         let m = short_mission();
         let faults = fault_at(FaultKind::Freeze, FaultTarget::Imu, 30.0, 30.0);
-        let plain = FlightSimulator::new(&m, faults.clone(), SimConfig::default_for(&m, 17)).run();
+        for fast_detection in [false, true] {
+            let mut config = SimConfig::default_for(&m, 17);
+            config.fast_detection = fast_detection;
+            let plain = FlightSimulator::new(&m, faults.clone(), config.clone()).run();
 
-        let mut config = SimConfig::default_for(&m, 17);
-        config.trace.enabled = true;
-        let mut traced = FlightSimulator::new(&m, faults, config);
-        let summary = traced.run_summary();
+            config.trace.enabled = true;
+            let mut traced = FlightSimulator::new(&m, faults.clone(), config);
+            let summary = traced.run_summary();
 
-        assert_eq!(plain.outcome, summary.outcome);
-        assert_eq!(plain.duration, summary.duration);
-        assert_eq!(plain.distance_est, summary.distance_est);
-        assert_eq!(plain.distance_true, summary.distance_true);
-        assert_eq!(plain.violations, summary.violations);
-        assert_eq!(plain.ekf_resets, summary.ekf_resets);
+            assert_eq!(plain.outcome, summary.outcome);
+            assert_eq!(plain.duration, summary.duration);
+            assert_eq!(plain.distance_est, summary.distance_est);
+            assert_eq!(plain.distance_true, summary.distance_true);
+            assert_eq!(plain.violations, summary.violations);
+            assert_eq!(plain.ekf_resets, summary.ekf_resets);
+            assert_eq!(&plain.recorder, traced.recorder(), "fast={fast_detection}");
+        }
+    }
+
+    /// On traced flights the flight log is the black box's transition
+    /// stream: the box's events of the kinds the log has, in the same
+    /// order, with the same time, param and detail.
+    #[cfg(feature = "trace")]
+    #[test]
+    fn flight_log_matches_the_black_box() {
+        use imufit_faults::AttackKind;
+
+        let m = short_mission();
+        let instance_fault = vec![FaultSpec::instance(
+            FaultKind::Min,
+            FaultTarget::Imu,
+            InjectionWindow::new(30.0, 10.0),
+            0,
+        )];
+        let mut fast = SimConfig::default_for(&m, 41);
+        fast.fast_detection = true;
+        let mut monitored = SimConfig::default_for(&m, 7);
+        monitored.innovation_monitors = true;
+        let spoof = vec![AttackSpec::new(
+            AttackKind::GpsSpoofRamp,
+            InjectionWindow::new(40.0, 30.0),
+        )];
+        let flights = [
+            (
+                instance_fault,
+                Vec::new(),
+                SimConfig::default_for(&m, 29),
+                vec![
+                    FlightEventKind::InstanceExcluded,
+                    FlightEventKind::PrimarySwitch,
+                    FlightEventKind::MitigationEscalated,
+                ],
+            ),
+            (
+                fault_at(FaultKind::Max, FaultTarget::Gyrometer, 30.0, 30.0),
+                Vec::new(),
+                fast,
+                vec![FlightEventKind::FailsafeActivated],
+            ),
+            (
+                Vec::new(),
+                spoof,
+                monitored,
+                vec![
+                    FlightEventKind::AttackInjected,
+                    FlightEventKind::SensorDegradation,
+                ],
+            ),
+        ];
+        for (faults, attacks, mut config, expected) in flights {
+            config.trace.enabled = true;
+            let mut sim = FlightSimulator::new(&m, faults, config);
+            sim.set_attacks(attacks);
+            let _ = sim.run_summary();
+            let bytes = sim.take_black_box("m").expect("traced flight seals a box");
+            let bb = imufit_trace::BlackBox::decode(&bytes).expect("box decodes");
+
+            if sim.config().fast_detection {
+                assert!(
+                    bb.events
+                        .iter()
+                        .any(|e| e.kind == TraceEventKind::DetectorEdge),
+                    "the fast-detection ensemble times the alarm edge"
+                );
+            }
+            let events = sim.recorder().events();
+            for kind in &expected {
+                assert!(events.iter().any(|e| e.kind == *kind), "no {kind:?}");
+            }
+            let logged: Vec<_> = events
+                .iter()
+                .map(|e| (trace_kind(e.kind), e.time, e.param, e.detail.as_str()))
+                .collect();
+            let boxed: Vec<_> = bb
+                .events
+                .iter()
+                .filter(|e| {
+                    !matches!(
+                        e.kind,
+                        TraceEventKind::DetectorEdge
+                            | TraceEventKind::BubbleViolation
+                            | TraceEventKind::RunOutcome
+                            | TraceEventKind::PanicCaptured
+                    )
+                })
+                .map(|e| (e.kind, e.time, e.param, e.detail.as_str()))
+                .collect();
+            assert_eq!(logged, boxed);
+        }
     }
 
     /// With the `trace` feature on, a traced fault run seals a decodable
     /// black box whose causal chain starts at the fault activation; with it
-    /// off, the stub collector stays silent and costs nothing.
+    /// off, the collector never arms and stays silent.
     #[test]
     fn traced_fault_run_yields_a_black_box() {
         let m = short_mission();

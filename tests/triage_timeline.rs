@@ -137,8 +137,9 @@ fn freeze_fault_timeline_reads_in_causal_order() {
     let dir = std::env::temp_dir().join(format!("imufit-triage-timeline-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // IMU Freeze only, at paper defaults: the shadow ensemble timestamps
-    // the detection and the cascade escalates on estimator rejection, so
+    // IMU Freeze only, at paper defaults: the detection ensemble, armed by
+    // the detector-edge trigger, timestamps the detection and the cascade
+    // escalates on estimator rejection, so
     // the whole chain can land in the trace without the fast-detection
     // mitigation.
     let mut config = CampaignConfig::scaled(3, vec![2.0, 10.0, 30.0, 60.0], 2024);
