@@ -102,33 +102,6 @@ pub struct FlightEvent {
     pub detail: String,
 }
 
-impl FlightEvent {
-    /// Creates an event with no parameter.
-    pub fn new(time: f64, kind: FlightEventKind, detail: impl Into<String>) -> Self {
-        FlightEvent {
-            time,
-            kind,
-            param: 0,
-            detail: detail.into(),
-        }
-    }
-
-    /// Creates an event about a specific IMU instance.
-    pub fn instance(
-        time: f64,
-        kind: FlightEventKind,
-        index: usize,
-        detail: impl Into<String>,
-    ) -> Self {
-        FlightEvent {
-            time,
-            kind,
-            param: index as u32,
-            detail: detail.into(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,15 +124,9 @@ mod tests {
             assert_eq!(FlightEventKind::from_code(kind.code()), Some(kind));
         }
         assert_eq!(FlightEventKind::from_code(200), None);
-    }
-
-    #[test]
-    fn constructors() {
-        let e = FlightEvent::instance(91.2, FlightEventKind::InstanceExcluded, 2, "gyro liar");
-        assert_eq!(e.param, 2);
-        assert_eq!(e.detail, "gyro liar");
-        let e = FlightEvent::new(95.0, FlightEventKind::FailsafeActivated, "gyro implausible");
-        assert_eq!(e.param, 0);
-        assert_eq!(e.kind.label(), "failsafe activated");
+        assert_eq!(
+            FlightEventKind::FailsafeActivated.label(),
+            "failsafe activated"
+        );
     }
 }

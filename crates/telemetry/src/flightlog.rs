@@ -212,20 +212,23 @@ mod tests {
     #[test]
     fn events_round_trip() {
         let mut rec = sample_recorder(3);
-        rec.push_event(FlightEvent::new(
-            90.0,
-            FlightEventKind::FaultInjected,
-            "Gyro Zeros",
-        ));
-        rec.push_event(FlightEvent::instance(
+        let event = |time, kind, param, detail: &str| FlightEvent {
+            time,
+            kind,
+            param,
+            detail: detail.to_string(),
+        };
+        rec.push_event(event(90.0, FlightEventKind::FaultInjected, 0, "Gyro Zeros"));
+        rec.push_event(event(
             90.1,
             FlightEventKind::InstanceExcluded,
             1,
             "gyro deviation 30.0 rad/s",
         ));
-        rec.push_event(FlightEvent::new(
+        rec.push_event(event(
             95.0,
             FlightEventKind::MitigationRecovered,
+            0,
             "outlier exclusion -> nominal",
         ));
         let log = read_log(write_log(3, "m", &rec)).expect("parse");

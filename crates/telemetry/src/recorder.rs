@@ -198,11 +198,12 @@ mod tests {
         for i in 0..1000 {
             rec.offer(pt(i as f64 * 0.004));
         }
-        rec.push_event(FlightEvent::new(
-            1.0,
-            crate::events::FlightEventKind::FaultInjected,
-            "x",
-        ));
+        rec.push_event(FlightEvent {
+            time: 1.0,
+            kind: crate::events::FlightEventKind::FaultInjected,
+            param: 0,
+            detail: "x".to_string(),
+        });
         rec.reset(2.0);
         assert!(rec.is_empty());
         assert!(rec.events().is_empty());
