@@ -149,13 +149,27 @@ pub fn run_scenario_matching(
 }
 
 /// Runs all three figures, selecting illustrative seeds (see
-/// [`run_scenario_matching`]).
+/// [`run_scenario_matching`]). The flights are independent, so each runs
+/// on its own scoped thread; results come back in scenario order.
 pub fn run_all(seed: u64) -> Vec<FigureResult> {
-    scenarios()
-        .iter()
-        .enumerate()
-        .map(|(i, s)| run_scenario_matching(s, seed.wrapping_add(i as u64), 6))
-        .collect()
+    let scenarios = scenarios();
+    std::thread::scope(|scope| {
+        let flights: Vec<_> = scenarios
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                scope.spawn(move || run_scenario_matching(s, seed.wrapping_add(i as u64), 6))
+            })
+            .collect();
+        flights
+            .into_iter()
+            .map(|flight| {
+                flight
+                    .join()
+                    .unwrap_or_else(|e| std::panic::resume_unwind(e))
+            })
+            .collect()
+    })
 }
 
 /// Renders the horizontal (north/east) trajectory of a flight as ASCII art:

@@ -26,11 +26,18 @@ pub const N: usize = 15;
 
 type Cov = SMatrix<N, N>;
 
+/// Largest covariance entry magnitude before the filter rebuilds a
+/// diagonal covariance.
+const MAX_VAR: f64 = 1e9;
+
 const IDX_POS: usize = 0;
 const IDX_VEL: usize = 3;
 const IDX_ANG: usize = 6;
 const IDX_BG: usize = 9;
 const IDX_BA: usize = 12;
+
+/// First index of each 3-row block, in state order.
+const BLOCKS: [usize; 5] = [IDX_POS, IDX_VEL, IDX_ANG, IDX_BG, IDX_BA];
 
 /// EKF tuning parameters. Defaults follow PX4 EKF2 orders of magnitude.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,6 +108,10 @@ pub struct Ekf {
     /// "Distance Traveled" metric is explicitly computed from EKF output.
     distance_traveled: f64,
     last_position: Vec3,
+    /// Routes scalar updates through the dense oracle the fused update
+    /// is checked against.
+    #[cfg(test)]
+    dense_updates: bool,
 }
 
 impl Ekf {
@@ -117,6 +128,8 @@ impl Ekf {
             initialized: false,
             distance_traveled: 0.0,
             last_position: Vec3::ZERO,
+            #[cfg(test)]
+            dense_updates: false,
         }
     }
 
@@ -189,6 +202,7 @@ impl Ekf {
     /// # Panics
     ///
     /// Panics (debug builds) if `dt` is not positive.
+    #[allow(clippy::needless_range_loop)] // mirrored (r, c)/(c, r) pairs read clearer indexed
     pub fn predict(&mut self, imu: &ImuSample, dt: f64) {
         debug_assert!(dt > 0.0, "dt must be positive");
         if !self.initialized {
@@ -249,13 +263,29 @@ impl Ekf {
             q[IDX_BA + i] = p.accel_bias_walk * p.accel_bias_walk * dt;
         }
 
-        // F·(F·P)^T = (F·P·F^T)^T, which the symmetrize makes immaterial.
-        let mut fpf = f.apply(&f.apply(&self.covariance).transpose());
-        for (i, qi) in q.iter().enumerate() {
-            fpf[(i, i)] += qi;
+        // P <- sym(F·(F·P)^T + Q), where F·(F·P)^T = (F·P·F^T)^T. Row c of
+        // its transpose is F applied to row c of A = F·P: each entry sums
+        // its terms in the dense product's order, and nothing assumes P
+        // symmetric. The pass over pairs r <= c adds Q, averages each entry
+        // with its mirror once and checks the bound the clamp needs.
+        let a = f.apply(&self.covariance);
+        let x = self.covariance.rows_mut();
+        for (xc, ac) in x.iter_mut().zip(&a) {
+            *xc = f.apply_vec(ac);
         }
-        self.covariance = fpf.symmetrize();
-        self.clamp_covariance();
+        let mut in_bounds = true;
+        for r in 0..N {
+            x[r][r] += q[r];
+            for c in r..N {
+                // x[c][r] is entry (r, c) of F·(F·P)^T.
+                let v = 0.5 * (x[c][r] + x[r][c]);
+                x[r][c] = v;
+                x[c][r] = v;
+                // NaN and +-inf fail `<=` just as an oversized entry does.
+                in_bounds &= v.abs() <= MAX_VAR;
+            }
+        }
+        self.clamp_covariance(in_bounds);
 
         self.health.time_since_aiding += dt;
         self.time_since_pos_aiding += dt;
@@ -396,6 +426,10 @@ impl Ekf {
     /// Returns `(accepted, test_ratio)`.
     #[allow(clippy::needless_range_loop)] // dense Kalman index math reads clearer indexed
     fn fuse_scalar(&mut self, idx: usize, innovation: f64, r: f64) -> (bool, f64) {
+        #[cfg(test)]
+        if self.dense_updates {
+            return tests::fuse_scalar_dense(self, idx, innovation, r);
+        }
         if !innovation.is_finite() {
             return (false, f64::MAX);
         }
@@ -422,14 +456,18 @@ impl Ekf {
         }
         self.inject(&delta);
 
-        // Covariance update: P <- (I - K H) P, H = e_idx^T.
+        // Covariance update P <- sym((I - K H) P), H = e_idx^T, in one pass
+        // over pairs r <= c: both mirrored entries take their rank-1 update
+        // from the saved row and gain, then their average.
         let p_row = self.covariance.rows()[idx];
-        for i in 0..N {
-            for j in 0..N {
-                self.covariance[(i, j)] -= k[i] * p_row[j];
+        let m = self.covariance.rows_mut();
+        for r in 0..N {
+            for c in r..N {
+                let v = 0.5 * ((m[r][c] - k[r] * p_row[c]) + (m[c][r] - k[c] * p_row[r]));
+                m[r][c] = v;
+                m[c][r] = v;
             }
         }
-        self.covariance = self.covariance.symmetrize();
         (true, ratio)
     }
 
@@ -474,12 +512,9 @@ impl Ekf {
     }
 
     /// Keeps the covariance numerically sane during extreme fault windows.
-    fn clamp_covariance(&mut self) {
-        const MAX_VAR: f64 = 1e9;
-        // One pass with no early exit. NaN and +-inf fail `<=` just as an
-        // oversized entry does, so this is `is_finite() && max_abs() <= MAX`.
-        let in_bounds =
-            (self.covariance.rows().iter().flatten()).fold(true, |ok, v| ok & (v.abs() <= MAX_VAR));
+    /// `in_bounds` is false when some entry is NaN, infinite or larger in
+    /// magnitude than [`MAX_VAR`].
+    fn clamp_covariance(&mut self, in_bounds: bool) {
         if !in_bounds {
             // Rebuild a conservative diagonal from the clamped current one.
             let d = self.covariance.diagonal();
@@ -513,40 +548,62 @@ struct Jacobian {
 }
 
 impl Jacobian {
-    /// `F * m`. Each entry sums its terms in ascending column order of `F`
-    /// from `+0.0`, so for a finite `m` it has the bits of the dense product
-    /// that skips `F`'s zeros: a structural zero adds only a signed zero.
-    fn apply(&self, m: &Cov) -> Cov {
+    /// Entry `i` of each of the five 3-row blocks of `F * v`, for the
+    /// 15-vector `v` read through `at`. Each entry sums its terms in
+    /// ascending column order of `F` from `+0.0`, so for a finite `v` it has
+    /// the bits of the dense product that skips `F`'s zeros: a structural
+    /// zero adds only a signed zero.
+    #[inline(always)]
+    fn block_entries(&self, i: usize, at: impl Fn(usize) -> f64) -> [f64; 5] {
+        let dt = self.dt;
+        let (a, b, w) = (
+            self.vel_ang.rows[i],
+            self.vel_ba.rows[i],
+            self.ang_ang.rows[i],
+        );
+        [
+            0.0 + at(IDX_POS + i) + dt * at(IDX_VEL + i),
+            0.0 + at(IDX_VEL + i)
+                + a[0] * at(IDX_ANG)
+                + a[1] * at(IDX_ANG + 1)
+                + a[2] * at(IDX_ANG + 2)
+                + b[0] * at(IDX_BA)
+                + b[1] * at(IDX_BA + 1)
+                + b[2] * at(IDX_BA + 2),
+            0.0 + w[0] * at(IDX_ANG)
+                + w[1] * at(IDX_ANG + 1)
+                + w[2] * at(IDX_ANG + 2)
+                + -dt * at(IDX_BG + i),
+            0.0 + at(IDX_BG + i),
+            0.0 + at(IDX_BA + i),
+        ]
+    }
+
+    /// `F * m`, one column of `m` at a time.
+    fn apply(&self, m: &Cov) -> [[f64; N]; N] {
         let m = m.rows();
         let mut out = [[0.0; N]; N];
-        let dt = self.dt;
         for i in 0..3 {
-            let (a, b, w) = (
-                self.vel_ang.rows[i],
-                self.vel_ba.rows[i],
-                self.ang_ang.rows[i],
-            );
             for c in 0..N {
-                let col = |k: usize| m[k][c];
-                out[IDX_POS + i][c] = 0.0 + col(IDX_POS + i) + dt * col(IDX_VEL + i);
-                out[IDX_VEL + i][c] = 0.0
-                    + col(IDX_VEL + i)
-                    + a[0] * col(IDX_ANG)
-                    + a[1] * col(IDX_ANG + 1)
-                    + a[2] * col(IDX_ANG + 2)
-                    + b[0] * col(IDX_BA)
-                    + b[1] * col(IDX_BA + 1)
-                    + b[2] * col(IDX_BA + 2);
-                out[IDX_ANG + i][c] = 0.0
-                    + w[0] * col(IDX_ANG)
-                    + w[1] * col(IDX_ANG + 1)
-                    + w[2] * col(IDX_ANG + 2)
-                    + -dt * col(IDX_BG + i);
-                out[IDX_BG + i][c] = 0.0 + col(IDX_BG + i);
-                out[IDX_BA + i][c] = 0.0 + col(IDX_BA + i);
+                let e = self.block_entries(i, |k| m[k][c]);
+                for (block, v) in BLOCKS.into_iter().zip(e) {
+                    out[block + i][c] = v;
+                }
             }
         }
-        Cov::from_rows(out)
+        out
+    }
+
+    /// `F * v`.
+    fn apply_vec(&self, v: &[f64; N]) -> [f64; N] {
+        let mut out = [0.0; N];
+        for i in 0..3 {
+            let e = self.block_entries(i, |k| v[k]);
+            for (block, v) in BLOCKS.into_iter().zip(e) {
+                out[block + i] = v;
+            }
+        }
+        out
     }
 }
 
@@ -943,6 +1000,47 @@ mod tests {
         rebuild
     }
 
+    /// The scalar update the fused pass replaced: the rank-1 update over
+    /// all 225 entries, then a separate symmetrize. Filters built with
+    /// `dense_updates` route `fuse_scalar` here.
+    #[allow(clippy::needless_range_loop)]
+    pub(super) fn fuse_scalar_dense(
+        ekf: &mut Ekf,
+        idx: usize,
+        innovation: f64,
+        r: f64,
+    ) -> (bool, f64) {
+        if !innovation.is_finite() {
+            return (false, f64::MAX);
+        }
+        let s = ekf.covariance[(idx, idx)] + r;
+        if s <= 0.0 || !s.is_finite() {
+            return (false, f64::MAX);
+        }
+        let gate = ekf.params.gate_sigma;
+        let ratio = (innovation * innovation) / (gate * gate * s);
+        if ratio > 1.0 {
+            return (false, ratio);
+        }
+        let mut k = [0.0; N];
+        for (i, ki) in k.iter_mut().enumerate() {
+            *ki = ekf.covariance[(i, idx)] / s;
+        }
+        let mut delta = [0.0; N];
+        for i in 0..N {
+            delta[i] = k[i] * innovation;
+        }
+        ekf.inject(&delta);
+        let p_row = ekf.covariance.rows()[idx];
+        for i in 0..N {
+            for j in 0..N {
+                ekf.covariance[(i, j)] -= k[i] * p_row[j];
+            }
+        }
+        ekf.covariance = ekf.covariance.symmetrize();
+        (true, ratio)
+    }
+
     #[test]
     fn block_predict_matches_the_dense_product_bit_for_bit() {
         fn assert_same(block: &Ekf, dense: &Ekf, step: usize) {
@@ -972,6 +1070,7 @@ mod tests {
         let mut block = Ekf::new(EkfParams::default());
         block.initialize(Vec3::new(3.0, -2.0, -10.0), Vec3::ZERO, 0.3);
         let mut dense = block.clone();
+        dense.dense_updates = true;
         let mut rng = Pcg::seed_from(17);
         let (mut rebuilds, mut bad_accel, mut dropped) = (0, 0, 0);
         let mut resets = [0u32; 3]; // position, velocity, height

@@ -673,6 +673,8 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
         let reply = match msg {
             FleetMsg::Hello { worker_id: id } => {
                 worker_id = id;
+                // Listed from the handshake on, not from its first beat.
+                sight_worker(&shared, worker_id, false);
                 Some(FleetMsg::Welcome {
                     trace_dir: shared
                         .config
@@ -683,19 +685,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                 })
             }
             FleetMsg::Heartbeat { snapshot } => {
-                {
-                    let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-                    let mut held = 0u64;
-                    let mut units_done = 0u64;
-                    let mut busy_ms = 0u64;
-                    for c in state.active.values_mut() {
-                        held += c.session.renew_leases(worker_id);
-                        let (done, busy) = c.session.worker_stats(worker_id);
-                        units_done += done;
-                        busy_ms += busy;
-                    }
-                    imufit_obs::status::board().worker_seen(worker_id, held, units_done, busy_ms);
-                }
+                sight_worker(&shared, worker_id, true);
                 if let Some(bytes) = snapshot {
                     match Snapshot::decode(&bytes) {
                         Ok(snap) => {
@@ -783,6 +773,22 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     for c in state.active.values_mut() {
         c.session.release_worker(worker_id);
     }
+}
+
+/// Puts `worker_id` on the status board with the leases it holds (renewed
+/// first when `renew`), the units it has finished and its busy time.
+fn sight_worker(shared: &Shared, worker_id: u32, renew: bool) {
+    let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+    let (mut held, mut units_done, mut busy_ms) = (0u64, 0u64, 0u64);
+    for c in state.active.values_mut() {
+        if renew {
+            held += c.session.renew_leases(worker_id);
+        }
+        let (done, busy) = c.session.worker_stats(worker_id);
+        units_done += done;
+        busy_ms += busy;
+    }
+    imufit_obs::status::board().worker_seen(worker_id, held, units_done, busy_ms);
 }
 
 #[cfg(test)]
@@ -916,6 +922,30 @@ mod tests {
             worker.join().unwrap(),
             Ok(crate::worker::WorkerExit::CampaignComplete)
         );
+        let _ = std::fs::remove_dir_all(&store);
+    }
+
+    /// A worker is on the status board from its handshake on: the pool
+    /// lists it before it answers `Hello`, with no heartbeat sent.
+    #[test]
+    fn hello_lists_the_worker_before_any_heartbeat() {
+        let store = fresh_store("hello");
+        let pool = WorkerPool::start(PoolConfig::new(store.clone())).unwrap();
+        let id = 4242;
+        // Starting a pool clears the process-wide board, and other tests
+        // start pools concurrently, so one handshake may lose its entry to
+        // them; a few fresh handshakes cannot all lose it.
+        let listed = (0..5).any(|_| {
+            let mut client = TcpStream::connect(pool.addr()).unwrap();
+            write_msg(&mut client, &FleetMsg::Hello { worker_id: id }).unwrap();
+            let (welcome, _) = read_msg(&mut client).unwrap();
+            assert!(matches!(welcome, FleetMsg::Welcome { .. }));
+            imufit_obs::status::board()
+                .render_json()
+                .contains(&format!("\"id\": {id},"))
+        });
+        assert_eq!(listed, cfg!(feature = "obs"));
+        drop(pool);
         let _ = std::fs::remove_dir_all(&store);
     }
 

@@ -237,7 +237,8 @@ fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, Fl
     // the lease lapse. The writer mutex keeps heartbeat frames from
     // interleaving with result frames. Beats are capped at 2 s so metric
     // snapshots (piggybacked on every beat) reach the coordinator early
-    // even under long lease timeouts.
+    // even under long lease timeouts. The wait between beats parks, so
+    // the session's end wakes the thread instead of waiting out a beat.
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
     let stop = Arc::new(AtomicBool::new(false));
     let beat = {
@@ -246,25 +247,30 @@ fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, Fl
         let every = (lease_timeout / 3)
             .min(Duration::from_secs(2))
             .max(Duration::from_millis(10));
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(every);
+        std::thread::spawn(move || loop {
+            let due = Instant::now() + every;
+            loop {
                 if stop.load(Ordering::SeqCst) {
+                    return;
+                }
+                let left = due.saturating_duration_since(Instant::now());
+                if left.is_zero() {
                     break;
                 }
-                // Re-captured per beat: the coordinator keeps only the
-                // latest snapshot, so each beat carries cumulative state.
-                let snap = imufit_obs::snapshot::capture();
-                let snapshot = if snap.is_empty() {
-                    None
-                } else {
-                    Some(snap.encode())
-                };
-                let frame = encode_msg(&FleetMsg::Heartbeat { snapshot });
-                let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                if w.write_all(&frame).is_err() {
-                    break;
-                }
+                std::thread::park_timeout(left);
+            }
+            // Re-captured per beat: the coordinator keeps only the
+            // latest snapshot, so each beat carries cumulative state.
+            let snap = imufit_obs::snapshot::capture();
+            let snapshot = if snap.is_empty() {
+                None
+            } else {
+                Some(snap.encode())
+            };
+            let frame = encode_msg(&FleetMsg::Heartbeat { snapshot });
+            let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
+            if w.write_all(&frame).is_err() {
+                return;
             }
         })
     };
@@ -272,6 +278,7 @@ fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, Fl
     let result = work_loop(trace_dir, &mut stream, &writer);
 
     stop.store(true, Ordering::SeqCst);
+    beat.thread().unpark();
     let _ = stream.shutdown(std::net::Shutdown::Both);
     let _ = beat.join();
     result
@@ -387,6 +394,40 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|a| a.to_string()).collect()
+    }
+
+    /// A worker told `Done` returns at once at the default 30 s lease: its
+    /// heartbeat thread, parked for a 2 s beat, wakes to end the session.
+    #[test]
+    fn session_ends_promptly_after_done() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let pool = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            assert_eq!(
+                read_msg(&mut conn).unwrap().0,
+                FleetMsg::Hello { worker_id: 3 }
+            );
+            let welcome = FleetMsg::Welcome {
+                trace_dir: None,
+                lease_timeout_s: 30.0,
+            };
+            write_msg(&mut conn, &welcome).unwrap();
+            assert_eq!(read_msg(&mut conn).unwrap().0, FleetMsg::Request);
+            write_msg(&mut conn, &FleetMsg::Done).unwrap();
+            let done_at = Instant::now();
+            // Hold the connection open until the worker hangs up.
+            let _ = read_msg(&mut conn);
+            done_at
+        });
+        assert_eq!(run_worker(addr, 3), Ok(WorkerExit::CampaignComplete));
+        let returned_at = Instant::now();
+        let done_at = pool.join().unwrap();
+        let tail = returned_at.saturating_duration_since(done_at);
+        assert!(
+            tail < Duration::from_secs(1),
+            "returned {tail:?} after Done"
+        );
     }
 
     /// Malformed worker arguments exit 2 before any connection attempt.

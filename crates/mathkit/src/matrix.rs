@@ -44,6 +44,11 @@ impl<const R: usize, const C: usize> SMatrix<R, C> {
         &self.data
     }
 
+    /// The rows, for writing in place.
+    pub fn rows_mut(&mut self) -> &mut [[f64; C]; R] {
+        &mut self.data
+    }
+
     /// Builds a matrix by evaluating `f(row, col)` for every element.
     pub fn from_fn(mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut m = Self::zeros();

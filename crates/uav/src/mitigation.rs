@@ -46,11 +46,6 @@ impl MitigationStage {
         stage
     }
 
-    /// True when fast detection is active.
-    pub fn enabled(&self) -> bool {
-        self.fast_detection
-    }
-
     /// Rearms the stage for a new flight with (possibly different)
     /// settings, discarding all detector state. The ensemble runs when
     /// either `fast_detection` or `edges` (alarm edges for the black box)
@@ -134,7 +129,6 @@ mod tests {
     #[test]
     fn disabled_stage_never_triggers() {
         let mut stage = MitigationStage::new(false, 0.25);
-        assert!(!stage.enabled());
         for i in 0..1000 {
             assert!(!stage.observe(&saturated(i as f64 * 0.004), 0.004, i as f64 * 0.004, true));
         }
@@ -173,7 +167,6 @@ mod tests {
         let mut fast = MitigationStage::new(true, 0.25);
         let mut edges = MitigationStage::new(false, 0.25);
         edges.reconfigure(false, true, 0.25);
-        assert!(!edges.enabled());
         let mut rng = Pcg::seed_from(7);
         let mut t = 0.0;
         for _ in 0..2500 {
