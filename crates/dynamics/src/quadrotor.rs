@@ -138,16 +138,6 @@ impl Quadrotor {
         self.state = state;
     }
 
-    /// Normalized speeds of the four rotors.
-    pub fn rotor_speeds(&self) -> [f64; 4] {
-        [
-            self.rotors[0].speed(),
-            self.rotors[1].speed(),
-            self.rotors[2].speed(),
-            self.rotors[3].speed(),
-        ]
-    }
-
     /// World-frame kinematic acceleration from the most recent step, m/s^2.
     pub fn last_acceleration(&self) -> Vec3 {
         self.last_acceleration

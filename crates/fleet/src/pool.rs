@@ -15,7 +15,12 @@
 //!   virtual time by `1/priority`, and the session with the smallest
 //!   virtual time dispatches next).
 //!
-//! Leases, heartbeats and requeues behave the same either way. Submitted
+//! Leases, heartbeats and requeues behave the same either way. Nothing
+//! polls on a timer: the accept thread blocks in `accept`, a sweeper
+//! thread expires leases, and a worker `Request` that finds no work waits
+//! on the pool's condition variable — woken by a submission, a merged
+//! result, a sweep, a disconnect or a stop — for at most one heartbeat
+//! period before the pool answers `NoWork`. Submitted
 //! campaigns land in an on-disk result store keyed by the campaign
 //! fingerprint (FNV-1a over the canonical scenario dump, plus seed and
 //! unit count). A resubmission whose fingerprint already has a stored CSV
@@ -29,7 +34,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use imufit_core::CampaignResults;
@@ -39,6 +44,7 @@ use imufit_scenario::ScenarioSpec;
 use crate::checkpoint::CampaignFingerprint;
 use crate::protocol::{read_msg, write_msg, FleetError, FleetMsg};
 use crate::session::CampaignSession;
+use crate::worker::heartbeat_period;
 
 /// File that marks a store entry complete; its presence IS the cache hit.
 const RESULTS_FILE: &str = "campaign_results.csv";
@@ -202,8 +208,13 @@ struct PoolState {
 
 struct Shared {
     state: Mutex<PoolState>,
+    /// Notified, under the `state` lock, by every change that can end a
+    /// wait on it: a submission or admitted session, a merged result, a
+    /// lease sweep, a disconnect, and stop. Waiting `Request`s and the
+    /// sweeper wait on it.
+    wake: Condvar,
     /// Set at shutdown, or when a [`WorkerPool::run`] campaign finished:
-    /// every later request gets `Done` and the accept loop drains.
+    /// every later request gets `Done` and the pool's threads drain.
     stop: AtomicBool,
     config: PoolConfig,
     aggregate: Arc<Aggregate>,
@@ -215,12 +226,13 @@ struct Shared {
 pub struct WorkerPool {
     shared: Arc<Shared>,
     addr: SocketAddr,
-    accept_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    /// The accept and sweeper threads, until shutdown joins them.
+    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl WorkerPool {
     /// Starts a pool: creates the result store, binds `127.0.0.1:0`, and
-    /// spawns the accept loop.
+    /// spawns the accept and lease-sweeper threads.
     ///
     /// # Errors
     ///
@@ -230,7 +242,6 @@ impl WorkerPool {
         std::fs::create_dir_all(&config.store_dir)?;
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
 
         register_fleet_metrics();
         imufit_obs::counter("pool_campaigns_submitted_total");
@@ -248,23 +259,35 @@ impl WorkerPool {
                 dispatch_log: Vec::new(),
                 total_done: 0,
             }),
+            wake: Condvar::new(),
             stop: AtomicBool::new(false),
             config,
             aggregate: Arc::new(Aggregate::new()),
             lease_timeout,
         });
 
-        let accept_shared = Arc::clone(&shared);
-        let accept_thread = std::thread::Builder::new()
+        let sweep_shared = Arc::clone(&shared);
+        let sweeper = std::thread::Builder::new()
+            .name("pool-sweep".into())
+            .spawn(move || sweep_loop(&sweep_shared))
+            .map_err(|e| FleetError::Io(format!("spawning pool sweeper: {e}")))?;
+        // From here on a failed spawn drops `pool`, which stops and joins
+        // the sweeper.
+        let pool = WorkerPool {
+            shared,
+            addr,
+            threads: Mutex::new(vec![sweeper]),
+        };
+        let accept_shared = Arc::clone(&pool.shared);
+        let accept = std::thread::Builder::new()
             .name("pool-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))
             .map_err(|e| FleetError::Io(format!("spawning pool accept loop: {e}")))?;
-
-        Ok(WorkerPool {
-            shared,
-            addr,
-            accept_thread: Mutex::new(Some(accept_thread)),
-        })
+        pool.threads
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(accept);
+        Ok(pool)
     }
 
     /// The address pool workers connect to.
@@ -355,6 +378,7 @@ impl WorkerPool {
         let session = CampaignSession::create(spec, None, &dir.join("fleet.ckpt"), false)?;
 
         let campaign = admit(&mut state, session, tenant, priority, None);
+        self.shared.wake.notify_all();
         let meta = CampaignMeta {
             tenant: tenant.to_string(),
             priority,
@@ -409,6 +433,7 @@ impl WorkerPool {
             admit(&mut state, session, "", 1, Some(tx));
             // A journal that was already complete finishes here.
             finalize_finished(&self.shared, &mut state);
+            self.shared.wake.notify_all();
         }
         for merged in rx {
             match merged {
@@ -460,19 +485,29 @@ impl WorkerPool {
             .count()
     }
 
-    /// Stops the pool: connected workers get `Done` on their next request,
-    /// and this returns once each of them has heard it (or gone away) and
-    /// the accept loop has exited. Incomplete campaigns keep their
-    /// checkpoints in the store.
+    /// Stops the pool: connected workers get `Done` on their next request
+    /// (one waiting for work gets it at once), and this returns once each
+    /// of them has heard it (or gone away) and the accept and sweeper
+    /// threads have exited. Incomplete campaigns keep their checkpoints in
+    /// the store.
     pub fn shutdown(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        let handle = self
-            .accept_thread
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take();
-        if let Some(handle) = handle {
-            let _ = handle.join();
+        {
+            let _state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.stop.store(true, Ordering::SeqCst);
+            self.shared.wake.notify_all();
+        }
+        let threads = std::mem::take(&mut *self.threads.lock().unwrap_or_else(|e| e.into_inner()));
+        if threads.is_empty() {
+            return;
+        }
+        // The accept thread blocks until a connection arrives: make one.
+        // Should that fail, the threads are left to the process's exit
+        // rather than joined forever.
+        if TcpStream::connect(self.addr).is_err() {
+            return;
+        }
+        for thread in threads {
+            let _ = thread.join();
         }
     }
 }
@@ -593,6 +628,7 @@ fn finalize_finished(shared: &Shared, state: &mut PoolState) {
         };
         let results = entry.session.into_results();
         if let Some(caller) = entry.caller {
+            // The caller holds the `state` lock and notifies `wake`.
             shared.stop.store(true, Ordering::SeqCst);
             let _ = caller.send(Merged::All(results));
             continue;
@@ -614,40 +650,92 @@ fn finalize_finished(shared: &Shared, state: &mut PoolState) {
 
 /// Accepts worker connections until the pool stops, then waits for every
 /// connection thread to end, so no worker is left without its `Done`.
+/// [`WorkerPool::shutdown`] connects once to wake the blocking `accept`.
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let sweep_every = (shared.lease_timeout / 4).max(Duration::from_millis(25));
-    let mut last_sweep = Instant::now();
     let mut connections: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.stop.load(Ordering::SeqCst) {
-        if last_sweep.elapsed() >= sweep_every {
-            last_sweep = Instant::now();
-            let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-            let now = Instant::now();
-            for c in state.active.values_mut() {
-                c.session.sweep_expired(now);
-            }
-            // A sweep can finish a campaign by aborting its last unit.
-            finalize_finished(&shared, &mut state);
+    for conn in listener.incoming() {
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let shared = Arc::clone(&shared);
-                connections.retain(|c| !c.is_finished());
-                connections.extend(
-                    std::thread::Builder::new()
-                        .name("pool-conn".into())
-                        .spawn(move || handle_connection(stream, shared))
-                        .ok(),
-                );
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(_) => break,
-        }
+        let Ok(stream) = conn else {
+            break;
+        };
+        let shared = Arc::clone(&shared);
+        connections.retain(|c| !c.is_finished());
+        connections.extend(
+            std::thread::Builder::new()
+                .name("pool-conn".into())
+                .spawn(move || handle_connection(stream, shared))
+                .ok(),
+        );
     }
     for connection in connections {
         let _ = connection.join();
+    }
+}
+
+/// Expires lapsed leases every quarter of the lease timeout until the pool
+/// stops, waiting on the pool's condition variable between sweeps so a
+/// stop ends it at once.
+fn sweep_loop(shared: &Shared) {
+    let every = (shared.lease_timeout / 4).max(Duration::from_millis(25));
+    let mut due = Instant::now() + every;
+    let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+    while !shared.stop.load(Ordering::SeqCst) {
+        let left = due.saturating_duration_since(Instant::now());
+        if !left.is_zero() {
+            state = shared
+                .wake
+                .wait_timeout(state, left)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+            continue;
+        }
+        let now = Instant::now();
+        due = now + every;
+        for c in state.active.values_mut() {
+            c.session.sweep_expired(now);
+        }
+        // A sweep can finish a campaign by aborting its last unit.
+        finalize_finished(shared, &mut state);
+        shared.wake.notify_all();
+    }
+}
+
+/// Answers a worker's `Request`: the next unit under fair share, or, when
+/// none is queued, the first one that becomes so within one heartbeat
+/// period; then `NoWork`. The wait is capped at a beat so heartbeats queued
+/// behind the request are still read within one. `Done` once the pool
+/// stops.
+fn long_poll(shared: &Shared, worker_id: u32, sent_specs: &mut HashSet<u32>) -> FleetMsg {
+    let until = Instant::now() + heartbeat_period(shared.lease_timeout);
+    let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
+    loop {
+        // Read under the lock that the last merge sets it under, so no
+        // request after that merge is told `NoWork`.
+        if shared.stop.load(Ordering::SeqCst) {
+            return FleetMsg::Done;
+        }
+        if let Some((campaign, d, canonical)) = next_dispatch(&mut state, &shared.config, worker_id)
+        {
+            return FleetMsg::Assign {
+                unit: d.unit,
+                spec: d.spec,
+                campaign_fp: d.campaign_fp,
+                span: d.span,
+                campaign,
+                spec_toml: sent_specs.insert(campaign).then_some(canonical),
+            };
+        }
+        let left = until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return FleetMsg::NoWork;
+        }
+        state = shared
+            .wake
+            .wait_timeout(state, left)
+            .unwrap_or_else(|e| e.into_inner())
+            .0;
     }
 }
 
@@ -702,26 +790,13 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                 }
                 None
             }
-            FleetMsg::Request => {
-                let mut state = shared.state.lock().unwrap_or_else(|e| e.into_inner());
-                // Read under the lock that the last merge sets it under, so
-                // no request after that merge is told `NoWork`.
-                if shared.stop.load(Ordering::SeqCst) {
+            FleetMsg::Request => match long_poll(&shared, worker_id, &mut sent_specs) {
+                FleetMsg::Done => {
                     let _ = write_msg(&mut stream, &FleetMsg::Done);
                     break false;
                 }
-                match next_dispatch(&mut state, &shared.config, worker_id) {
-                    Some((campaign, d, canonical)) => Some(FleetMsg::Assign {
-                        unit: d.unit,
-                        spec: d.spec,
-                        campaign_fp: d.campaign_fp,
-                        span: d.span,
-                        campaign,
-                        spec_toml: sent_specs.insert(campaign).then_some(canonical),
-                    }),
-                    None => Some(FleetMsg::NoWork),
-                }
-            }
+                reply => Some(reply),
+            },
             FleetMsg::Result {
                 unit,
                 record,
@@ -751,6 +826,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
                     imufit_obs::status::board().set_progress(state.total_done);
                 }
                 finalize_finished(&shared, &mut state);
+                shared.wake.notify_all();
                 None
             }
             // Workers never send these.
@@ -773,6 +849,7 @@ fn handle_connection(mut stream: TcpStream, shared: Arc<Shared>) {
     for c in state.active.values_mut() {
         c.session.release_worker(worker_id);
     }
+    shared.wake.notify_all();
 }
 
 /// Puts `worker_id` on the status board with the leases it holds (renewed
@@ -945,6 +1022,71 @@ mod tests {
                 .contains(&format!("\"id\": {id},"))
         });
         assert_eq!(listed, cfg!(feature = "obs"));
+        drop(pool);
+        let _ = std::fs::remove_dir_all(&store);
+    }
+
+    /// Connects a pool client, completes the handshake, and sends one
+    /// `Request`, which finds the pool idle.
+    fn parked_request(pool: &WorkerPool) -> TcpStream {
+        let mut client = TcpStream::connect(pool.addr()).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        write_msg(&mut client, &FleetMsg::Hello { worker_id: 7 }).unwrap();
+        assert!(matches!(
+            read_msg(&mut client).unwrap().0,
+            FleetMsg::Welcome { .. }
+        ));
+        write_msg(&mut client, &FleetMsg::Request).unwrap();
+        // Give the request time to reach the pool and wait there; if it
+        // has not, it finds the work below without waiting at all.
+        std::thread::sleep(Duration::from_millis(50));
+        client
+    }
+
+    /// A `Request` parked on an idle pool is answered with the first unit
+    /// of a later submission, without a second `Request`.
+    #[test]
+    fn parked_request_is_assigned_on_submit() {
+        let store = fresh_store("park");
+        let pool = WorkerPool::start(PoolConfig::new(store.clone())).unwrap();
+        let mut client = parked_request(&pool);
+        assert!(matches!(
+            pool.submit(quick_spec(11), "alice", 1).unwrap(),
+            SubmitOutcome::Accepted(_)
+        ));
+        let submitted = Instant::now();
+        let (reply, _) = read_msg(&mut client).unwrap();
+        let took = submitted.elapsed();
+        assert!(
+            matches!(reply, FleetMsg::Assign { unit: 0, .. }),
+            "got {reply:?}"
+        );
+        assert!(
+            took < Duration::from_millis(20),
+            "assigned {took:?} after submit"
+        );
+        drop(client);
+        drop(pool);
+        let _ = std::fs::remove_dir_all(&store);
+    }
+
+    /// Shutdown answers a parked `Request` with `Done` at once, not after
+    /// its wait runs out.
+    #[test]
+    fn shutdown_answers_a_parked_request_done() {
+        let store = fresh_store("park-stop");
+        let pool = WorkerPool::start(PoolConfig::new(store.clone())).unwrap();
+        let mut client = parked_request(&pool);
+        let asked = Instant::now();
+        let (reply, took) = std::thread::scope(|scope| {
+            scope.spawn(|| pool.shutdown());
+            let (reply, _) = read_msg(&mut client).unwrap();
+            (reply, asked.elapsed())
+        });
+        assert_eq!(reply, FleetMsg::Done);
+        assert!(took < Duration::from_millis(500), "Done took {took:?}");
         drop(pool);
         let _ = std::fs::remove_dir_all(&store);
     }

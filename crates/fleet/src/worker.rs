@@ -33,6 +33,17 @@ const BACKOFF_BASE: Duration = Duration::from_millis(50);
 /// Longest single backoff sleep.
 const BACKOFF_CAP: Duration = Duration::from_secs(2);
 
+/// The heartbeat period under a lease timeout: a third of it, so two
+/// beats can go missing before a lease lapses, capped at 2 s so metric
+/// snapshots (piggybacked on every beat) reach the coordinator early even
+/// under long leases. The pool holds a `Request` that finds no work for at
+/// most this long.
+pub(crate) fn heartbeat_period(lease_timeout: Duration) -> Duration {
+    (lease_timeout / 3)
+        .min(Duration::from_secs(2))
+        .max(Duration::from_millis(10))
+}
+
 /// How a worker session ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerExit {
@@ -235,18 +246,14 @@ fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, Fl
 
     // Heartbeats ride a cloned handle so a long experiment doesn't let
     // the lease lapse. The writer mutex keeps heartbeat frames from
-    // interleaving with result frames. Beats are capped at 2 s so metric
-    // snapshots (piggybacked on every beat) reach the coordinator early
-    // even under long lease timeouts. The wait between beats parks, so
+    // interleaving with result frames. The wait between beats parks, so
     // the session's end wakes the thread instead of waiting out a beat.
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
     let stop = Arc::new(AtomicBool::new(false));
     let beat = {
         let writer = Arc::clone(&writer);
         let stop = Arc::clone(&stop);
-        let every = (lease_timeout / 3)
-            .min(Duration::from_secs(2))
-            .max(Duration::from_millis(10));
+        let every = heartbeat_period(lease_timeout);
         std::thread::spawn(move || loop {
             let due = Instant::now() + every;
             loop {
@@ -348,11 +355,10 @@ fn work_loop(
                     },
                 )?;
             }
-            (FleetMsg::NoWork, _) => {
-                // Other workers hold the remaining leases, or the pool is
-                // idle between campaigns; poll gently.
-                std::thread::sleep(Duration::from_millis(50));
-            }
+            // The pool already held this request for a heartbeat period
+            // with nothing to hand out (other workers hold the remaining
+            // leases, or it is idle between campaigns): ask again.
+            (FleetMsg::NoWork, _) => {}
             (FleetMsg::Done, _) => return Ok(WorkerExit::CampaignComplete),
             _ => return Err(FleetError::Malformed("unexpected message in work loop")),
         }

@@ -2,25 +2,33 @@
 //! `/healthz`, plus pluggable routes for the campaign service.
 //!
 //! Hand-rolled HTTP/1.1 over `std::net`, in the same zero-dependency
-//! style as the fleet crate's TCP protocol: a single accept thread, short
-//! read/write timeouts, one response per connection (`Connection: close`).
-//! Scrapes read the registry through [`crate::snapshot::capture`] — pure
-//! atomic loads — so a scrape can never perturb a running campaign, and a
-//! coordinator can hand the server an [`Aggregate`] so one scrape returns
-//! the merged fleet-wide view with per-worker labels.
+//! style as the fleet crate's TCP protocol, one response per connection
+//! (`Connection: close`). One thread blocks in `accept` and hands each
+//! connection to a handler thread through a bounded queue; a connection
+//! that finds the queue full is answered `503` at once. Handler threads
+//! start only when every running one is busy, up to a fixed count.
+//! Each request must arrive whole within one deadline, so a silent or
+//! trickling client holds a handler for at most that long and never
+//! stalls the others. Scrapes read the registry through
+//! [`crate::snapshot::capture`] — pure atomic loads — so a scrape can
+//! never perturb a running campaign, and a coordinator can hand the
+//! server an [`Aggregate`] so one scrape returns the merged fleet-wide
+//! view with per-worker labels.
 //!
 //! A [`Handler`] lets callers (the `imufit-serve` crate) mount extra
 //! routes — including `POST` with a request body — in front of the
 //! built-in read-only endpoints. Untrusted input is bounded twice: the
 //! request head is capped at 8 KiB and the body at a caller-chosen limit
-//! (413 on breach); nothing in this module panics on hostile bytes.
+//! (413 on breach); nothing in this module panics on hostile bytes, and
+//! every way a request can fail to parse is a typed [`RequestError`].
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::VecDeque;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::snapshot::{capture, Aggregate};
 
@@ -29,6 +37,21 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 
 /// Default request-body cap when the caller doesn't choose one.
 pub const DEFAULT_MAX_BODY_BYTES: usize = 1024 * 1024;
+
+/// Most threads serving connections. A stuck client holds one for at most
+/// [`REQUEST_DEADLINE`], so a few of them cannot starve `/healthz`.
+const HANDLER_THREADS: usize = 8;
+
+/// Accepted connections waiting for a handler; one more is a `503`.
+const QUEUE_DEPTH: usize = 64;
+
+/// Time a client has to deliver its whole request, head and body; also
+/// the write timeout for the response.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(2);
+
+/// Pause after a failed `accept` (say, out of file descriptors) before
+/// the next one, so a persistent failure does not spin a core.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
 
 /// One parsed HTTP request, as seen by a [`Handler`].
 #[derive(Debug, Clone)]
@@ -43,13 +66,24 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Why a request could not be parsed.
+/// Why a request could not be read. The server answers `413` for
+/// [`RequestError::BodyTooLarge`] and `400` for the rest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestError {
-    /// Not parseable as HTTP/1.1 (or the head exceeded its cap).
+    /// The connection ended before the head, or the declared body, did.
+    Truncated,
+    /// No request line with a method and a target.
     Malformed,
-    /// `Content-Length` exceeded the server's body cap → 413.
+    /// The head is not UTF-8.
+    NotUtf8,
+    /// A `Content-Length` that is not a decimal number, or a second one.
+    BadContentLength,
+    /// The head ran past 8 KiB without ending.
+    HeadTooLarge,
+    /// `Content-Length` exceeded the server's body cap.
     BodyTooLarge,
+    /// The request did not arrive whole within its deadline.
+    TimedOut,
 }
 
 /// One response a [`Handler`] produces.
@@ -87,12 +121,38 @@ impl Response {
 /// returning `None` falls through to them.
 pub type Handler = Arc<dyn Fn(&Request) -> Option<Response> + Send + Sync>;
 
+/// Accepted connections on their way to a handler thread.
+struct Queue {
+    pending: VecDeque<TcpStream>,
+    /// Handler threads waiting for a connection, the most recently idle
+    /// last. The accept thread wakes that one, so a light load stays on
+    /// one warm thread (and its malloc arena) instead of rotating.
+    idle: Vec<usize>,
+    /// Set when the accept thread exits: handlers drain and end.
+    closed: bool,
+}
+
+/// What the accept thread and the handler threads share.
+struct Shared {
+    stop: AtomicBool,
+    queue: Mutex<Queue>,
+    /// One per handler thread, waited on by that thread alone.
+    wake: [Condvar; HANDLER_THREADS],
+    /// The connection each handler thread is serving, so shutdown can
+    /// cut it instead of waiting out its deadline.
+    serving: [Mutex<Option<TcpStream>>; HANDLER_THREADS],
+    aggregate: Option<Arc<Aggregate>>,
+    handler: Option<Handler>,
+    max_body_bytes: usize,
+}
+
 /// A running embedded server; shuts down when dropped or via
 /// [`ObsServer::shutdown`].
 pub struct ObsServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    shared: Arc<Shared>,
+    /// The accept thread, which joins the handler threads it started.
+    accept: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for ObsServer {
@@ -121,35 +181,28 @@ impl ObsServer {
         max_body_bytes: usize,
     ) -> std::io::Result<ObsServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
+        let shared = Arc::new(Shared {
+            stop: AtomicBool::new(false),
+            queue: Mutex::new(Queue {
+                pending: VecDeque::with_capacity(QUEUE_DEPTH),
+                idle: Vec::with_capacity(HANDLER_THREADS),
+                closed: false,
+            }),
+            wake: std::array::from_fn(|_| Condvar::new()),
+            serving: std::array::from_fn(|_| Mutex::new(None)),
+            aggregate,
+            handler,
+            max_body_bytes,
+        });
+        let accept_shared = Arc::clone(&shared);
+        let accept = std::thread::Builder::new()
             .name("obs-http".into())
-            .spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((stream, _)) => {
-                            // Requests are tiny and local; serve inline.
-                            let _ = handle_connection(
-                                stream,
-                                aggregate.as_deref(),
-                                handler.as_ref(),
-                                max_body_bytes,
-                            );
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(25));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(25)),
-                    }
-                }
-            })?;
+            .spawn(move || accept_loop(&listener, &accept_shared))?;
         Ok(ObsServer {
             addr: local,
-            stop,
-            handle: Some(handle),
+            shared,
+            accept: Some(accept),
         })
     }
 
@@ -158,15 +211,27 @@ impl ObsServer {
         self.addr
     }
 
-    /// Stops the accept loop and joins the server thread.
+    /// Stops accepting, cuts the connections in service, and joins the
+    /// server's threads.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
 
     fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        let Some(accept) = self.accept.take() else {
+            return;
+        };
+        self.shared.stop.store(true, Ordering::SeqCst);
+        for slot in &self.shared.serving {
+            if let Some(stream) = slot.lock().unwrap_or_else(|e| e.into_inner()).as_ref() {
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+            }
+        }
+        // The accept thread blocks until a connection arrives: make one.
+        // Should that fail, the threads are left to the process's exit
+        // rather than joined forever.
+        if TcpStream::connect_timeout(&wake_addr(self.addr), REQUEST_DEADLINE).is_ok() {
+            let _ = accept.join();
         }
     }
 }
@@ -177,19 +242,140 @@ impl Drop for ObsServer {
     }
 }
 
-fn handle_connection(
-    mut stream: TcpStream,
-    aggregate: Option<&Aggregate>,
-    handler: Option<&Handler>,
-    max_body_bytes: usize,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    let request = match read_request(&mut stream, max_body_bytes) {
-        Ok(request) => request,
-        Err(RequestError::Malformed) => {
-            return write_response(&mut stream, 400, "text/plain", "bad request\n")
+/// Where to connect to reach a listener bound at `addr`: a wildcard bind
+/// is reached over loopback.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
+}
+
+/// Accepts connections until shutdown and queues each for a handler
+/// thread: the most recently idle one, or a new one while every running
+/// handler is busy and fewer than [`HANDLER_THREADS`] run. Past
+/// [`QUEUE_DEPTH`] waiting connections, answers `503` itself. At shutdown
+/// closes the queue and joins the handlers.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let mut handlers: Vec<JoinHandle<()>> = Vec::with_capacity(HANDLER_THREADS);
+    for conn in listener.incoming() {
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
         }
+        let Ok(mut stream) = conn else {
+            std::thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
+        let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+        if queue.pending.len() >= QUEUE_DEPTH {
+            drop(queue);
+            let _ = stream.set_write_timeout(Some(REQUEST_DEADLINE));
+            let _ = write_response(&mut stream, 503, "text/plain", "server busy\n");
+            continue;
+        }
+        queue.pending.push_back(stream);
+        if let Some(slot) = queue.idle.pop() {
+            shared.wake[slot].notify_one();
+            continue;
+        }
+        drop(queue);
+        if handlers.len() < HANDLER_THREADS {
+            let slot = handlers.len();
+            let shared = Arc::clone(shared);
+            // A failed spawn leaves the connection queued for a running
+            // handler, or for the next attempt at the next connection.
+            handlers.extend(
+                std::thread::Builder::new()
+                    .name(format!("obs-http-{slot}"))
+                    .spawn(move || handler_loop(&shared, slot))
+                    .ok(),
+            );
+        }
+    }
+    shared
+        .queue
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+        .closed = true;
+    for wake in &shared.wake {
+        wake.notify_one();
+    }
+    for handler in handlers {
+        let _ = handler.join();
+    }
+}
+
+/// The next queued connection for handler `slot`, waiting idle for one;
+/// `None` once the queue is closed and drained.
+fn next_connection(shared: &Shared, slot: usize) -> Option<TcpStream> {
+    let mut queue = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+    loop {
+        if let Some(stream) = queue.pending.pop_front() {
+            return Some(stream);
+        }
+        if queue.closed {
+            return None;
+        }
+        queue.idle.push(slot);
+        queue = shared.wake[slot]
+            .wait(queue)
+            .unwrap_or_else(|e| e.into_inner());
+        // Woken by the accept thread, which took the slot off the idle
+        // list, or spuriously, which did not.
+        queue.idle.retain(|&idle| idle != slot);
+    }
+}
+
+/// One handler thread: serves queued connections until the accept thread
+/// closes the queue. While it serves one, a clone sits in its `slot` of
+/// [`Shared::serving`]; a connection that reaches a handler after shutdown
+/// began is closed unserved.
+fn handler_loop(shared: &Shared, slot: usize) {
+    while let Some(stream) = next_connection(shared, slot) {
+        *shared.serving[slot]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner()) = stream.try_clone().ok();
+        // Read after publishing the clone: a shutdown that missed the
+        // clone has already set the flag.
+        if !shared.stop.load(Ordering::SeqCst) {
+            let _ = handle_connection(stream, shared);
+        }
+        *shared.serving[slot]
+            .lock()
+            .unwrap_or_else(|e| e.into_inner()) = None;
+    }
+}
+
+/// Reads from a connection until a fixed instant: each read may block
+/// only for the time left, and none starts after it.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    until: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
+fn handle_connection(mut stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
+    stream.set_write_timeout(Some(REQUEST_DEADLINE))?;
+    let mut reader = Deadline {
+        stream: &stream,
+        until: Instant::now() + REQUEST_DEADLINE,
+    };
+    let max_body_bytes = shared.max_body_bytes;
+    let request = match read_request(&mut reader, max_body_bytes) {
+        Ok(request) => request,
         Err(RequestError::BodyTooLarge) => {
             return write_response(
                 &mut stream,
@@ -198,8 +384,9 @@ fn handle_connection(
                 &format!("{{\"error\": \"request body exceeds {max_body_bytes} bytes\"}}\n"),
             )
         }
+        Err(_) => return write_response(&mut stream, 400, "text/plain", "bad request\n"),
     };
-    if let Some(handler) = handler {
+    if let Some(handler) = &shared.handler {
         if let Some(response) = handler(&request) {
             return write_response(
                 &mut stream,
@@ -216,6 +403,7 @@ fn handle_connection(
     if known && request.method != "GET" {
         return write_response(&mut stream, 405, "text/plain", "method not allowed\n");
     }
+    let aggregate = shared.aggregate.as_deref();
     match request.path.as_str() {
         "/metrics" => {
             let mut snap = capture();
@@ -253,8 +441,18 @@ fn handle_connection(
 }
 
 /// Reads and parses one request: head (capped at 8 KiB), then as much
-/// body as `Content-Length` declares (capped at `max_body_bytes`).
-fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Request, RequestError> {
+/// body as `Content-Length` declares (capped at `max_body_bytes`, checked
+/// before the body is read). A read that times out is
+/// [`RequestError::TimedOut`]; any other read failure, or the end of the
+/// input, is [`RequestError::Truncated`].
+pub fn read_request<R: Read>(
+    reader: &mut R,
+    max_body_bytes: usize,
+) -> Result<Request, RequestError> {
+    let read_failed = |e: std::io::Error| match e.kind() {
+        ErrorKind::TimedOut | ErrorKind::WouldBlock => RequestError::TimedOut,
+        _ => RequestError::Truncated,
+    };
     let mut buf = Vec::new();
     let mut chunk = [0u8; 512];
     let head_end = loop {
@@ -262,18 +460,22 @@ fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Request
             break pos;
         }
         if buf.len() > MAX_REQUEST_BYTES {
-            return Err(RequestError::Malformed);
+            return Err(RequestError::HeadTooLarge);
         }
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(RequestError::Malformed),
+        match reader.read(&mut chunk) {
+            Ok(0) => return Err(RequestError::Truncated),
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err(RequestError::Malformed),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(read_failed(e)),
         }
     };
 
-    let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
-    let request_line = head.lines().next().ok_or(RequestError::Malformed)?;
-    let mut parts = request_line.split_whitespace();
+    let head = std::str::from_utf8(&buf[..head_end]).map_err(|_| RequestError::NotUtf8)?;
+    let mut lines = head.lines();
+    let mut parts = lines
+        .next()
+        .ok_or(RequestError::Malformed)?
+        .split_whitespace();
     let method = parts.next().ok_or(RequestError::Malformed)?.to_string();
     let target = parts.next().ok_or(RequestError::Malformed)?;
     let (path, query) = match target.split_once('?') {
@@ -281,26 +483,36 @@ fn read_request(stream: &mut TcpStream, max_body_bytes: usize) -> Result<Request
         None => (target.to_string(), String::new()),
     };
 
-    let content_length: usize = head
-        .lines()
-        .skip(1)
-        .find_map(|line| {
-            let (name, value) = line.split_once(':')?;
-            name.trim()
-                .eq_ignore_ascii_case("content-length")
-                .then(|| value.trim().parse().ok())?
-        })
-        .unwrap_or(0);
+    let mut content_length = None;
+    for (name, value) in lines.filter_map(|line| line.split_once(':')) {
+        if !name.trim().eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        let value = value.trim();
+        if content_length.is_some()
+            || value.is_empty()
+            || !value.bytes().all(|b| b.is_ascii_digit())
+        {
+            return Err(RequestError::BadContentLength);
+        }
+        // All digits, so the parse fails only past `usize::MAX`: a body
+        // larger than any cap.
+        content_length = Some(value.parse().unwrap_or(usize::MAX));
+    }
+    let content_length: usize = content_length.unwrap_or(0);
     if content_length > max_body_bytes {
         return Err(RequestError::BodyTooLarge);
     }
 
-    let mut body = buf[head_end + 4..].to_vec();
-    while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) => return Err(RequestError::Malformed),
-            Ok(n) => body.extend_from_slice(&chunk[..n]),
-            Err(_) => return Err(RequestError::Malformed),
+    let mut body = buf.split_off(head_end + 4);
+    if body.len() < content_length {
+        let missing = (content_length - body.len()) as u64;
+        reader
+            .take(missing)
+            .read_to_end(&mut body)
+            .map_err(read_failed)?;
+        if body.len() < content_length {
+            return Err(RequestError::Truncated);
         }
     }
     body.truncate(content_length);
@@ -319,8 +531,8 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
 
 /// Writes one `Connection: close` response. Public so the campaign
 /// service can reuse the exact wire format for its own routes.
-pub fn write_response(
-    stream: &mut TcpStream,
+pub fn write_response<W: Write>(
+    stream: &mut W,
     code: u16,
     content_type: &str,
     body: &str,
@@ -335,6 +547,7 @@ pub fn write_response(
         413 => "Payload Too Large",
         429 => "Too Many Requests",
         500 => "Internal Server Error",
+        503 => "Service Unavailable",
         _ => "Error",
     };
     let head = format!(
@@ -478,6 +691,67 @@ mod tests {
         let (code, body) = post(server.addr(), "/anything", &"x".repeat(65));
         assert_eq!(code, 413);
         assert!(body.contains("exceeds 64 bytes"));
+        server.shutdown();
+    }
+
+    /// Three silent clients and one that trickles a byte every 500 ms
+    /// hold connections open; `/healthz` still answers within 100 ms,
+    /// again and again while they stay.
+    #[test]
+    fn healthz_answers_while_slow_clients_hold_connections() {
+        let server = ObsServer::serve("127.0.0.1:0", None).unwrap();
+        let addr = server.addr();
+        let silent: Vec<TcpStream> = (0..3).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let trickler = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            for byte in b"GET /healthz".iter().take(4) {
+                if stream.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(500));
+            }
+        });
+        for _ in 0..5 {
+            std::thread::sleep(Duration::from_millis(150));
+            let asked = Instant::now();
+            let (code, body) = get(addr, "/healthz");
+            let took = asked.elapsed();
+            assert_eq!((code, body.as_str()), (200, "ok\n"));
+            assert!(took < Duration::from_millis(100), "/healthz took {took:?}");
+        }
+        trickler.join().unwrap();
+        drop(silent);
+        server.shutdown();
+    }
+
+    /// Shutdown cuts a connection still being read instead of waiting
+    /// out its deadline.
+    #[test]
+    fn shutdown_is_prompt_with_a_client_connected() {
+        let server = ObsServer::serve("127.0.0.1:0", None).unwrap();
+        let mut client = TcpStream::connect(server.addr()).unwrap();
+        client.write_all(b"GET /heal").unwrap();
+        // Time for a handler to take the connection and block reading it.
+        std::thread::sleep(Duration::from_millis(100));
+        let asked = Instant::now();
+        server.shutdown();
+        let took = asked.elapsed();
+        assert!(took < Duration::from_millis(100), "shutdown took {took:?}");
+    }
+
+    /// Past every handler and the whole queue, a connection is told 503
+    /// at once rather than left waiting.
+    #[test]
+    fn full_queue_answers_503() {
+        let server = ObsServer::serve("127.0.0.1:0", None).unwrap();
+        let addr = server.addr();
+        let held: Vec<TcpStream> = (0..HANDLER_THREADS + QUEUE_DEPTH)
+            .map(|_| TcpStream::connect(addr).unwrap())
+            .collect();
+        // Sends nothing: the answer does not wait for a request.
+        let (code, body) = read_reply(TcpStream::connect(addr).unwrap());
+        assert_eq!((code, body.as_str()), (503, "server busy\n"));
+        drop(held);
         server.shutdown();
     }
 

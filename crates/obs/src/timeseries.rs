@@ -160,14 +160,17 @@ impl Recorder {
         let handle = std::thread::Builder::new()
             .name("obs-recorder".into())
             .spawn(move || {
+                // However short the interval, one sample per 25 ms at most.
+                let interval = interval.max(Duration::from_millis(25));
                 let mut next = Instant::now() + interval;
-                while !stop_flag.load(Ordering::Relaxed) {
-                    // Sleep in short slices so stop stays responsive even
-                    // with multi-second sample intervals.
-                    std::thread::sleep(Duration::from_millis(25));
-                    if Instant::now() >= next {
+                // Parks until the next sample is due; a stop unparks it.
+                while !stop_flag.load(Ordering::SeqCst) {
+                    let left = next.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
                         thread_state.push(sampler.as_ref());
                         next += interval;
+                    } else {
+                        std::thread::park_timeout(left);
                     }
                 }
                 // Final sample so short campaigns always leave a series.
@@ -184,8 +187,9 @@ impl Recorder {
     /// Stops sampling (taking one final sample) and returns the recorded
     /// series.
     pub fn stop_into_series(mut self) -> TimeSeries {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.handle.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
         let ring = self.state.ring.lock();
@@ -198,8 +202,9 @@ impl Recorder {
 
 impl Drop for Recorder {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.handle.take() {
+            handle.thread().unpark();
             let _ = handle.join();
         }
     }

@@ -7,7 +7,7 @@
 //! | GET    | `/campaigns/{id}`          | Status/progress JSON                     |
 //! | GET    | `/campaigns/{id}/results`  | Merged CSV (byte-identical)              |
 //!
-//! Every endpooint records a latency histogram (`serve_submit_seconds`,
+//! Every endpoint records a latency histogram (`serve_submit_seconds`,
 //! `serve_status_seconds`, `serve_results_seconds`) plus request and
 //! rejection counters, so one `/metrics` scrape tells the heavy-traffic
 //! story. All error bodies are JSON with a single `error` key; scenario

@@ -11,7 +11,9 @@
 //! has a version, and crafted inputs (torn journals, frames whose checksum
 //! holds over a bad payload). A decoder passes when it never panics, fails
 //! only with the variants its row allows, and — whenever it accepts
-//! damaged bytes — decodes exactly the intact prefix it reports.
+//! damaged bytes — decodes exactly the intact prefix it reports. The
+//! HTTP request reader, which has no frames to re-encode, gets the attacks
+//! that apply to text in a section of its own at the end.
 
 use std::io::Cursor as IoCursor;
 use std::iter::once;
@@ -28,6 +30,7 @@ use imufit::math::frame::crc16;
 use imufit::telemetry::wire::MAGIC as TELEMETRY_MAGIC;
 use imufit::telemetry::{decode, encode, read_log, write_log, FlightRecorder};
 use imufit::trace::BlackBox;
+use imufit_obs::http::{read_request, Request, RequestError};
 use imufit_obs::snapshot::Snapshot;
 use imufit_obs::spans::SpanLog;
 use imufit_obs::timeseries::TimeSeries;
@@ -782,5 +785,161 @@ fn crafted_inputs_are_typed_or_salvaged() {
                 row.name
             );
         }
+    }
+}
+
+// --- HTTP requests ----------------------------------------------------------
+//
+// The HTTP request reader has no magic, checksum or version, so it has no
+// row in the table above. The attacks that apply to text run against it
+// here: truncation at every offset, single-byte flips, oversized and
+// malformed `Content-Length`, a header flood, and non-UTF-8 bytes. Each
+// must give a typed `RequestError`, never a panic.
+
+const HTTP_SAMPLE: &[u8] =
+    b"POST /campaigns?tenant=alice HTTP/1.1\r\nHost: x\r\nContent-Length: 11\r\n\r\nhello world";
+
+const HTTP_BODY_CAP: usize = 1024;
+
+fn http_from(mut reader: impl std::io::Read) -> Result<Request, RequestError> {
+    catch_unwind(AssertUnwindSafe(|| {
+        read_request(&mut reader, HTTP_BODY_CAP)
+    }))
+    .unwrap_or_else(|_| panic!("http: the request reader panicked"))
+}
+
+fn http(bytes: &[u8]) -> Result<Request, RequestError> {
+    http_from(IoCursor::new(bytes))
+}
+
+/// The sample with its `Content-Length` value replaced by `value`.
+fn http_with_length(value: &str) -> Vec<u8> {
+    let text = std::str::from_utf8(HTTP_SAMPLE).unwrap();
+    text.replace("Content-Length: 11", &format!("Content-Length: {value}"))
+        .into_bytes()
+}
+
+/// A connection that stops delivering bytes: every read times out.
+struct Stalled;
+
+impl std::io::Read for Stalled {
+    fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+        Err(std::io::ErrorKind::TimedOut.into())
+    }
+}
+
+#[test]
+fn http_sample_reads_whole() {
+    let request = http(HTTP_SAMPLE).expect("the sample is a valid request");
+    assert_eq!(request.method, "POST");
+    assert_eq!(request.path, "/campaigns");
+    assert_eq!(request.query, "tenant=alice");
+    assert_eq!(request.body, b"hello world");
+    // Bytes past the declared body belong to no request.
+    let pipelined = [HTTP_SAMPLE, b"GET / HTTP/1.1\r\n\r\n"].concat();
+    assert_eq!(http(&pipelined).unwrap().body, b"hello world");
+}
+
+#[test]
+fn http_truncation_at_every_offset_is_typed() {
+    for cut in 0..HTTP_SAMPLE.len() {
+        assert_eq!(
+            http(&HTTP_SAMPLE[..cut]).err(),
+            Some(RequestError::Truncated),
+            "a cut at {cut}"
+        );
+        let stalled = std::io::Read::chain(&HTTP_SAMPLE[..cut], Stalled);
+        assert_eq!(
+            http_from(stalled).err(),
+            Some(RequestError::TimedOut),
+            "a stall at {cut}"
+        );
+    }
+}
+
+#[test]
+fn http_single_byte_flips_are_typed() {
+    for at in 0..HTTP_SAMPLE.len() {
+        for mask in [0x01, 0x80, 0xFF] {
+            let mut v = HTTP_SAMPLE.to_vec();
+            v[at] ^= mask;
+            // A flip may still leave a valid request; reaching here at all
+            // means the reader returned rather than panicked.
+            let _ = http(&v);
+        }
+    }
+}
+
+#[test]
+fn http_oversized_content_length_is_refused_before_the_body() {
+    for value in ["1025", "4294967296", "99999999999999999999999999"] {
+        assert_eq!(
+            http(&http_with_length(value)).err(),
+            Some(RequestError::BodyTooLarge),
+            "Content-Length: {value}"
+        );
+    }
+    // At the cap the length is accepted, and the short body is truncation.
+    assert_eq!(
+        http(&http_with_length("1024")).err(),
+        Some(RequestError::Truncated)
+    );
+}
+
+#[test]
+fn http_malformed_content_length_is_typed() {
+    for value in ["", "abc", "-1", "+5", "1 1", "0x10", "11, 11"] {
+        assert_eq!(
+            http(&http_with_length(value)).err(),
+            Some(RequestError::BadContentLength),
+            "Content-Length: {value:?}"
+        );
+    }
+    // A second Content-Length is refused even when the two agree.
+    let text = std::str::from_utf8(HTTP_SAMPLE).unwrap();
+    let doubled = text.replace("Host: x\r\n", "Host: x\r\ncontent-length: 11\r\n");
+    assert_eq!(
+        http(doubled.as_bytes()).err(),
+        Some(RequestError::BadContentLength)
+    );
+}
+
+#[test]
+fn http_header_flood_is_typed() {
+    let flood = [
+        &b"GET / HTTP/1.1\r\n"[..],
+        &b"X-Flood: y\r\n".repeat(1000),
+        b"\r\n",
+    ]
+    .concat();
+    assert_eq!(http(&flood).err(), Some(RequestError::HeadTooLarge));
+    // A head that never ends is cut off after the cap, not read forever.
+    assert_eq!(
+        http_from(std::io::repeat(b'a')).err(),
+        Some(RequestError::HeadTooLarge)
+    );
+}
+
+#[test]
+fn http_non_utf8_and_garbage_heads_are_typed() {
+    for bad in [b"\xFF".as_slice(), b"\xC3\x28", b"\xE2\x82"] {
+        let in_path = [b"GET /a".as_slice(), bad, b" HTTP/1.1\r\n\r\n"].concat();
+        assert_eq!(http(&in_path).err(), Some(RequestError::NotUtf8), "{bad:?}");
+        let in_header = [b"GET / HTTP/1.1\r\nX: ".as_slice(), bad, b"\r\n\r\n"].concat();
+        assert_eq!(
+            http(&in_header).err(),
+            Some(RequestError::NotUtf8),
+            "{bad:?}"
+        );
+    }
+    // The body is bytes, not text: non-UTF-8 there is the handler's call.
+    let body = b"POST /x HTTP/1.1\r\nContent-Length: 2\r\n\r\n\xFF\xFE";
+    assert_eq!(http(body).unwrap().body, b"\xFF\xFE");
+    for garbage in [&b"\r\n\r\n"[..], b"GET\r\n\r\n", b"  \r\n\r\n"] {
+        assert_eq!(
+            http(garbage).err(),
+            Some(RequestError::Malformed),
+            "{garbage:?}"
+        );
     }
 }
