@@ -170,9 +170,9 @@ pub enum FleetMsg {
         /// unit to the worker; the worker caches it by campaign id.
         spec_toml: Option<String>,
     },
-    /// Pool → worker: nothing to hand out right now, but the
-    /// campaign is still in flight (leased units may yet be re-queued) —
-    /// re-request after a short delay.
+    /// Pool → worker: nothing became available while the pool held the
+    /// `Request` for one heartbeat period, but campaigns may still bring
+    /// work (leased units may yet be re-queued) — re-request at once.
     NoWork,
     /// Pool → worker: no more work will come (the campaign is complete or
     /// the pool is shutting down); disconnect.
