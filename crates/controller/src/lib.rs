@@ -206,11 +206,6 @@ impl FlightController {
         &self.plan
     }
 
-    /// The failsafe state machine phase.
-    pub fn failsafe_phase(&self) -> FailsafePhase {
-        self.detector.phase()
-    }
-
     /// True once failsafe has latched.
     pub fn failsafe_active(&self) -> bool {
         self.detector.failsafe_active()
@@ -243,7 +238,7 @@ impl FlightController {
         self.cascade.level()
     }
 
-    /// Drains the cascade's recorded transitions (for the flight log).
+    /// Drains the cascade's recorded transitions (for the black box).
     pub fn take_cascade_transitions(&mut self) -> Vec<CascadeTransition> {
         self.cascade.take_transitions()
     }

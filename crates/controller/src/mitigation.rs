@@ -170,7 +170,7 @@ impl RecoveryCascade {
         self.degraded
     }
 
-    /// Drains the recorded transitions (for the flight log).
+    /// Drains the recorded transitions (for the black box).
     pub fn take_transitions(&mut self) -> Vec<CascadeTransition> {
         std::mem::take(&mut self.transitions)
     }

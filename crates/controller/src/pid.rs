@@ -102,17 +102,6 @@ impl Pid3 {
         }
     }
 
-    /// Creates per-axis configured controllers.
-    pub fn with_configs(configs: [PidConfig; 3]) -> Self {
-        Pid3 {
-            axes: [
-                Pid::new(configs[0]),
-                Pid::new(configs[1]),
-                Pid::new(configs[2]),
-            ],
-        }
-    }
-
     /// Updates all three axes.
     pub fn update(
         &mut self,

@@ -133,11 +133,6 @@ impl Quadrotor {
         &self.state
     }
 
-    /// Overwrites the rigid-body state (test and scenario setup).
-    pub fn set_state(&mut self, state: RigidBodyState) {
-        self.state = state;
-    }
-
     /// World-frame kinematic acceleration from the most recent step, m/s^2.
     pub fn last_acceleration(&self) -> Vec3 {
         self.last_acceleration

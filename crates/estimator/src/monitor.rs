@@ -21,8 +21,8 @@
 //! ```
 //!
 //! * **Rejecting** — the sensor is suspect; fusion continues (the EKF's own
-//!   gate still filters) but the transition is reported so the flight log
-//!   and black box record when suspicion began.
+//!   gate still filters) but the transition is reported so the black box
+//!   records when suspicion began.
 //! * **Dropped** — consistency is gone; the simulator stops fusing the
 //!   sensor entirely. Dropping GPS means dead-reckoning on inertial + baro;
 //!   if that persists past [`MonitorParams::failsafe_after_s`] the vehicle
@@ -36,7 +36,7 @@
 /// Per-observation ceiling on a ratio's contribution to the windowed mean.
 /// One enormous innovation — a spoof-clear snap-back, a single wild fix —
 /// must not teleport the mean past both thresholds in a single step: the
-/// ladder walks its stages in order, which the flight log and triage
+/// ladder walks its stages in order, which the black box and triage
 /// timeline rely on. Sustained evidence still saturates the mean at this
 /// cap, far above any drop threshold.
 const RATIO_CAP: f64 = 2.0;
@@ -89,7 +89,7 @@ impl MonitorStage {
         }
     }
 
-    /// Human-readable name used in flight logs and triage timelines.
+    /// Human-readable name used in black-box events and triage timelines.
     pub fn label(self) -> &'static str {
         match self {
             MonitorStage::Nominal => "nominal",

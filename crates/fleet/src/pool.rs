@@ -475,16 +475,6 @@ impl WorkerPool {
         state.dispatch_log.clone()
     }
 
-    /// Incomplete campaigns currently charged to `tenant`.
-    pub fn active_for_tenant(&self, tenant: &str) -> usize {
-        let state = self.shared.state.lock().unwrap_or_else(|e| e.into_inner());
-        state
-            .meta
-            .values()
-            .filter(|m| m.state == CampaignState::Running && m.tenant == tenant)
-            .count()
-    }
-
     /// Stops the pool: connected workers get `Done` on their next request
     /// (one waiting for work gets it at once), and this returns once each
     /// of them has heard it (or gone away) and the accept and sweeper

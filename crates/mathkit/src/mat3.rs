@@ -89,35 +89,6 @@ impl Mat3 {
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     }
 
-    /// Matrix inverse, or `None` if the determinant magnitude is below
-    /// `1e-12`.
-    pub fn try_inverse(&self) -> Option<Mat3> {
-        let det = self.determinant();
-        if det.abs() < 1e-12 {
-            return None;
-        }
-        let m = &self.rows;
-        let inv_det = 1.0 / det;
-        // Adjugate / determinant.
-        Some(Mat3::from_rows(
-            [
-                (m[1][1] * m[2][2] - m[1][2] * m[2][1]) * inv_det,
-                (m[0][2] * m[2][1] - m[0][1] * m[2][2]) * inv_det,
-                (m[0][1] * m[1][2] - m[0][2] * m[1][1]) * inv_det,
-            ],
-            [
-                (m[1][2] * m[2][0] - m[1][0] * m[2][2]) * inv_det,
-                (m[0][0] * m[2][2] - m[0][2] * m[2][0]) * inv_det,
-                (m[0][2] * m[1][0] - m[0][0] * m[1][2]) * inv_det,
-            ],
-            [
-                (m[1][0] * m[2][1] - m[1][1] * m[2][0]) * inv_det,
-                (m[0][1] * m[2][0] - m[0][0] * m[2][1]) * inv_det,
-                (m[0][0] * m[1][1] - m[0][1] * m[1][0]) * inv_det,
-            ],
-        ))
-    }
-
     /// Sum of the diagonal elements.
     pub fn trace(&self) -> f64 {
         self.rows[0][0] + self.rows[1][1] + self.rows[2][2]
@@ -216,25 +187,6 @@ mod tests {
         let m = Mat3::from_rows([1.0, 2.0, 3.0], [4.0, 5.0, 6.0], [7.0, 8.0, 9.0]);
         assert_eq!(m.transpose().transpose(), m);
         assert_eq!(m.transpose().at(0, 1), 4.0);
-    }
-
-    #[test]
-    fn inverse_round_trip() {
-        let m = Mat3::from_rows([2.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 3.0, 1.0]);
-        let inv = m.try_inverse().expect("invertible");
-        let prod = m * inv;
-        for r in 0..3 {
-            for c in 0..3 {
-                let expect = if r == c { 1.0 } else { 0.0 };
-                assert!((prod.at(r, c) - expect).abs() < 1e-12, "({r},{c})");
-            }
-        }
-    }
-
-    #[test]
-    fn singular_matrix_has_no_inverse() {
-        let m = Mat3::from_rows([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 0.0]);
-        assert!(m.try_inverse().is_none());
     }
 
     #[test]

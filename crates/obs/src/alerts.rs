@@ -218,11 +218,6 @@ impl AlertBoard {
             .collect();
     }
 
-    /// Number of installed rules.
-    pub fn rule_count(&self) -> usize {
-        self.inner.lock().slots.len()
-    }
-
     /// Number of rules currently firing.
     pub fn firing_count(&self) -> usize {
         self.inner

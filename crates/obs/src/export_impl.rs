@@ -183,7 +183,7 @@ pub fn json() -> String {
     )
 }
 
-#[cfg(test)]
+#[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
     use crate::{counter_labeled, gauge, histogram};

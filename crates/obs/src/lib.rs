@@ -20,9 +20,9 @@
 //!   [`set_runtime_enabled`]) produces byte-identical `campaign_results.csv`
 //!   output to an instrumented run.
 //! * **Near-zero overhead when disabled.** Without the `enabled` feature,
-//!   every handle is a zero-sized struct and every operation an inlined
-//!   empty function; the borrow of an instrumented call site is all that
-//!   remains.
+//!   [`runtime_enabled`] is a compile-time `false`: nothing registers, so
+//!   every handle is detached and never exported, and every record call
+//!   returns at that constant check.
 //!
 //! # Model
 //!
@@ -79,9 +79,8 @@
 //! * [`alerts`] — declarative SLO rules (`[obs.alerts]`) with
 //!   firing/resolved state behind `/alerts`.
 //!
-//! These modules are pure codecs and servers, compiled unconditionally;
-//! only [`snapshot::capture`] touches the registry, and without the
-//! `enabled` feature it returns an empty snapshot.
+//! These modules are pure codecs and servers; only [`snapshot::capture`]
+//! touches the registry, which stays empty without the `enabled` feature.
 
 #![forbid(unsafe_code)]
 
@@ -98,31 +97,17 @@ pub mod spans;
 pub mod status;
 pub mod timeseries;
 
-#[cfg(feature = "enabled")]
 mod export_impl;
-#[cfg(feature = "enabled")]
 mod metrics;
-#[cfg(feature = "enabled")]
 mod span;
 
-#[cfg(feature = "enabled")]
 pub use metrics::{counter, counter_labeled, gauge, histogram, Counter, Gauge, Histogram};
-#[cfg(feature = "enabled")]
 pub use span::{span_depth, span_enter, span_path, timer, timer_with, SpanGuard, Timer};
 
-#[cfg(feature = "enabled")]
 pub mod export {
     //! Registry export: Prometheus text exposition and JSON.
     pub use crate::export_impl::{json, parse_prometheus, prometheus, Sample};
 }
-
-#[cfg(not(feature = "enabled"))]
-mod stub;
-#[cfg(not(feature = "enabled"))]
-pub use stub::{
-    counter, counter_labeled, export, gauge, histogram, span_depth, span_enter, span_path, timer,
-    timer_with, Counter, Gauge, Histogram, SpanGuard, Timer,
-};
 
 /// Fixed bucket boundary sets for [`histogram`] registration.
 pub mod buckets {
@@ -166,4 +151,43 @@ macro_rules! span {
     ($name:expr) => {
         $crate::span_enter($name)
     };
+}
+
+#[cfg(all(test, not(feature = "enabled")))]
+mod tests {
+    /// Without `enabled`, handles never register or record, and both
+    /// exports are the empty documents an obs-off build has always
+    /// written.
+    #[test]
+    fn a_build_without_enabled_records_and_exports_nothing() {
+        let counter = crate::counter_labeled("obs_test_off_total", "kind", "a");
+        counter.add(3);
+        crate::counter("obs_test_off_plain_total").inc();
+        let gauge = crate::gauge("obs_test_off_gauge");
+        gauge.set(2.5);
+        let hist = crate::histogram("obs_test_off_hist", crate::buckets::LATENCY_S);
+        hist.observe(1e-3);
+        let timer = crate::timer("obs_test_off_timer");
+        {
+            let _outer = timer.enter();
+            let _inner = crate::span!("obs_test_off_span");
+            assert_eq!(crate::span_depth(), 0);
+            assert!(crate::span_path().is_empty());
+        }
+        assert!(!crate::runtime_enabled());
+        assert_eq!(counter.get(), 0);
+        assert_eq!(gauge.get(), 0.0);
+        assert_eq!(
+            (hist.count(), hist.sum(), hist.quantile(0.5)),
+            (0, 0.0, None)
+        );
+        assert_eq!(timer.histogram().count(), 0);
+
+        assert!(crate::snapshot::capture().is_empty());
+        assert_eq!(crate::export::prometheus(), "");
+        assert_eq!(
+            crate::export::json(),
+            "{\n\"counters\": [\n\n],\n\"gauges\": [\n\n],\n\"histograms\": [\n\n]\n}\n"
+        );
+    }
 }

@@ -58,13 +58,17 @@ impl Registry {
     /// first registration; `pick` projects the handle out of a matching
     /// entry. A name registered with a *different* kind yields a detached
     /// handle (valid, never exported) instead of panicking — first
-    /// registration wins.
+    /// registration wins. Without the `enabled` feature every handle is
+    /// detached, so the registry stays empty.
     fn get_or_register<T>(
         &self,
         key: MetricKey,
         make: impl FnOnce() -> (Entry, T),
         pick: impl Fn(&Entry) -> Option<T>,
     ) -> T {
+        if !cfg!(feature = "enabled") {
+            return make().1;
+        }
         let shard = self.shard(&key);
         if let Some(entry) = shard.read().get(&key) {
             if let Some(handle) = pick(entry) {
@@ -331,7 +335,7 @@ pub fn histogram(name: &str, bounds: &'static [f64]) -> Histogram {
     )
 }
 
-#[cfg(test)]
+#[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
 

@@ -24,7 +24,7 @@
 //! is write-only with respect to the simulation — it reads clocks and
 //! writes its own histograms, never simulation state or RNG streams.
 //! Without the `enabled` feature the runtime check is a constant `false`
-//! and the histograms are the stub's no-ops, so every seam compiles away.
+//! and the histograms never register, so every seam compiles away.
 
 /// One stage of the tick pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -68,11 +68,6 @@ impl ProgressReporter {
             self.workers
         );
     }
-
-    /// Elapsed wall-clock seconds since the reporter was created.
-    pub fn elapsed_seconds(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
 }
 
 #[cfg(test)]

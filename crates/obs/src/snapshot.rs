@@ -123,9 +123,8 @@ pub struct Snapshot {
     pub metrics: Vec<SnapshotMetric>,
 }
 
-/// Captures the current global registry. Returns an empty snapshot when
-/// the `enabled` feature is off (zero-sized instrumentation builds).
-#[cfg(feature = "enabled")]
+/// Captures the current global registry (empty without the `enabled`
+/// feature, where nothing registers).
 pub fn capture() -> Snapshot {
     use crate::metrics::{Entry, Registry};
     use std::sync::atomic::Ordering;
@@ -155,13 +154,6 @@ pub fn capture() -> Snapshot {
     let mut snap = Snapshot { metrics };
     snap.sort();
     snap
-}
-
-/// Captures the current global registry. Returns an empty snapshot when
-/// the `enabled` feature is off (zero-sized instrumentation builds).
-#[cfg(not(feature = "enabled"))]
-pub fn capture() -> Snapshot {
-    Snapshot::default()
 }
 
 impl Snapshot {

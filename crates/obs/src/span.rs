@@ -103,7 +103,7 @@ impl Drop for SpanGuard {
     }
 }
 
-#[cfg(test)]
+#[cfg(all(test, feature = "enabled"))]
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -75,7 +75,7 @@ pub struct VoterReport {
     pub merged: ImuSample,
     /// Per-instance health.
     pub health: Vec<InstanceHealth>,
-    /// Instances excluded on this tick (events for the flight log).
+    /// Instances excluded on this tick (events for the black box).
     pub newly_excluded: Vec<usize>,
     /// Instances reinstated on this tick.
     pub newly_reinstated: Vec<usize>,
@@ -90,11 +90,6 @@ impl VoterReport {
     /// Number of instances currently trusted.
     pub fn included_count(&self) -> usize {
         self.health.iter().filter(|h| !h.excluded).count()
-    }
-
-    /// True if any instance is currently excluded.
-    pub fn any_excluded(&self) -> bool {
-        self.health.iter().any(|h| h.excluded)
     }
 }
 
@@ -137,11 +132,6 @@ impl ImuVoter {
             trusted: Vec::with_capacity(count),
             medians: Vec::with_capacity(count),
         }
-    }
-
-    /// Creates a voter with default thresholds.
-    pub fn with_defaults(count: usize) -> Self {
-        ImuVoter::new(VoterConfig::default(), count)
     }
 
     /// The configuration.
@@ -312,7 +302,7 @@ mod tests {
 
     #[test]
     fn healthy_bank_passes_primary_through() {
-        let mut voter = ImuVoter::with_defaults(3);
+        let mut voter = ImuVoter::new(VoterConfig::default(), 3);
         let bank = healthy_bank(1.0);
         let report = voter.vote(&bank, 0);
         assert_eq!(report.merged, bank[0]);
@@ -324,7 +314,7 @@ mod tests {
 
     #[test]
     fn persistent_outlier_is_excluded() {
-        let mut voter = ImuVoter::with_defaults(3);
+        let mut voter = ImuVoter::new(VoterConfig::default(), 3);
         let mut excluded_at = None;
         for tick in 0..10 {
             let mut bank = healthy_bank(tick as f64 * 0.004);
@@ -345,7 +335,7 @@ mod tests {
     fn gross_outlier_is_excluded_immediately() {
         // A saturated instance (deviation far past threshold * hard_factor)
         // must not poison even one merged sample beyond the tick it appears.
-        let mut voter = ImuVoter::with_defaults(3);
+        let mut voter = ImuVoter::new(VoterConfig::default(), 3);
         let mut bank = healthy_bank(0.0);
         bank[0] = sample(30.0, -9.8, 0.0); // full-scale gyro liar on primary
         let report = voter.vote(&bank, 0);
@@ -357,7 +347,7 @@ mod tests {
 
     #[test]
     fn excluded_primary_triggers_substitute_selection() {
-        let mut voter = ImuVoter::with_defaults(3);
+        let mut voter = ImuVoter::new(VoterConfig::default(), 3);
         for tick in 0..10 {
             let mut bank = healthy_bank(tick as f64 * 0.004);
             bank[0] = sample(0.01, 120.0, bank[0].time); // accel liar on primary
@@ -402,7 +392,7 @@ mod tests {
     fn all_instance_fault_produces_no_exclusions() {
         // Identical corruption on every instance: consensus follows the
         // fault, deviations are tiny, the voter (correctly) does nothing.
-        let mut voter = ImuVoter::with_defaults(3);
+        let mut voter = ImuVoter::new(VoterConfig::default(), 3);
         for tick in 0..50 {
             let t = tick as f64 * 0.004;
             let bank = vec![sample(30.0, 80.0, t); 3];
@@ -414,7 +404,7 @@ mod tests {
 
     #[test]
     fn fewer_than_three_instances_never_exclude() {
-        let mut voter = ImuVoter::with_defaults(2);
+        let mut voter = ImuVoter::new(VoterConfig::default(), 2);
         for tick in 0..50 {
             let t = tick as f64 * 0.004;
             let bank = vec![sample(0.01, -9.8, t), sample(30.0, 50.0, t)];
@@ -426,7 +416,7 @@ mod tests {
 
     #[test]
     fn never_excludes_the_last_trusted_instance() {
-        let mut voter = ImuVoter::with_defaults(3);
+        let mut voter = ImuVoter::new(VoterConfig::default(), 3);
         // Two liars that agree with each other out-vote the honest one:
         // the honest instance is the outlier vs the (corrupted) majority
         // consensus, but the voter must keep at least one instance.
@@ -454,7 +444,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "vote over zero samples")]
     fn empty_bank_panics() {
-        let mut voter = ImuVoter::with_defaults(0);
+        let mut voter = ImuVoter::new(VoterConfig::default(), 0);
         let _ = voter.vote(&[], 0);
     }
 }

@@ -11,19 +11,15 @@
 //!   forward into a core broker like the paper's two-tier deployment.
 //! * [`tracker`] — subscribes to position messages and maintains per-drone
 //!   tracks at the 1 Hz tracking cadence used by the bubble metrics.
-//! * [`recorder`] — an in-memory flight recorder with CSV export, the
-//!   equivalent of the platform's flight logs.
+//! * [`recorder`] — the 1 Hz track recorder with CSV export behind the
+//!   figures and the conflict analysis.
 
 pub mod broker;
-pub mod events;
-pub mod flightlog;
 pub mod recorder;
 pub mod tracker;
 pub mod wire;
 
 pub use broker::{Broker, Subscription};
-pub use events::{FlightEvent, FlightEventKind};
-pub use flightlog::{read_log, write_log, FlightLog};
 pub use recorder::{FlightRecorder, TrackPoint};
 pub use tracker::{Track, Tracker};
 pub use wire::{decode, encode, Message, WireError};

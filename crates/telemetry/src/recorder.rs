@@ -1,8 +1,7 @@
-//! The in-memory flight recorder: the platform's flight-log equivalent.
+//! The in-memory track recorder: one [`TrackPoint`] per tracking interval.
+//! Flight transitions live in the black box (`imufit-trace`), not here.
 
 use imufit_math::Vec3;
-
-use crate::events::FlightEvent;
 
 /// One recorded sample of a flight.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,15 +23,12 @@ pub struct TrackPoint {
     pub failsafe: bool,
 }
 
-/// Records [`TrackPoint`]s at a fixed interval, plus discrete
-/// [`FlightEvent`]s (fault windows, exclusions, mitigation transitions) at
-/// their exact times.
+/// Records [`TrackPoint`]s at a fixed interval.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecorder {
     interval: f64,
     next_time: f64,
     points: Vec<TrackPoint>,
-    events: Vec<FlightEvent>,
 }
 
 impl FlightRecorder {
@@ -48,11 +44,10 @@ impl FlightRecorder {
             interval,
             next_time: 0.0,
             points: Vec::new(),
-            events: Vec::new(),
         }
     }
 
-    /// Clears the log for a new flight, keeping the point/event buffer
+    /// Clears the track for a new flight, keeping the point buffer's
     /// capacity — campaign workers recycle one recorder across hundreds of
     /// runs instead of reallocating it per flight.
     ///
@@ -64,7 +59,6 @@ impl FlightRecorder {
         self.interval = interval;
         self.next_time = 0.0;
         self.points.clear();
-        self.events.clear();
     }
 
     /// Offers a sample; it is stored only when the sampling interval has
@@ -92,17 +86,6 @@ impl FlightRecorder {
     /// True if nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Records a discrete event (not subject to the sampling interval:
-    /// every event matters).
-    pub fn push_event(&mut self, event: FlightEvent) {
-        self.events.push(event);
-    }
-
-    /// The recorded events, in insertion order.
-    pub fn events(&self) -> &[FlightEvent] {
-        &self.events
     }
 
     /// Serializes the track as CSV (header + one row per point) for the
@@ -198,15 +181,8 @@ mod tests {
         for i in 0..1000 {
             rec.offer(pt(i as f64 * 0.004));
         }
-        rec.push_event(FlightEvent {
-            time: 1.0,
-            kind: crate::events::FlightEventKind::FaultInjected,
-            param: 0,
-            detail: "x".to_string(),
-        });
         rec.reset(2.0);
         assert!(rec.is_empty());
-        assert!(rec.events().is_empty());
         // The new interval applies: 4 s at 0.5 Hz -> points at t=0 and t=2.
         for i in 0..1000 {
             rec.offer(pt(i as f64 * 0.004));

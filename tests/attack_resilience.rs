@@ -7,7 +7,7 @@
 use imufit::controller::FailsafeReason;
 use imufit::faults::{AttackKind, AttackSpec, InjectionWindow};
 use imufit::prelude::*;
-use imufit::telemetry::FlightEventKind;
+use imufit::trace::{BlackBox, TraceEvent, TraceEventKind};
 use imufit_math::Vec3;
 use imufit_missions::{DroneSpec, CRUISE_ALTITUDE};
 
@@ -27,35 +27,46 @@ fn mission() -> Mission {
     }
 }
 
-fn attack_run(kind: AttackKind, monitors: bool, seed: u64) -> FlightResult {
+/// Flies `sim` with its black box armed and returns the summary and the
+/// box's events (none when the flight recorded nothing, or in builds
+/// without the `trace` feature).
+fn fly_traced(mut sim: FlightSimulator) -> (FlightSummary, Vec<TraceEvent>) {
+    let summary = sim.run_summary();
+    let events = sim
+        .take_black_box("attack")
+        .map(|bytes| BlackBox::decode(&bytes).expect("box decodes").events)
+        .unwrap_or_default();
+    (summary, events)
+}
+
+fn attack_run(kind: AttackKind, monitors: bool, seed: u64) -> (FlightSummary, Vec<TraceEvent>) {
     let m = mission();
     let mut config = SimConfig::default_for(&m, seed);
     config.innovation_monitors = monitors;
-    VehicleBuilder::new(&m, config)
+    config.trace.enabled = true;
+    let sim = VehicleBuilder::new(&m, config)
         .with_attacks(vec![AttackSpec::new(
             kind,
             InjectionWindow::new(40.0, 30.0),
         )])
         .build()
-        .expect("valid config")
-        .run()
+        .expect("valid config");
+    fly_traced(sim)
 }
 
-/// Degradation-ladder stages the flight log recorded for one sensor
+/// Degradation-ladder stages the black box recorded for one sensor
 /// (param packs `sensor.id() << 8 | stage.code()`; GPS id is 3).
-fn gps_stages(result: &FlightResult) -> Vec<u32> {
-    result
-        .recorder
-        .events()
+fn gps_stages(events: &[TraceEvent]) -> Vec<u32> {
+    events
         .iter()
-        .filter(|e| e.kind == FlightEventKind::SensorDegradation && (e.param >> 8) == 3)
+        .filter(|e| e.kind == TraceEventKind::SensorDegradation && (e.param >> 8) == 3)
         .map(|e| e.param & 0xff)
         .collect()
 }
 
 #[test]
 fn gps_spoof_ramp_with_monitors_walks_the_ladder_to_failsafe() {
-    let r = attack_run(AttackKind::GpsSpoofRamp, true, 7);
+    let (r, events) = attack_run(AttackKind::GpsSpoofRamp, true, 7);
 
     // The ladder ends in a deliberate, detected failsafe — not a geofence
     // crash from silently trusting the spoofed fixes.
@@ -75,16 +86,18 @@ fn gps_spoof_ramp_with_monitors_walks_the_ladder_to_failsafe() {
     // vehicle, but the ladder ends the flight before impact.
     assert!(!r.outcome.is_crash(), "spoof run crashed: {:?}", r.outcome);
 
-    // The flight log carries the attack edge and the ordered GPS ladder.
-    let events = r.recorder.events();
+    // The black box carries the attack edge and the ordered GPS ladder.
+    if !cfg!(feature = "trace") {
+        return;
+    }
     assert!(
         events
             .iter()
-            .any(|e| e.kind == FlightEventKind::AttackInjected),
-        "missing attack-injected edge"
+            .any(|e| e.kind == TraceEventKind::AttackActivated),
+        "missing attack-activated edge"
     );
     assert_eq!(
-        gps_stages(&r),
+        gps_stages(&events),
         vec![1, 2],
         "GPS must walk Rejecting (1) then Dropped (2), in order"
     );
@@ -92,12 +105,12 @@ fn gps_spoof_ramp_with_monitors_walks_the_ladder_to_failsafe() {
     // Detection is causal: suspicion starts only after the spoof does.
     let attack_t = events
         .iter()
-        .find(|e| e.kind == FlightEventKind::AttackInjected)
+        .find(|e| e.kind == TraceEventKind::AttackActivated)
         .map(|e| e.time)
         .unwrap();
     let first_degradation = events
         .iter()
-        .find(|e| e.kind == FlightEventKind::SensorDegradation)
+        .find(|e| e.kind == TraceEventKind::SensorDegradation)
         .map(|e| e.time)
         .unwrap();
     assert!(
@@ -111,16 +124,17 @@ fn monitors_stay_quiet_on_a_clean_flight() {
     let m = mission();
     let mut config = SimConfig::default_for(&m, 11);
     config.innovation_monitors = true;
-    let r = VehicleBuilder::new(&m, config)
+    config.trace.enabled = true;
+    let sim = VehicleBuilder::new(&m, config)
         .build()
-        .expect("valid config")
-        .run();
+        .expect("valid config");
+    // No box at all, or one without a degradation edge.
+    let (r, events) = fly_traced(sim);
     assert!(r.outcome.is_completed(), "clean flight: {:?}", r.outcome);
     assert!(
-        r.recorder
-            .events()
+        events
             .iter()
-            .all(|e| e.kind != FlightEventKind::SensorDegradation),
+            .all(|e| e.kind != TraceEventKind::SensorDegradation),
         "false-positive degradation on a nominal flight"
     );
 }
@@ -129,7 +143,7 @@ fn monitors_stay_quiet_on_a_clean_flight() {
 fn every_attack_kind_reaches_a_terminal_classification() {
     for kind in AttackKind::all() {
         for monitors in [false, true] {
-            let r = attack_run(kind, monitors, 31);
+            let (r, _) = attack_run(kind, monitors, 31);
             let label = r.outcome.label();
             assert!(
                 ["completed", "crash", "failsafe", "timeout"].contains(&label),

@@ -28,7 +28,7 @@ use imufit::fleet::protocol::{MAGIC as FLEET_MAGIC, PROTOCOL_VERSION};
 use imufit::fleet::{decode_msg, encode_msg, read_msg, Checkpoint, CheckpointWriter};
 use imufit::math::frame::crc16;
 use imufit::telemetry::wire::MAGIC as TELEMETRY_MAGIC;
-use imufit::telemetry::{decode, encode, read_log, write_log, FlightRecorder};
+use imufit::telemetry::{decode, encode};
 use imufit::trace::BlackBox;
 use imufit_obs::http::{read_request, Request, RequestError};
 use imufit_obs::snapshot::Snapshot;
@@ -160,16 +160,6 @@ fn black_box_sealed(bytes: &[u8], meta: usize) -> Vec<Range<usize>> {
     sealed
 }
 
-/// Flight logs: counted track records after the header, then (version 2)
-/// counted event records; each CRC covers its payload.
-fn flight_log_sealed(bytes: &[u8], meta: usize) -> Vec<Range<usize>> {
-    let (mut sealed, end) = counted_frames(bytes, 11 + meta, 2);
-    if bytes[4] == 2 {
-        sealed.extend(counted_frames(bytes, end, 2).0);
-    }
-    sealed
-}
-
 /// `.ifms` frames are `[offset u64][len u32][payload][crc16]`, the CRC over
 /// all of it: the offset and the body are sealed.
 fn series_sealed(bytes: &[u8]) -> Vec<Range<usize>> {
@@ -271,25 +261,6 @@ fn fleet_stream(b: &[u8]) -> Result<(Vec<u8>, usize), String> {
         .map_err(err)
 }
 
-/// Re-encodes a flight log in the version it was read as (a version-1
-/// log is the current layout minus the events section).
-fn flight_log(b: &[u8]) -> Result<(Vec<u8>, usize), String> {
-    let log = read_log(Bytes::from(b.to_vec())).map_err(err)?;
-    let mut recorder = FlightRecorder::new(1e-9);
-    for p in &log.points {
-        recorder.offer(*p);
-    }
-    for e in &log.events {
-        recorder.push_event(e.clone());
-    }
-    let mut out = write_log(log.drone_id, &log.metadata, &recorder).to_vec();
-    if b[4] == 1 {
-        out[4] = 1;
-        out.truncate(out.len() - 4);
-    }
-    Ok(whole(out, b))
-}
-
 fn telemetry(b: &[u8]) -> Result<(Vec<u8>, usize), String> {
     decode(Bytes::from(b.to_vec()))
         .map(|m| {
@@ -351,10 +322,6 @@ fn sealed(mut frame: Vec<u8>) -> Vec<u8> {
 fn codecs() -> Vec<Codec> {
     let bb = fixture("box.ifbb");
     let meta = u16::from_le_bytes([bb[9], bb[10]]) as usize;
-    let log_v2 = fixture("flight_v2.iflt");
-    let log_meta = u16::from_le_bytes([log_v2[9], log_v2[10]]) as usize;
-    let log_v1 = fixture("flight_v1.iflt");
-    let log_v1_meta = u16::from_le_bytes([log_v1[9], log_v1[10]]) as usize;
     let snap = fixture("snapshot.bin");
     let series = fixture("metrics.ifms");
     let skew = "UnknownVersion(238)";
@@ -372,8 +339,6 @@ fn codecs() -> Vec<Codec> {
     let first_entry = ckpt_ends[0];
 
     let bb_sealed = black_box_sealed(&bb, meta);
-    let log_sealed = flight_log_sealed(&log_v2, log_meta);
-    let log_v1_sealed = flight_log_sealed(&log_v1, log_v1_meta);
 
     let mut rows = vec![
         Codec {
@@ -483,56 +448,6 @@ fn codecs() -> Vec<Codec> {
             version: bare_version(4, skew),
             crafted: vec![(fixture("fleet_torn.ckpt"), Ok(ckpt.len()))],
             sample: ckpt,
-        },
-        Codec {
-            name: "flight log v2".into(),
-            boundaries: vec![log_v2.len()],
-            sample: log_v2,
-            decode: flight_log,
-            accepts: Accepts::Exact,
-            magic: 4,
-            cut_errors: &["Truncated"],
-            flip_errors: &[
-                "BadChecksum",
-                "Malformed",
-                "Truncated",
-                "UnknownMessage",
-                "UnknownVersion",
-            ],
-            flip_may_decode: true,
-            sealed: log_sealed,
-            lengths: vec![
-                (9, 2, Err("Truncated")),
-                (11 + log_meta, 4, Err("BadChecksum")),
-                (15 + log_meta, 2, Err("Truncated")),
-            ],
-            version: bare_version(4, "UnknownVersion(238)"),
-            crafted: vec![],
-        },
-        Codec {
-            name: "flight log v1".into(),
-            boundaries: vec![log_v1.len()],
-            sample: log_v1,
-            decode: flight_log,
-            accepts: Accepts::Exact,
-            magic: 4,
-            cut_errors: &["Truncated"],
-            flip_errors: &[
-                "BadChecksum",
-                "Malformed",
-                "Truncated",
-                "UnknownMessage",
-                "UnknownVersion",
-            ],
-            flip_may_decode: true,
-            sealed: log_v1_sealed,
-            lengths: vec![
-                (9, 2, Err("Truncated")),
-                (11 + log_v1_meta, 4, Err("Truncated")),
-                (15 + log_v1_meta, 2, Err("Truncated")),
-            ],
-            version: bare_version(4, "UnknownVersion(238)"),
-            crafted: vec![],
         },
     ];
 

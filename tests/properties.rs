@@ -180,32 +180,6 @@ proptest! {
         prop_assert_eq!(decoded, msg);
     }
 
-    /// Flight logs round-trip arbitrary track points bit-exactly.
-    #[test]
-    fn flightlog_round_trip(
-        id in 0u32..100,
-        n in 0usize..40,
-        seed in 0u64..1000,
-    ) {
-        use imufit::telemetry::{read_log, write_log, FlightRecorder, TrackPoint};
-        let mut rng = Pcg::seed_from(seed);
-        let mut rec = FlightRecorder::new(1.0);
-        for k in 0..n {
-            rec.offer(TrackPoint {
-                time: k as f64,
-                true_position: Vec3::new(rng.normal() * 100.0, rng.normal() * 100.0, -rng.uniform() * 20.0),
-                est_position: Vec3::new(rng.normal() * 100.0, rng.normal() * 100.0, -rng.uniform() * 20.0),
-                true_velocity: Vec3::new(rng.normal(), rng.normal(), rng.normal()),
-                airspeed: rng.uniform() * 10.0,
-                fault_active: rng.uniform() > 0.5,
-                failsafe: rng.uniform() > 0.8,
-            });
-        }
-        let log = read_log(write_log(id, "prop", &rec)).unwrap();
-        prop_assert_eq!(log.drone_id, id);
-        prop_assert_eq!(log.points.as_slice(), rec.points());
-    }
-
     /// The consensus of identical samples is that sample, and voting always
     /// returns a valid index.
     #[test]

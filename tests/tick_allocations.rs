@@ -12,7 +12,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use imufit::prelude::*;
-use imufit::telemetry::FlightEventKind;
+use imufit::trace::TraceEventKind;
 
 struct CountingAlloc;
 
@@ -60,7 +60,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Flies `sim` to `warm_s`, then flies `ticks` more ticks and returns the
 /// most allocations this thread made in any one of them, leaving out the
-/// once-per-second ticks that append a track point to the flight log and
+/// once-per-second ticks that append a track point to the track and
 /// publish the vehicle's position (bookkeeping, not the 250 Hz path).
 fn max_allocations_per_tick(sim: &mut FlightSimulator, warm_s: f64, ticks: u32) -> u64 {
     while sim.time() < warm_s {
@@ -105,18 +105,32 @@ fn steady_state_ticks_allocate_at_most_once() {
         FaultTarget::Imu,
         InjectionWindow::new(20.0, 60.0),
     );
-    let mut faulted = FlightSimulator::new(mission, vec![fault], config);
+    let mut faulted = FlightSimulator::new(mission, vec![fault], config.clone());
     let worst = max_allocations_per_tick(&mut faulted, 30.0, 2_500);
-    assert!(
-        faulted
-            .recorder()
-            .events()
-            .iter()
-            .any(|e| e.kind == FlightEventKind::InstanceExcluded),
-        "the voter must have excluded the noisy instance"
-    );
     assert!(
         worst <= 1,
         "faulted flight: a tick made {worst} allocations"
     );
+
+    // The counted flight is untraced. Its traced twin flies the same
+    // flight (tracing never feeds back into flight state) to the same
+    // time, and its black box shows the voter excluded the noisy instance.
+    if cfg!(feature = "trace") {
+        let mut config = config;
+        config.trace.enabled = true;
+        let mut twin = FlightSimulator::new(mission, vec![fault], config);
+        while twin.time() < faulted.time() {
+            twin.step();
+        }
+        let bytes = twin
+            .take_black_box("twin")
+            .expect("traced twin seals a box");
+        let events = BlackBox::decode(&bytes).expect("box decodes").events;
+        assert!(
+            events
+                .iter()
+                .any(|e| e.kind == TraceEventKind::VoterExclusion),
+            "the voter must have excluded the noisy instance"
+        );
+    }
 }
