@@ -113,8 +113,10 @@ impl Default for RedundancyStatus {
     }
 }
 
-/// One recorded level change.
-#[derive(Debug, Clone, PartialEq)]
+/// One recorded level change. The cause is kept as plain data; the text
+/// describing it is built by [`CascadeTransition::detail`] only when a
+/// reader asks for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CascadeTransition {
     /// Flight time of the transition, s.
     pub time: f64,
@@ -122,8 +124,34 @@ pub struct CascadeTransition {
     pub from: MitigationLevel,
     /// The level after.
     pub to: MitigationLevel,
-    /// Short cause description, e.g. "voter excluded imu0".
-    pub detail: String,
+    /// The surviving channel an escalation to the degraded fallback picked.
+    pub degraded: DegradedMode,
+    /// Instances the voter was excluding at the transition.
+    pub excluded: usize,
+    /// A de-escalation after the dwell, not an escalation.
+    pub recovered: bool,
+}
+
+impl CascadeTransition {
+    /// Short cause description, e.g. "voter excluding 1 instance(s)".
+    pub fn detail(&self) -> String {
+        if self.recovered {
+            return "recovered".to_string();
+        }
+        match self.to {
+            MitigationLevel::Failsafe => "failsafe latched".to_string(),
+            MitigationLevel::DegradedFallback => match self.degraded {
+                DegradedMode::AccelOnly => "gyro untrusted: accel-only attitude".to_string(),
+                DegradedMode::GyroOnly => "accel untrusted: gyro-only attitude".to_string(),
+                DegradedMode::None => "degraded".to_string(),
+            },
+            MitigationLevel::OutlierExclusion => {
+                format!("voter excluding {} instance(s)", self.excluded)
+            }
+            MitigationLevel::PrimarySwitch => "primary instance switched".to_string(),
+            MitigationLevel::Nominal => String::new(),
+        }
+    }
 }
 
 /// Seconds a lower level must be warranted before the cascade steps down.
@@ -225,20 +253,7 @@ impl RecoveryCascade {
 
         if target > self.level {
             // Escalation is immediate.
-            let detail = match target {
-                MitigationLevel::Failsafe => "failsafe latched".to_string(),
-                MitigationLevel::DegradedFallback => match degraded_target {
-                    DegradedMode::AccelOnly => "gyro untrusted: accel-only attitude".to_string(),
-                    DegradedMode::GyroOnly => "accel untrusted: gyro-only attitude".to_string(),
-                    DegradedMode::None => "degraded".to_string(),
-                },
-                MitigationLevel::OutlierExclusion => {
-                    format!("voter excluding {} instance(s)", status.excluded)
-                }
-                MitigationLevel::PrimarySwitch => "primary instance switched".to_string(),
-                MitigationLevel::Nominal => String::new(),
-            };
-            self.record(t, target, detail);
+            self.record(t, target, degraded_target, status.excluded, false);
             self.below_since = None;
             if target == MitigationLevel::DegradedFallback {
                 self.degraded = degraded_target;
@@ -249,7 +264,7 @@ impl RecoveryCascade {
             if self.level != MitigationLevel::Failsafe {
                 let since = *self.below_since.get_or_insert(t);
                 if t - since >= DEESCALATION_DWELL {
-                    self.record(t, target, "recovered".to_string());
+                    self.record(t, target, degraded_target, status.excluded, true);
                     self.below_since = None;
                     if target < MitigationLevel::DegradedFallback {
                         self.degraded = DegradedMode::None;
@@ -270,7 +285,14 @@ impl RecoveryCascade {
         self.level
     }
 
-    fn record(&mut self, t: f64, to: MitigationLevel, detail: String) {
+    fn record(
+        &mut self,
+        t: f64,
+        to: MitigationLevel,
+        degraded: DegradedMode,
+        excluded: usize,
+        recovered: bool,
+    ) {
         // Level changes are rare edge events; count them per destination
         // stage so the campaign metrics show how often each rung engaged.
         imufit_obs::counter_labeled("cascade_transitions_total", "stage", to.label()).inc();
@@ -278,7 +300,9 @@ impl RecoveryCascade {
             time: t,
             from: self.level,
             to,
-            detail,
+            degraded,
+            excluded,
+            recovered,
         });
         self.level = to;
     }
@@ -322,7 +346,7 @@ mod tests {
         c.update(0.1 + DEESCALATION_DWELL, &status(3, 0), None, false);
         assert_eq!(c.level(), MitigationLevel::Nominal);
         assert_eq!(c.transitions().len(), 2);
-        assert_eq!(c.transitions()[1].detail, "recovered");
+        assert_eq!(c.transitions()[1].detail(), "recovered");
     }
 
     #[test]

@@ -303,23 +303,19 @@ impl Detector for CusumDetector {
     }
 }
 
-/// OR-combination of the full detector family.
+/// OR-combination of the detector family. The members are evaluated in a
+/// fixed order: threshold, stuck, variance, then CUSUM when present.
+#[derive(Debug, Clone)]
 pub struct EnsembleDetector {
-    detectors: Vec<Box<dyn Detector + Send>>,
-    /// Per-member alarm state from the previous observation, for
-    /// rising-edge trip counting (`detector_trips_total{detector=...}`).
-    was_alarming: Vec<bool>,
-}
-
-impl std::fmt::Debug for EnsembleDetector {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EnsembleDetector")
-            .field(
-                "detectors",
-                &self.detectors.iter().map(|d| d.name()).collect::<Vec<_>>(),
-            )
-            .finish()
-    }
+    threshold: ThresholdDetector,
+    stuck: StuckDetector,
+    variance: VarianceDetector,
+    /// Absent from the in-flight subset ([`EnsembleDetector::flight`]).
+    cusum: Option<CusumDetector>,
+    /// Per-member alarm state from the previous observation, in member
+    /// order, for rising-edge trip counting
+    /// (`detector_trips_total{detector=...}`).
+    was_alarming: [bool; 4],
 }
 
 impl EnsembleDetector {
@@ -327,57 +323,58 @@ impl EnsembleDetector {
     /// (hover, offline log analysis); the CUSUM member will false-alarm on
     /// sustained maneuvers — use [`EnsembleDetector::flight`] in the loop.
     pub fn full() -> Self {
-        EnsembleDetector::of(vec![
-            Box::new(ThresholdDetector::px4_defaults()),
-            Box::new(StuckDetector::new(8)),
-            Box::new(VarianceDetector::calibrated()),
-            Box::new(CusumDetector::calibrated()),
-        ])
+        EnsembleDetector {
+            cusum: Some(CusumDetector::calibrated()),
+            ..EnsembleDetector::flight()
+        }
     }
 
     /// The maneuver-robust subset for in-flight use: threshold + stuck +
     /// variance. CUSUM is excluded because legitimate accelerations are
     /// sustained mean shifts by definition.
     pub fn flight() -> Self {
-        EnsembleDetector::of(vec![
-            Box::new(ThresholdDetector::px4_defaults()),
-            Box::new(StuckDetector::new(8)),
-            Box::new(VarianceDetector::calibrated()),
-        ])
-    }
-
-    /// A custom combination.
-    pub fn of(detectors: Vec<Box<dyn Detector + Send>>) -> Self {
-        let was_alarming = vec![false; detectors.len()];
         EnsembleDetector {
-            detectors,
-            was_alarming,
+            threshold: ThresholdDetector::px4_defaults(),
+            stuck: StuckDetector::new(8),
+            variance: VarianceDetector::calibrated(),
+            cusum: None,
+            was_alarming: [false; 4],
         }
     }
+}
+
+/// Feeds one member and counts its alarm's rising edge only, so
+/// per-member trips stay countable events rather than per-tick noise.
+fn observe_member(d: &mut impl Detector, was: &mut bool, sample: &ImuSample, dt: f64) -> bool {
+    let alarm = d.observe(sample, dt);
+    if alarm && !*was {
+        imufit_obs::counter_labeled("detector_trips_total", "detector", d.name()).inc();
+    }
+    *was = alarm;
+    alarm
 }
 
 impl Detector for EnsembleDetector {
     fn observe(&mut self, sample: &ImuSample, dt: f64) -> bool {
         // Evaluate every member (no short-circuit) so their state advances.
-        let mut alarmed = false;
-        for (d, was) in self.detectors.iter_mut().zip(&mut self.was_alarming) {
-            let alarm = d.observe(sample, dt);
-            if alarm && !*was {
-                // Rising edge only, so per-member trips stay countable
-                // events rather than per-tick noise.
-                imufit_obs::counter_labeled("detector_trips_total", "detector", d.name()).inc();
-            }
-            *was = alarm;
-            alarmed |= alarm;
+        let [threshold, stuck, variance, cusum] = &mut self.was_alarming;
+        let mut alarmed = observe_member(&mut self.threshold, threshold, sample, dt);
+        alarmed |= observe_member(&mut self.stuck, stuck, sample, dt);
+        alarmed |= observe_member(&mut self.variance, variance, sample, dt);
+        if let Some(d) = self.cusum.as_mut() {
+            alarmed |= observe_member(d, cusum, sample, dt);
         }
         alarmed
     }
 
     fn reset(&mut self) {
-        for d in &mut self.detectors {
+        self.threshold.reset();
+        self.stuck.reset();
+        self.variance.reset();
+        if let Some(d) = self.cusum.as_mut() {
             d.reset();
         }
-        self.was_alarming.fill(false);
+        self.was_alarming = [false; 4];
     }
 
     fn name(&self) -> &'static str {

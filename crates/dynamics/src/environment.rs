@@ -18,11 +18,6 @@ pub fn pressure_at_altitude(alt_m: f64) -> f64 {
     PRESSURE_SEA_LEVEL * (-alt_m / SCALE_HEIGHT).exp()
 }
 
-/// Inverts [`pressure_at_altitude`].
-pub fn altitude_from_pressure(pressure_pa: f64) -> f64 {
-    -SCALE_HEIGHT * (pressure_pa / PRESSURE_SEA_LEVEL).ln()
-}
-
 /// A stochastic wind model: constant mean wind plus an Ornstein–Uhlenbeck
 /// gust process per axis.
 #[derive(Debug, Clone)]
@@ -104,14 +99,6 @@ impl Default for Environment {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pressure_round_trip() {
-        for alt in [0.0, 10.0, 18.0, 100.0, 500.0] {
-            let p = pressure_at_altitude(alt);
-            assert!((altitude_from_pressure(p) - alt).abs() < 1e-9);
-        }
-    }
 
     #[test]
     fn pressure_decreases_with_altitude() {

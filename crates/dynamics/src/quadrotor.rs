@@ -71,11 +71,6 @@ impl QuadrotorParams {
         (self.mass * GRAVITY / (4.0 * self.rotor_max_thrust)).sqrt()
     }
 
-    /// Thrust-to-weight ratio at full throttle.
-    pub fn thrust_to_weight(&self) -> f64 {
-        4.0 * self.rotor_max_thrust / (self.mass * GRAVITY)
-    }
-
     /// The body inertia tensor.
     pub fn inertia(&self) -> Mat3 {
         Mat3::from_diagonal(self.inertia_diag)
@@ -423,7 +418,6 @@ mod tests {
         let base = QuadrotorParams::default_airframe();
         let heavy = base.clone().with_payload(0.5);
         assert!(heavy.hover_throttle() > base.hover_throttle());
-        assert!(heavy.thrust_to_weight() < base.thrust_to_weight());
     }
 
     #[test]

@@ -40,11 +40,6 @@ impl RigidBodyState {
         -self.position.z
     }
 
-    /// Ground speed (horizontal velocity magnitude) in m/s.
-    pub fn ground_speed(&self) -> f64 {
-        self.velocity.norm_xy()
-    }
-
     /// Tilt angle from level, radians.
     pub fn tilt(&self) -> f64 {
         self.attitude.tilt_angle()
@@ -178,13 +173,11 @@ mod tests {
     }
 
     #[test]
-    fn ground_speed_and_tilt() {
-        let mut s = RigidBodyState {
-            velocity: Vec3::new(3.0, 4.0, -10.0),
+    fn tilt_is_the_angle_from_level() {
+        let s = RigidBodyState {
+            attitude: Quat::from_euler(0.3, 0.0, 0.0),
             ..Default::default()
         };
-        assert_eq!(s.ground_speed(), 5.0);
-        s.attitude = Quat::from_euler(0.3, 0.0, 0.0);
         assert!((s.tilt() - 0.3).abs() < 1e-12);
     }
 }

@@ -6,15 +6,14 @@
 //! bias estimation — roughly the classic Mahony/complementary architecture
 //! hobby autopilots flew before EKFs were affordable.
 //!
-//! Its purpose here is architectural (prove the [`crate::AttitudeEstimator`]
-//! seam carries a genuinely different backend) and scientific (a baseline
+//! Its purpose here is architectural (prove the [`crate::Estimator`] seam
+//! carries a genuinely different backend) and scientific (a baseline
 //! with *no* innovation gating, so fault campaigns can quantify how much of
 //! the EKF's resilience comes from gating and resets).
 
 use imufit_math::{wrap_pi, Quat, Vec3, GRAVITY};
 use imufit_sensors::{BaroSample, GpsSample, ImuSample};
 
-use crate::backend::AttitudeEstimator;
 use crate::health::EstimatorHealth;
 use crate::state::NavState;
 
@@ -119,10 +118,10 @@ impl ComplementaryFilter {
     pub fn params(&self) -> &ComplementaryParams {
         &self.params
     }
-}
 
-impl AttitudeEstimator for ComplementaryFilter {
-    fn initialize(&mut self, position: Vec3, velocity: Vec3, yaw: f64) {
+    /// Resets the filter to a known position/velocity/yaw, clearing the
+    /// travelled distance and health counters.
+    pub fn initialize(&mut self, position: Vec3, velocity: Vec3, yaw: f64) {
         self.nominal = NavState {
             position,
             velocity,
@@ -138,11 +137,14 @@ impl AttitudeEstimator for ComplementaryFilter {
         self.motion_accel = Vec3::ZERO;
     }
 
-    fn is_initialized(&self) -> bool {
+    /// True once [`ComplementaryFilter::initialize`] has been called.
+    pub fn is_initialized(&self) -> bool {
         self.initialized
     }
 
-    fn predict(&mut self, imu: &ImuSample, dt: f64) {
+    /// Strapdown propagation with one IMU sample over `dt` seconds, plus
+    /// the accelerometer tilt correction.
+    pub fn predict(&mut self, imu: &ImuSample, dt: f64) {
         debug_assert!(dt > 0.0, "dt must be positive");
         if !self.initialized {
             return;
@@ -196,7 +198,8 @@ impl AttitudeEstimator for ComplementaryFilter {
         self.health.time_since_aiding += dt;
     }
 
-    fn fuse_gps(&mut self, gps: &GpsSample) {
+    /// Blends a GNSS fix into position and velocity (or snaps to it).
+    pub fn fuse_gps(&mut self, gps: &GpsSample) {
         if !self.initialized {
             return;
         }
@@ -234,7 +237,8 @@ impl AttitudeEstimator for ComplementaryFilter {
         self.health.time_since_aiding = 0.0;
     }
 
-    fn fuse_baro(&mut self, baro: &BaroSample) {
+    /// Blends a barometric height into the vertical position.
+    pub fn fuse_baro(&mut self, baro: &BaroSample) {
         if !self.initialized || !baro.altitude.is_finite() {
             return;
         }
@@ -245,7 +249,8 @@ impl AttitudeEstimator for ComplementaryFilter {
         self.last_position.z = self.nominal.position.z;
     }
 
-    fn fuse_yaw(&mut self, measured_yaw: f64) {
+    /// Blends a compass yaw measurement, radians, into the heading.
+    pub fn fuse_yaw(&mut self, measured_yaw: f64) {
         if !self.initialized || !measured_yaw.is_finite() {
             return;
         }
@@ -256,20 +261,19 @@ impl AttitudeEstimator for ComplementaryFilter {
         .normalize();
     }
 
-    fn state(&self) -> &NavState {
+    /// The current nominal state estimate.
+    pub fn state(&self) -> &NavState {
         &self.nominal
     }
 
-    fn health(&self) -> EstimatorHealth {
+    /// Innovation test ratios against the fixed gates.
+    pub fn health(&self) -> EstimatorHealth {
         self.health
     }
 
-    fn distance_traveled(&self) -> f64 {
+    /// Total distance flown along the estimated position, meters.
+    pub fn distance_traveled(&self) -> f64 {
         self.distance_traveled
-    }
-
-    fn label(&self) -> &'static str {
-        "complementary"
     }
 }
 

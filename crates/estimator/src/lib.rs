@@ -40,7 +40,7 @@ pub mod health;
 pub mod monitor;
 pub mod state;
 
-pub use backend::{AttitudeEstimator, BoxedEstimator};
+pub use backend::Estimator;
 pub use complementary::{ComplementaryFilter, ComplementaryParams};
 pub use ekf::{Ekf, EkfParams};
 pub use health::EstimatorHealth;

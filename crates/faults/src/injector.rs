@@ -228,14 +228,6 @@ impl FaultInjector {
         self.faults.iter().any(|f| f.spec.window.contains(t))
     }
 
-    /// True if any fault is active at time `t` **and** corrupts instance
-    /// `index` of a bank with `count` instances.
-    pub fn instance_active(&self, t: f64, index: usize) -> bool {
-        self.faults
-            .iter()
-            .any(|f| f.spec.window.contains(t) && f.spec.scope.affects(index))
-    }
-
     /// Processes one *merged* sample: returns the (possibly corrupted)
     /// sample the flight stack should see. `sample.time` drives window
     /// activation.
@@ -626,8 +618,6 @@ mod tests {
         assert_eq!(samples[1].accel, Vec3::ZERO);
         assert_eq!(samples[1].gyro, Vec3::ZERO);
         assert_eq!(samples[2], pristine[2]);
-        assert!(inj.instance_active(12.0, 1));
-        assert!(!inj.instance_active(12.0, 0));
     }
 
     #[test]

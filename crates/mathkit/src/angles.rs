@@ -50,12 +50,6 @@ pub fn deg_to_rad(deg: f64) -> f64 {
     deg.to_radians()
 }
 
-/// Radians to degrees.
-#[inline]
-pub fn rad_to_deg(rad: f64) -> f64 {
-    rad.to_degrees()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -102,6 +96,5 @@ mod tests {
     #[test]
     fn conversions() {
         assert!((deg_to_rad(180.0) - PI).abs() < 1e-15);
-        assert!((rad_to_deg(PI) - 180.0).abs() < 1e-12);
     }
 }

@@ -5,13 +5,10 @@
 //! scheduling, each experiment derives its own independent seed from the
 //! campaign master seed and a list of identifiers (mission id, fault kind,
 //! duration index, ...) via a SplitMix64-based mixer. The derived seed then
-//! feeds a self-contained xoshiro-style generator implemented here (so the
-//! streams are stable across `rand` crate upgrades), exposed through the
-//! `rand::RngCore` trait for interoperability.
+//! feeds a self-contained xoshiro-style generator implemented here, so the
+//! streams depend on no outside crate.
 
 use std::sync::LazyLock;
-
-use rand::RngCore;
 
 /// SplitMix64 step: advances the state and returns the next mixed value.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -89,17 +86,13 @@ static ZIGGURAT: LazyLock<Ziggurat> = LazyLock::new(Ziggurat::build);
 
 /// A small, fast, deterministic PRNG (xoshiro256++) with a stable stream.
 ///
-/// Implements [`rand::RngCore`] so it can be used with the `rand`
-/// distribution adapters.
-///
 /// # Example
 ///
 /// ```
 /// use imufit_math::rng::Pcg;
-/// use rand::Rng;
 ///
 /// let mut rng = Pcg::seed_from(7);
-/// let x: f64 = rng.gen_range(0.0..1.0);
+/// let x = rng.uniform_range(0.0, 1.0);
 /// assert!((0.0..1.0).contains(&x));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -136,8 +129,9 @@ impl Pcg {
         Pcg::seed_from(derive_seed(master, path))
     }
 
+    /// The next raw 64-bit draw; every other sample is built from these.
     #[inline]
-    fn next(&mut self) -> u64 {
+    pub fn next_u64(&mut self) -> u64 {
         let result = (self.s[0].wrapping_add(self.s[3]))
             .rotate_left(23)
             .wrapping_add(self.s[0]);
@@ -154,7 +148,7 @@ impl Pcg {
     /// A uniform sample in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn uniform(&mut self) -> f64 {
-        (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A uniform sample in `[lo, hi)`.
@@ -178,7 +172,7 @@ impl Pcg {
     pub fn normal(&mut self) -> f64 {
         let zig = &*ZIGGURAT;
         loop {
-            let bits = self.next();
+            let bits = self.next_u64();
             let i = (bits & 0xff) as usize;
             // Signed uniform in [-1, 1), exact in 52 bits.
             let u = (bits >> 12) as f64 * (2.0 / (1u64 << 52) as f64) - 1.0;
@@ -214,34 +208,12 @@ impl Pcg {
     /// A uniform sample in `(0, 1)`: never 0, so its logarithm is finite.
     #[inline]
     fn uniform_open(&mut self) -> f64 {
-        ((self.next() >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64)
+        ((self.next_u64() >> 11) as f64 + 0.5) * (1.0 / (1u64 << 53) as f64)
     }
 
     /// A normal sample with the given mean and standard deviation.
     pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
         mean + std_dev * self.normal()
-    }
-}
-
-impl RngCore for Pcg {
-    fn next_u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.next()
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        for chunk in dest.chunks_mut(8) {
-            let bytes = self.next().to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
     }
 }
 
@@ -489,23 +461,5 @@ mod tests {
         let mut c1b = parent.derive(&[1]);
         assert_eq!(c1.next_u64(), c1b.next_u64());
         assert_ne!(c1.next_u64(), c2.next_u64());
-    }
-
-    #[test]
-    fn fill_bytes_covers_partial_chunks() {
-        let mut rng = Pcg::seed_from(5);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn works_with_rand_adapters() {
-        use rand::Rng;
-        let mut rng = Pcg::seed_from(3);
-        let v: f64 = rng.gen_range(-5.0..5.0);
-        assert!((-5.0..5.0).contains(&v));
-        let i: u32 = rng.gen_range(0..10);
-        assert!(i < 10);
     }
 }

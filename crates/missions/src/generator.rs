@@ -7,8 +7,6 @@
 //! speed so every nominal flight lasts roughly the gold-run mean, and an
 //! optional turning point placed so the 90 s injection window can cover it.
 
-use rand::RngCore;
-
 use imufit_math::rng::Pcg;
 use imufit_math::Vec3;
 

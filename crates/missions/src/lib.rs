@@ -27,7 +27,7 @@
 pub mod generator;
 
 use imufit_controller::{FlightPlan, Waypoint};
-use imufit_math::{GeoPoint, LocalFrame, Vec3};
+use imufit_math::{GeoPoint, Vec3};
 
 /// Number of missions in the study.
 pub const FLEET_SIZE: usize = 10;
@@ -109,16 +109,6 @@ impl Mission {
             self.waypoints.iter().map(|&p| Waypoint::new(p)).collect(),
             self.drone.cruise_speed(),
         )
-    }
-
-    /// The local frame all missions share.
-    pub fn local_frame() -> LocalFrame {
-        LocalFrame::new(AREA_ORIGIN)
-    }
-
-    /// The home position as a geodetic point.
-    pub fn home_geo(&self) -> GeoPoint {
-        Self::local_frame().to_geo(self.home)
     }
 }
 
@@ -317,13 +307,5 @@ mod tests {
         let fast = &missions[9].drone;
         assert!(fast.max_tracking_distance(1.0) > slow.max_tracking_distance(1.0));
         assert!((fast.max_tracking_distance(1.0) - 25.0 / 3.6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn home_geo_is_near_valencia() {
-        let m = &all_missions()[0];
-        let geo = m.home_geo();
-        assert!((geo.lat_deg - AREA_ORIGIN.lat_deg).abs() < 0.05);
-        assert!((geo.lon_deg - AREA_ORIGIN.lon_deg).abs() < 0.05);
     }
 }

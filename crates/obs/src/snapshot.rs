@@ -533,11 +533,6 @@ impl Aggregate {
         }
         out
     }
-
-    /// Number of workers that have reported at least once.
-    pub fn worker_count(&self) -> usize {
-        self.slots.lock().len()
-    }
 }
 
 /// Appends a `u16`-length-prefixed string (shared with the `.ifsp` codec;
@@ -665,7 +660,6 @@ mod tests {
         // Re-storing replaces, never double-counts.
         agg.store("1", sample().with_label("worker", "1"));
         let merged = agg.merged();
-        assert_eq!(agg.worker_count(), 2);
         assert_eq!(merged.counter_total("campaign_runs_total"), 84);
         let text = merged.to_prometheus();
         assert!(text.contains("worker=\"1\""));

@@ -182,18 +182,6 @@ impl RedundantImu {
         );
     }
 
-    /// Convenience: samples all instances and returns only the primary's
-    /// sample.
-    pub fn sample_primary(
-        &mut self,
-        true_specific_force: Vec3,
-        true_rate: Vec3,
-        dt: f64,
-        rng: &mut Pcg,
-    ) -> ImuSample {
-        self.sample_all(true_specific_force, true_rate, dt, rng)[self.primary]
-    }
-
     /// The shared specification.
     pub fn spec(&self) -> &ImuSpec {
         self.instances[0].spec()
@@ -376,19 +364,5 @@ mod tests {
     #[should_panic(expected = "consensus of zero samples")]
     fn consensus_empty_panics() {
         let _ = consensus(&[]);
-    }
-
-    #[test]
-    fn sample_primary_matches_selected_instance() {
-        let mut rng = Pcg::seed_from(9);
-        let mut bank_a = RedundantImu::new(ImuSpec::default(), 3, &mut rng);
-        let mut rng2 = Pcg::seed_from(9);
-        let mut bank_b = RedundantImu::new(ImuSpec::default(), 3, &mut rng2);
-        bank_b.switch_primary(1);
-        let mut na = Pcg::seed_from(10);
-        let mut nb = Pcg::seed_from(10);
-        let all = bank_a.sample_all(Vec3::ZERO, Vec3::ZERO, 0.004, &mut na);
-        let primary = bank_b.sample_primary(Vec3::ZERO, Vec3::ZERO, 0.004, &mut nb);
-        assert_eq!(primary, all[1]);
     }
 }

@@ -2,7 +2,9 @@
 //!
 //! The paper's testbed (Fig. 1) includes "a tracking system comprising a
 //! tracker, core brokers, and edge brokers" that samples every drone's
-//! position for U-space evaluation. This crate provides that substrate:
+//! position for U-space evaluation. This crate provides that substrate.
+//! The simulator uses only the recorder; the codec, brokers and tracker
+//! remain for the benchmark's tick replica (DESIGN §9):
 //!
 //! * [`wire`] — a compact MAVLink-style binary codec for telemetry messages
 //!   (built on [`bytes`]).

@@ -98,13 +98,6 @@ impl Tracker {
         self.tracks.get(&drone_id)
     }
 
-    /// Ids of all drones seen so far.
-    pub fn drone_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.tracks.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// Count of undecodable messages received.
     pub fn decode_errors(&self) -> usize {
         self.decode_errors
@@ -135,7 +128,6 @@ mod tests {
         publish_fix(&core, 1, 1.0, 3.0);
         publish_fix(&core, 2, 0.5, 10.0);
         assert_eq!(tracker.pump(), 3);
-        assert_eq!(tracker.drone_ids(), vec![1, 2]);
         assert_eq!(tracker.track(1).unwrap().len(), 2);
         assert_eq!(tracker.track(2).unwrap().latest().unwrap().position.x, 10.0);
         assert!(tracker.track(3).is_none());

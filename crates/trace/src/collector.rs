@@ -18,7 +18,7 @@ const MAX_SEGMENTS: usize = 64;
 
 /// A capture window in flight: the pre-window has been frozen out of the
 /// ring and post-trigger records are still being appended.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Capture {
     trigger: TraceTrigger,
     trigger_event_id: u32,
@@ -28,7 +28,7 @@ struct Capture {
 
 /// Per-run trace collector: full-rate ring, causal event stream, and
 /// anomaly-triggered capture.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TraceCollector {
     armed: bool,
     settings: TraceSettings,

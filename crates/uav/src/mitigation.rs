@@ -13,7 +13,7 @@ use imufit_detect::{Detector, EnsembleDetector};
 use imufit_sensors::ImuSample;
 
 /// Detection-and-response stage between estimation and control.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MitigationStage {
     detector: Option<EnsembleDetector>,
     /// A persisted alarm asks for the failsafe (fast detection is on).

@@ -55,11 +55,6 @@ impl FlightOutcome {
         )
     }
 
-    /// True when the simulation aborted (panicked) rather than flew.
-    pub fn is_aborted(&self) -> bool {
-        matches!(self, FlightOutcome::Aborted)
-    }
-
     /// Short label for reports.
     pub fn label(&self) -> &'static str {
         match self {
@@ -75,7 +70,7 @@ impl FlightOutcome {
 /// The scalar metrics of one flight — everything the campaign tables need,
 /// without the recorded track. `Copy`, so campaign workers can pull it out
 /// of a recycled vehicle and keep flying the same allocation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlightSummary {
     /// How the flight ended.
     pub outcome: FlightOutcome,
@@ -93,7 +88,7 @@ pub struct FlightSummary {
 }
 
 /// Everything measured from one flight.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlightResult {
     /// How the flight ended.
     pub outcome: FlightOutcome,
@@ -157,7 +152,6 @@ mod tests {
         assert!(FlightOutcome::Timeout.is_failsafe());
         assert!(!FlightOutcome::Timeout.is_crash());
         assert!(!FlightOutcome::Timeout.is_completed());
-        assert!(FlightOutcome::Aborted.is_aborted());
         assert!(!FlightOutcome::Aborted.is_completed());
         assert!(!FlightOutcome::Aborted.is_crash());
         assert!(!FlightOutcome::Aborted.is_failsafe());

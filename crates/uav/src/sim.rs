@@ -2,15 +2,17 @@
 //!
 //! The per-tick pipeline (order is load-bearing for bit-reproducibility):
 //! wind → IMU bank sample → fault injection → consensus vote → estimator
-//! predict/fuse ([`AttitudeEstimator`]) → mitigation stage → controller →
-//! physics → tracking/bubble/telemetry → end conditions.
+//! predict/fuse ([`Estimator`]) → mitigation stage → controller → physics
+//! → tracking/bubble → end conditions.
+//!
+//! [`FlightSimulator`] is a plain owned value: cloning one mid-flight gives
+//! a vehicle that flies on exactly as the original would, black box
+//! included.
 
 use imufit_bubble::{BubbleTracker, InnerBubbleSpec, Route};
 use imufit_controller::{ControllerParams, FlightController, RedundancyStatus};
 use imufit_dynamics::{Quadrotor, QuadrotorParams, WindModel};
-use imufit_estimator::{
-    AttitudeEstimator, BoxedEstimator, ComplementaryFilter, DegradationMonitors, Ekf, EkfParams,
-};
+use imufit_estimator::{ComplementaryFilter, DegradationMonitors, Ekf, EkfParams, Estimator};
 use imufit_faults::{
     AttackInjector, AttackSpec, FaultInjector, FaultScope, FaultSpec, FaultTarget, InjectionWindow,
 };
@@ -22,7 +24,7 @@ use imufit_sensors::{
     yaw_from_mag, Barometer, Gps, ImuSample, ImuSpec, ImuVoter, Magnetometer, RedundantImu,
     VoterConfig,
 };
-use imufit_telemetry::{encode, Broker, FlightRecorder, Message, TrackPoint, Tracker};
+use imufit_telemetry::{FlightRecorder, TrackPoint};
 use imufit_trace::record::{
     FLAG_AIRBORNE, FLAG_FAILSAFE, FLAG_FAULT_ACTIVE, FLAG_PRIMARY_EXCLUDED, NO_BUBBLE,
 };
@@ -75,14 +77,15 @@ fn window_labels<S>(
 }
 
 /// Instantiates the estimator backend a config names.
-fn build_estimator(backend: EstimatorBackend) -> BoxedEstimator {
+fn build_estimator(backend: EstimatorBackend) -> Estimator {
     match backend {
-        EstimatorBackend::Ekf => Box::new(Ekf::new(EkfParams::default())),
-        EstimatorBackend::Complementary => Box::new(ComplementaryFilter::default()),
+        EstimatorBackend::Ekf => Estimator::Ekf(Ekf::new(EkfParams::default())),
+        EstimatorBackend::Complementary => Estimator::Complementary(ComplementaryFilter::default()),
     }
 }
 
 /// One vehicle flying one mission, end to end.
+#[derive(Clone)]
 pub struct FlightSimulator {
     config: SimConfig,
     dt: f64,
@@ -99,18 +102,12 @@ pub struct FlightSimulator {
     /// Aiding-sensor attack schedule (GPS spoof, baro drift, ...); a
     /// passthrough when the flight carries no attacks.
     attack_injector: AttackInjector,
-    estimator: BoxedEstimator,
+    estimator: Estimator,
     controller: FlightController,
     wind: WindModel,
 
     bubble: BubbleTracker,
     recorder: FlightRecorder,
-    edge_broker: Broker,
-    /// Kept alive so the bridge's core side stays connected; accessible for
-    /// external subscribers via [`FlightSimulator::core_broker`].
-    core_broker: Broker,
-    tracker: Tracker,
-    bridge: imufit_telemetry::broker::BrokerBridge,
     drone_id: u32,
 
     // Independent RNG streams so component noise is reproducible regardless
@@ -168,10 +165,6 @@ impl FlightSimulator {
         let mut shell_rng = Pcg::seed_from(0);
         let imu_spec = ImuSpec::default();
         let quad_params = QuadrotorParams::default_airframe();
-        let edge_broker = Broker::new();
-        let core_broker = Broker::new();
-        let bridge = edge_broker.bridge(&core_broker, imufit_telemetry::tracker::POSITION_TOPIC);
-        let tracker = Tracker::attach(&core_broker);
         let mut sim = FlightSimulator {
             dt: 1.0 / config.physics_rate,
             time: 0.0,
@@ -205,10 +198,6 @@ impl FlightSimulator {
                 1.0,
             ),
             recorder: FlightRecorder::new(1.0 / config.tracking_rate),
-            edge_broker,
-            core_broker,
-            tracker,
-            bridge,
             drone_id: mission.drone.id,
             rng_imu: shell_rng.derive(&[0]),
             rng_gps: shell_rng.derive(&[0]),
@@ -241,10 +230,10 @@ impl FlightSimulator {
         sim
     }
 
-    /// Re-arms this vehicle for a new flight, recycling the heap-heavy
-    /// parts (the track buffer, the estimator backend) instead of
-    /// rebuilding all state from scratch — campaign workers call this once
-    /// per experiment instead of constructing ~850 vehicles.
+    /// Re-arms this vehicle for a new flight, recycling the track buffer
+    /// and the estimator instead of rebuilding all state from scratch —
+    /// campaign workers call this once per experiment instead of
+    /// constructing ~850 vehicles.
     ///
     /// The resulting state is identical to `FlightSimulator::new(mission,
     /// faults, config)`: every RNG stream, sensor bank and stage is
@@ -290,7 +279,7 @@ impl FlightSimulator {
         self.attack_injector = AttackInjector::passthrough();
 
         // Recycle the estimator when the backend matches; a backend change
-        // (possible when recycling across scenarios) rebuilds the box.
+        // (possible when recycling across scenarios) rebuilds it.
         let backend_matches = self.estimator.label() == config.estimator.label();
         if !backend_matches {
             self.estimator = build_estimator(config.estimator);
@@ -329,12 +318,6 @@ impl FlightSimulator {
         );
 
         self.recorder.reset(1.0 / config.tracking_rate);
-        self.edge_broker = Broker::new();
-        self.core_broker = Broker::new();
-        self.bridge = self
-            .edge_broker
-            .bridge(&self.core_broker, imufit_telemetry::tracker::POSITION_TOPIC);
-        self.tracker = Tracker::attach(&self.core_broker);
         self.drone_id = mission.drone.id;
 
         self.rng_imu = master.derive(&[1]);
@@ -411,8 +394,8 @@ impl FlightSimulator {
     }
 
     /// The estimator backend flying the vehicle.
-    pub fn estimator(&self) -> &dyn AttitudeEstimator {
-        self.estimator.as_ref()
+    pub fn estimator(&self) -> &Estimator {
+        &self.estimator
     }
 
     /// The vehicle ground truth (for inspection in tests).
@@ -423,12 +406,6 @@ impl FlightSimulator {
     /// The 1 Hz track recorded so far.
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder
-    }
-
-    /// The core telemetry broker: subscribe here to observe the vehicle's
-    /// position reports as U-space would.
-    pub fn core_broker(&self) -> &Broker {
-        &self.core_broker
     }
 
     /// Black-box collector counters (all zero when tracing is disabled).
@@ -714,7 +691,7 @@ impl FlightSimulator {
         for tr in self.controller.take_cascade_transitions() {
             let stage = tr.to.code() as u32;
             self.emit(TraceEventKind::CascadeTransition, tr.time, stage, |_| {
-                format!("{} -> {}: {}", tr.from.label(), tr.to.label(), tr.detail)
+                format!("{} -> {}: {}", tr.from.label(), tr.to.label(), tr.detail())
             });
         }
 
@@ -740,7 +717,7 @@ impl FlightSimulator {
         }
         prof.stage(imufit_obs::profile::Stage::Bookkeeping);
 
-        // --- Tracking, bubble, telemetry ---
+        // --- Tracking and bubble ---
         if self.every(self.config.tracking_rate) && self.airborne {
             let obs = self.bubble.observe(s.position, s.velocity.norm());
             self.last_bubble = (obs.deviation, obs.inner_radius, obs.outer_radius);
@@ -781,16 +758,6 @@ impl FlightSimulator {
                 fault_active,
                 failsafe: failsafe_active,
             });
-            let msg = Message::Position {
-                drone_id: self.drone_id,
-                time: self.time,
-                position: nav.position,
-                velocity: nav.velocity,
-            };
-            self.edge_broker
-                .publish(imufit_telemetry::tracker::POSITION_TOPIC, encode(&msg));
-            self.bridge.pump();
-            self.tracker.pump();
         }
 
         // --- Full-rate black-box record ---

@@ -78,6 +78,34 @@ proptest! {
         }
     }
 
+    /// Before its window opens a fault draws nothing: the fault stream
+    /// stays equal to an untouched copy, so every fault scheduled at the
+    /// campaign's injection time leaves the same fault-free prefix.
+    #[test]
+    fn pending_fault_is_drawless(
+        kind in any_kind(),
+        target in any_target(),
+        instances in 1usize..4,
+        duration in 0.1_f64..60.0,
+        seed in 0u64..1000,
+    ) {
+        let mut injector = FaultInjector::new(
+            ImuSpec::default(),
+            vec![FaultSpec::new(kind, target, InjectionWindow::campaign(duration))],
+        );
+        let mut rng = Pcg::seed_from(seed);
+        let untouched = rng.clone();
+        let mut t = 0.0;
+        while t < InjectionWindow::CAMPAIGN_START {
+            let clean = ImuSample { accel: Vec3::new(0.1, 0.0, -9.8), gyro: Vec3::ZERO, time: t };
+            let mut bank = vec![clean; instances];
+            injector.apply_bank(&mut bank, &mut rng);
+            prop_assert!(bank.iter().all(|s| *s == clean), "corrupted at t={}", t);
+            t += 0.25;
+        }
+        prop_assert_eq!(rng, untouched);
+    }
+
     /// The mixer's outputs are valid throttles for arbitrary demands.
     #[test]
     fn mixer_outputs_valid_for_any_demand(

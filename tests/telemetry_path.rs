@@ -1,6 +1,7 @@
-//! Integration test of the tracking substrate: a real flight publishes
-//! position reports through the edge broker → core broker → tracker chain,
-//! and a standalone reconstruction of that chain agrees with the recorder.
+//! Integration test of the tracking substrate: a real flight's recorded
+//! track, replayed through the edge broker → core broker → tracker chain,
+//! arrives whole. The simulator itself no longer publishes to a tracker;
+//! the chain stays for the benchmark's tick replica.
 
 use bytes::Bytes;
 

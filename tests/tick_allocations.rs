@@ -60,8 +60,8 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Flies `sim` to `warm_s`, then flies `ticks` more ticks and returns the
 /// most allocations this thread made in any one of them, leaving out the
-/// once-per-second ticks that append a track point to the track and
-/// publish the vehicle's position (bookkeeping, not the 250 Hz path).
+/// once-per-second ticks, which only append a point to the track
+/// (bookkeeping, not the 250 Hz path).
 fn max_allocations_per_tick(sim: &mut FlightSimulator, warm_s: f64, ticks: u32) -> u64 {
     while sim.time() < warm_s {
         sim.step();
