@@ -207,15 +207,8 @@ fn bench_campaign_run(c: &mut Criterion) {
     config.faults.targets = vec![FaultTarget::Gyrometer];
     let spec = config.matrix()[1];
     assert!(spec.fault.is_some(), "run must exercise the fault path");
-    let mut vehicle = None;
     c.bench_function("campaign/run_experiment", |b| {
-        b.iter(|| {
-            black_box(Campaign::run_experiment_isolated_into(
-                &config,
-                black_box(spec),
-                &mut vehicle,
-            ))
-        })
+        b.iter(|| black_box(Campaign::run_experiment_isolated(&config, black_box(spec))))
     });
 }
 

@@ -67,12 +67,9 @@ pub struct CampaignConfig {
     pub missions: Vec<Mission>,
     /// Worker threads; 0 = one per available core.
     pub threads: usize,
-    /// Redundant IMU instances per vehicle (the paper's platform flies 3).
-    /// Clamped to at least 1 when building simulator configurations.
-    pub imu_redundancy: usize,
-    /// Per-vehicle flight settings (rates, wind, estimator backend,
-    /// mitigation). `imu_redundancy` above wins over the copy in here, so
-    /// existing redundancy-sweep callers keep working unchanged.
+    /// Per-vehicle flight settings (rates, wind, estimator backend, IMU
+    /// redundancy, mitigation). The redundancy is clamped to at least 1
+    /// when building simulator configurations.
     pub flight: FlightSettings,
     /// Fault selection: which kinds/targets of the full matrix to fly, and
     /// whether faults hit all redundant IMU instances.
@@ -98,7 +95,6 @@ impl Default for CampaignConfig {
             injection_start: InjectionWindow::CAMPAIGN_START,
             missions: all_missions(),
             threads: 0,
-            imu_redundancy: 3,
             flight: FlightSettings::default(),
             faults: FaultSettings::default(),
             attacks: AttackSettings::default(),
@@ -134,7 +130,6 @@ impl CampaignConfig {
                 .take(spec.campaign.missions.max(1))
                 .collect(),
             threads: spec.campaign.threads,
-            imu_redundancy: spec.flight.imu_redundancy,
             flight: spec.flight.clone(),
             faults: spec.faults.clone(),
             attacks: spec.attacks.clone(),
@@ -193,7 +188,7 @@ impl CampaignConfig {
             mission,
             seed,
         );
-        sim.imu_redundancy = self.imu_redundancy.max(1);
+        sim.imu_redundancy = sim.imu_redundancy.max(1);
         sim.innovation_monitors = self.attacks.monitors;
         sim.trace = self.trace.clone();
         sim
@@ -263,31 +258,27 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Returns [`CampaignError::UnknownMission`] when the spec's mission
-    /// index is outside the configuration.
+    /// Returns [`CampaignError::UnknownMission`] for an out-of-range mission
+    /// index and [`CampaignError::InvalidConfig`] when the campaign's flight
+    /// settings realize to an unusable simulator configuration.
     pub fn try_run_experiment(
         config: &CampaignConfig,
         spec: ExperimentSpec,
     ) -> Result<ExperimentRecord, CampaignError> {
-        let mut vehicle = None;
-        Self::try_run_experiment_into(config, spec, &mut vehicle)
+        let mut vehicle = Self::build_vehicle(config, spec)?;
+        Ok(Self::record_from_summary(
+            config,
+            spec,
+            &vehicle.run_summary(),
+        ))
     }
 
-    /// Runs one experiment in a recycled vehicle slot: an existing vehicle
-    /// is reset in place (reusing its heap buffers), an empty slot gets a
-    /// fresh build. Campaign workers hold one slot each and fly their whole
-    /// share of the matrix through it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CampaignError::UnknownMission`] for an out-of-range mission
-    /// index and [`CampaignError::InvalidConfig`] when the campaign's flight
-    /// settings realize to an unusable simulator configuration.
-    pub fn try_run_experiment_into(
+    /// Builds the vehicle one experiment flies, from the spec's mission and
+    /// its derived seed.
+    fn build_vehicle(
         config: &CampaignConfig,
         spec: ExperimentSpec,
-        vehicle: &mut Option<FlightSimulator>,
-    ) -> Result<ExperimentRecord, CampaignError> {
+    ) -> Result<FlightSimulator, CampaignError> {
         let mission =
             config
                 .missions
@@ -299,22 +290,16 @@ impl Campaign {
         let seed = spec.derive_seed(config.seed);
         let faults = spec.fault.map(|f| vec![f]).unwrap_or_default();
         let attacks = spec.attack.map(|a| vec![a]).unwrap_or_default();
-        let sim_config = config.sim_config(mission, seed);
-        VehicleBuilder::new(mission, sim_config)
+        VehicleBuilder::new(mission, config.sim_config(mission, seed))
             .with_faults(faults)
             .with_attacks(attacks)
-            .build_into(vehicle)
-            .map_err(|e| CampaignError::InvalidConfig(e.to_string()))?;
-        let summary = vehicle
-            .as_mut()
-            .expect("build_into leaves the slot filled on success")
-            .run_summary();
-        Ok(Self::record_from_summary(config, spec, &summary))
+            .build()
+            .map_err(|e| CampaignError::InvalidConfig(e.to_string()))
     }
 
     /// Assembles the CSV record for one finished experiment from its
     /// flight summary — the back half of
-    /// [`Campaign::try_run_experiment_into`], public for callers that fly
+    /// [`Campaign::try_run_experiment`], public for callers that fly
     /// the vehicle themselves. An aborted summary collapses to the same
     /// zeroed record a panicking run produces.
     pub fn record_from_summary(
@@ -369,39 +354,34 @@ impl Campaign {
         config: &CampaignConfig,
         spec: ExperimentSpec,
     ) -> ExperimentRecord {
-        let mut vehicle = None;
-        Self::run_experiment_isolated_into(config, spec, &mut vehicle)
-    }
-
-    /// [`Campaign::run_experiment_isolated`] over a recycled vehicle slot.
-    /// A panicking experiment drops the slot's vehicle — its state is
-    /// suspect after an unwind — so the next run rebuilds from scratch.
-    pub fn run_experiment_isolated_into(
-        config: &CampaignConfig,
-        spec: ExperimentSpec,
-        vehicle: &mut Option<FlightSimulator>,
-    ) -> ExperimentRecord {
         imufit_obs::counter("campaign_runs_total").inc();
         let run_span = imufit_obs::timer_with("campaign_run", imufit_obs::buckets::RUN_S).enter();
+        // The vehicle lives outside the unwind boundary so a panicking
+        // flight still has a black box to salvage.
+        let mut vehicle = None;
         let record = match catch_unwind(AssertUnwindSafe(|| {
-            Self::try_run_experiment_into(config, spec, vehicle)
+            let vehicle = vehicle.insert(Self::build_vehicle(config, spec)?);
+            Ok::<_, CampaignError>(Self::record_from_summary(
+                config,
+                spec,
+                &vehicle.run_summary(),
+            ))
         })) {
             Ok(Ok(record)) => {
-                Self::persist_black_box(config, &spec, vehicle, record.outcome.label(), false);
+                Self::persist_black_box(config, &spec, &mut vehicle, record.outcome.label(), false);
                 record
             }
             Ok(Err(_)) => Self::aborted_record(config, spec),
             Err(_) => {
                 imufit_obs::counter("campaign_panics_caught_total").inc();
-                // Salvage the black box before the poisoned vehicle is
-                // dropped — the panic marker freezes the last pre-window of
-                // records, which is exactly what a post-mortem wants. The
-                // salvage itself is unwind-isolated: a second panic must not
-                // escape the worker.
+                // Salvage the black box of the panicked vehicle — the panic
+                // marker freezes the last pre-window of records, which is
+                // exactly what a post-mortem wants. The salvage itself is
+                // unwind-isolated: a second panic must not escape the
+                // worker.
                 let _ = catch_unwind(AssertUnwindSafe(|| {
-                    Self::persist_black_box(config, &spec, vehicle, "aborted", true);
+                    Self::persist_black_box(config, &spec, &mut vehicle, "aborted", true);
                 }));
-                *vehicle = None;
                 Self::aborted_record(config, spec)
             }
         };
@@ -616,11 +596,6 @@ impl Campaign {
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 scope.spawn(|| {
-                    // One vehicle per worker, recycled across every
-                    // experiment this worker steals: reset() re-derives all
-                    // flight state from the spec's seed, so recycling is
-                    // bit-identical to fresh construction.
-                    let mut vehicle: Option<FlightSimulator> = None;
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         if i >= total {
@@ -628,11 +603,7 @@ impl Campaign {
                         }
                         // Panic isolation: one diverging experiment becomes
                         // an aborted record, not a dead campaign.
-                        let record = Self::run_experiment_isolated_into(
-                            &self.config,
-                            specs[i],
-                            &mut vehicle,
-                        );
+                        let record = Self::run_experiment_isolated(&self.config, specs[i]);
                         records.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(record);
                         let d = done.fetch_add(1, Ordering::Relaxed) + 1;
                         if let Some(cb) = progress {
@@ -735,13 +706,13 @@ mod tests {
         assert_eq!(from_spec.durations, stock.durations);
         assert_eq!(from_spec.injection_start, stock.injection_start);
         assert_eq!(from_spec.missions.len(), stock.missions.len());
-        assert_eq!(from_spec.imu_redundancy, stock.imu_redundancy);
         assert_eq!(from_spec.matrix().len(), 850);
         // The realized per-flight configs agree, field for field.
         let mission = &stock.missions[0];
         let a = from_spec.sim_config(mission, 42);
         let b = stock.sim_config(mission, 42);
         assert_eq!(a.physics_rate, b.physics_rate);
+        assert_eq!(a.imu_redundancy, b.imu_redundancy);
         assert_eq!(a.max_sim_time, b.max_sim_time);
         assert_eq!(a.estimator, b.estimator);
         assert_eq!(a.fast_detection, b.fast_detection);
@@ -814,26 +785,5 @@ mod tests {
             assert_eq!(count, 0);
         }
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Recycling one vehicle slot across experiments must match the
-    /// slot-per-run path record for record — this is the campaign-level
-    /// guarantee behind the worker-recycling optimisation.
-    #[test]
-    fn recycled_slot_matches_fresh_runs() {
-        let config = CampaignConfig::scaled(1, vec![2.0], 9);
-        let specs = config.matrix();
-        let mut slot = None;
-        for spec in specs.iter().take(4) {
-            let recycled = Campaign::try_run_experiment_into(&config, *spec, &mut slot).unwrap();
-            let fresh = Campaign::try_run_experiment(&config, *spec).unwrap();
-            assert_eq!(recycled.outcome.label(), fresh.outcome.label());
-            assert_eq!(recycled.flight_duration, fresh.flight_duration);
-            assert_eq!(recycled.distance_est, fresh.distance_est);
-            assert_eq!(recycled.distance_true, fresh.distance_true);
-            assert_eq!(recycled.inner_violations, fresh.inner_violations);
-            assert_eq!(recycled.outer_violations, fresh.outer_violations);
-            assert_eq!(recycled.ekf_resets, fresh.ekf_resets);
-        }
     }
 }

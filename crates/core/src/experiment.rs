@@ -67,7 +67,7 @@ impl ExperimentSpec {
     /// seed: every experiment has its own independent random stream, so the
     /// campaign is reproducible under any execution order. Gold and fault
     /// cells derive exactly as they always have; attack cells live in their
-    /// own namespace ([`ATTACK_SEED_TAG`]).
+    /// own namespace (`ATTACK_SEED_TAG`).
     pub fn derive_seed(&self, master: u64) -> u64 {
         match (&self.fault, &self.attack) {
             (Some(f), _) => derive_seed(

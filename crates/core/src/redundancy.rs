@@ -159,7 +159,7 @@ pub fn redundancy_sweep(
                 FaultScope::All
             };
             let mut config = base.clone();
-            config.imu_redundancy = instances.max(1);
+            config.flight.imu_redundancy = instances;
             let specs = scoped_specs(&config, scope);
             let offset = done_before;
             let cell_progress =
@@ -226,8 +226,9 @@ mod tests {
             .iter()
             .filter(|r| r.spec.fault.is_some())
             .collect();
-        let sweep = redundancy_sweep(&base, &[base.imu_redundancy], None);
-        let cell = sweep.cell(base.imu_redundancy, false).expect("all cell");
+        let redundancy = base.flight.imu_redundancy;
+        let sweep = redundancy_sweep(&base, &[redundancy], None);
+        let cell = sweep.cell(redundancy, false).expect("all cell");
         assert_eq!(cell.n, faulty.len());
         assert_eq!(
             cell.completed,

@@ -47,8 +47,7 @@ pub enum Estimator {
 impl Estimator {
     /// Resets the filter to a known position/velocity/yaw (pre-takeoff
     /// alignment). Clears all accumulated state, including
-    /// [`Estimator::distance_traveled`] and health counters, so a recycled
-    /// vehicle starts its next run from scratch.
+    /// [`Estimator::distance_traveled`] and health counters.
     pub fn initialize(&mut self, position: Vec3, velocity: Vec3, yaw: f64) {
         match self {
             Estimator::Ekf(f) => f.initialize(position, velocity, yaw),

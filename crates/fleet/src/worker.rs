@@ -294,7 +294,9 @@ fn serve_session(mut stream: TcpStream, worker_id: u32) -> Result<WorkerExit, Fl
 /// The work loop: request, fly, report, one run at a time, until the
 /// pool says `Done`. Each `Assign` carries a campaign id, the first
 /// assignment from a campaign brings its scenario inline, and results echo
-/// the id so unit indices stay campaign-local.
+/// the id so unit indices stay campaign-local. Every unit flies a vehicle
+/// built from its own mission and seed, so a record never depends on which
+/// units the worker flew before.
 fn work_loop(
     trace_dir: Option<PathBuf>,
     stream: &mut TcpStream,
@@ -304,12 +306,6 @@ fn work_loop(
     // on the first assignment to this connection, so the cache is load-
     // bearing, not an optimisation.
     let mut contexts: HashMap<u32, CampaignConfig> = HashMap::new();
-    // Vehicle slot recycled across units, exactly like the in-process
-    // worker threads in `Campaign::run_specs_with_progress`. Recycling is
-    // safe across campaigns too: `build_into` rebuilds the vehicle from the
-    // unit's own mission/seed every run, so records can never depend on
-    // which campaign flew the slot last.
-    let mut vehicle = None;
     loop {
         {
             let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
@@ -341,7 +337,7 @@ fn work_loop(
                     return Err(FleetError::Io("flaky-unit test hook tripped".into()));
                 }
                 let window = ExecWindow::open();
-                let record = Campaign::run_experiment_isolated_into(config, spec, &mut vehicle);
+                let record = Campaign::run_experiment_isolated(config, spec);
                 let exec = window.close(ticks_for(config, record.flight_duration));
                 let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
                 write_msg(

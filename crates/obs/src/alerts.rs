@@ -35,6 +35,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
+use crate::escape_json;
 use crate::snapshot::{Snapshot, SnapshotValue};
 
 /// Comparison operator of a rule.
@@ -416,10 +417,6 @@ fn worker_busy_fraction(snap: &Snapshot, elapsed_s: f64) -> Option<f64> {
         return None;
     }
     Some(busy_ms / denom)
-}
-
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

@@ -100,8 +100,9 @@ fn parse_labels(body: &str) -> Option<Vec<(String, String)>> {
     Some(labels)
 }
 
-/// Escapes a JSON string body.
-fn escape_json(value: &str) -> String {
+/// Escapes a string for embedding in a JSON string literal: quotes,
+/// backslashes and every control character.
+pub fn escape_json(value: &str) -> String {
     let mut out = String::with_capacity(value.len());
     for c in value.chars() {
         match c {

@@ -35,8 +35,8 @@
 //!   quantile estimation ([`histogram`], [`buckets`]).
 //!
 //! Registration returns a cheap cloneable handle backed by atomics; hot
-//! paths register once and then update lock-free. Spans are histograms
-//! plus a thread-local span stack:
+//! paths register once and then update lock-free. Spans are timed
+//! sections recorded into a histogram:
 //!
 //! ```
 //! let timer = imufit_obs::timer("report_render"); // histogram report_render_seconds
@@ -44,11 +44,10 @@
 //!     let _guard = timer.enter();
 //!     // ... measured section ...
 //! } // guard drop records the elapsed wall-clock time
-//! let _g = imufit_obs::span!("one_off_section"); // ad-hoc (name looked up per call)
 //! ```
 //!
-//! The span stack unwinds correctly across `catch_unwind`, so a panicking
-//! campaign run cannot corrupt nesting for the worker that caught it.
+//! Guards drop during unwinding too, so a panicking campaign run still
+//! records its span.
 //!
 //! [`export::prometheus`] renders the whole registry as Prometheus text
 //! exposition and [`export::json`] as a JSON document with p50/p95/p99
@@ -101,8 +100,9 @@ mod export_impl;
 mod metrics;
 mod span;
 
+pub use export_impl::escape_json;
 pub use metrics::{counter, counter_labeled, gauge, histogram, Counter, Gauge, Histogram};
-pub use span::{span_depth, span_enter, span_path, timer, timer_with, SpanGuard, Timer};
+pub use span::{timer, timer_with, SpanGuard, Timer};
 
 pub mod export {
     //! Registry export: Prometheus text exposition and JSON.
@@ -132,7 +132,8 @@ pub mod buckets {
 /// back into simulation results.
 static RUNTIME_ENABLED: AtomicBool = AtomicBool::new(true);
 
-/// Throws (or resets) the runtime kill-switch. See [`RUNTIME_ENABLED`].
+/// Throws (`false`) or resets (`true`) the runtime kill-switch: with it
+/// thrown, every metric record is a no-op. See [`runtime_enabled`].
 pub fn set_runtime_enabled(on: bool) {
     RUNTIME_ENABLED.store(on, Ordering::Relaxed);
 }
@@ -141,16 +142,6 @@ pub fn set_runtime_enabled(on: bool) {
 /// kill-switch not thrown).
 pub fn runtime_enabled() -> bool {
     cfg!(feature = "enabled") && RUNTIME_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Opens an ad-hoc span: shorthand for [`span_enter`]. The returned guard
-/// records wall-clock time into the histogram `<name>_seconds` when
-/// dropped. Hot paths should prefer a cached [`timer`] handle.
-#[macro_export]
-macro_rules! span {
-    ($name:expr) => {
-        $crate::span_enter($name)
-    };
 }
 
 #[cfg(all(test, not(feature = "enabled")))]
@@ -170,9 +161,6 @@ mod tests {
         let timer = crate::timer("obs_test_off_timer");
         {
             let _outer = timer.enter();
-            let _inner = crate::span!("obs_test_off_span");
-            assert_eq!(crate::span_depth(), 0);
-            assert!(crate::span_path().is_empty());
         }
         assert!(!crate::runtime_enabled());
         assert_eq!(counter.get(), 0);

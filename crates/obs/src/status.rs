@@ -13,7 +13,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::runtime_enabled;
+use crate::{escape_json, runtime_enabled};
 
 #[derive(Debug, Default, Clone)]
 struct WorkerStatus {
@@ -151,10 +151,6 @@ impl StatusBoard {
         out.push_str("]\n}\n");
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

@@ -301,17 +301,7 @@ fn emit_json_value(value: &Value, indent: usize, out: &mut String) {
 /// Emits a double-quoted string with the escapes both formats share.
 fn emit_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    out.push_str(&imufit_obs::escape_json(s));
     out.push('"');
 }
 

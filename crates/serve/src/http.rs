@@ -16,6 +16,7 @@
 use std::sync::Arc;
 
 use imufit_fleet::pool::{CampaignState, CampaignStatus, ResultsOutcome, SubmitOutcome};
+use imufit_obs::escape_json;
 use imufit_obs::http::{Handler, Request, Response};
 use imufit_scenario::{SubmissionError, SubmissionRequest};
 
@@ -153,12 +154,6 @@ pub fn status_json(status: &CampaignStatus) -> String {
     )
 }
 
-fn escape_json(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,6 +218,33 @@ mod tests {
         let response = post(&service, "tenant=alice", &body);
         assert_eq!(response.code, 400);
         assert!(response.body.contains("extra"), "body: {}", response.body);
+        service.shutdown();
+    }
+
+    /// A parser message that echoes control characters from the
+    /// submission still makes a 400 body that is valid JSON.
+    #[test]
+    fn control_characters_in_keys_stay_valid_json() {
+        let service = test_service("control", |_| {});
+        for (body, key) in [
+            ("se\ted = 1\n", "se\ted"),
+            ("[camp\u{1}aign]\nseed = 1\n", "camp\u{1}aign"),
+        ] {
+            let response = post(&service, "tenant=alice", body);
+            assert_eq!(response.code, 400);
+            // JSON strings carry no raw control characters.
+            assert!(
+                !response.body.trim_end().chars().any(char::is_control),
+                "raw control character in {:?}",
+                response.body
+            );
+            let doc = imufit_scenario::doc::parse_json(&response.body)
+                .unwrap_or_else(|e| panic!("body {:?} is not JSON: {e}", response.body));
+            let Some(imufit_scenario::Value::Str(message)) = doc.get("error") else {
+                panic!("no error message in {:?}", response.body);
+            };
+            assert!(message.contains(key), "message: {message:?}");
+        }
         service.shutdown();
     }
 

@@ -47,20 +47,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Clears the track for a new flight, keeping the point buffer's
-    /// capacity — campaign workers recycle one recorder across hundreds of
-    /// runs instead of reallocating it per flight.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval` is not positive.
-    pub fn reset(&mut self, interval: f64) {
-        assert!(interval > 0.0, "interval must be positive");
-        self.interval = interval;
-        self.next_time = 0.0;
-        self.points.clear();
-    }
-
     /// Offers a sample; it is stored only when the sampling interval has
     /// elapsed since the previous stored point.
     pub fn offer(&mut self, point: TrackPoint) -> bool {
@@ -141,6 +127,13 @@ mod tests {
         // 4 s of flight at 1 Hz: points at t=0,1,2,3 (within tick rounding).
         assert_eq!(rec.len(), 4);
         assert!(rec.points()[1].time >= 1.0);
+
+        // 4 s at 0.5 Hz: points at t=0 and t=2.
+        let mut rec = FlightRecorder::new(2.0);
+        for i in 0..1000 {
+            rec.offer(pt(i as f64 * 0.004));
+        }
+        assert_eq!(rec.len(), 2);
     }
 
     #[test]
@@ -173,20 +166,5 @@ mod tests {
         let rec = FlightRecorder::new(1.0);
         assert!(rec.is_empty());
         assert_eq!(rec.to_csv().lines().count(), 1);
-    }
-
-    #[test]
-    fn reset_behaves_like_a_fresh_recorder() {
-        let mut rec = FlightRecorder::new(1.0);
-        for i in 0..1000 {
-            rec.offer(pt(i as f64 * 0.004));
-        }
-        rec.reset(2.0);
-        assert!(rec.is_empty());
-        // The new interval applies: 4 s at 0.5 Hz -> points at t=0 and t=2.
-        for i in 0..1000 {
-            rec.offer(pt(i as f64 * 0.004));
-        }
-        assert_eq!(rec.len(), 2);
     }
 }

@@ -68,12 +68,6 @@ impl TraceCollector {
         }
     }
 
-    /// Re-arms the collector for a fresh run (the campaign recycles
-    /// simulator slots).
-    pub fn reset(&mut self, settings: &TraceSettings) {
-        *self = TraceCollector::new(settings);
-    }
-
     /// True when the collector is recording this run. Call sites use this
     /// to skip building records and detail strings entirely; without the
     /// `enabled` feature it is a compile-time `false`, so they compile away.
@@ -201,7 +195,7 @@ impl TraceCollector {
         });
     }
 
-    /// Emits the terminal `RunOutcome` event; idempotent, so recyclers can
+    /// Emits the terminal `RunOutcome` event; idempotent, so callers can
     /// call it defensively.
     pub fn finalize(&mut self, outcome_label: &str, tick: u64, time: f64) {
         if !self.is_armed() || self.finalized {

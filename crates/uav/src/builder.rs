@@ -2,8 +2,8 @@
 //!
 //! [`VehicleBuilder`] is the seam between the declarative layer
 //! (`imufit-scenario`) and the running pipeline ([`FlightSimulator`]): it
-//! validates a spec or config, realizes it against a mission, and builds —
-//! or recycles — a vehicle.
+//! validates a spec or config, realizes it against a mission, and builds a
+//! vehicle.
 
 use std::fmt;
 
@@ -133,7 +133,7 @@ impl<'m> VehicleBuilder<'m> {
         Ok(())
     }
 
-    /// Builds a fresh vehicle.
+    /// Builds the vehicle.
     ///
     /// # Errors
     ///
@@ -144,27 +144,6 @@ impl<'m> VehicleBuilder<'m> {
         let mut sim = FlightSimulator::new(self.mission, self.faults, self.config);
         sim.set_attacks(self.attacks);
         Ok(sim)
-    }
-
-    /// Builds into a recycled vehicle slot: an existing vehicle is
-    /// [`FlightSimulator::reset`] in place (keeping its heap buffers), an
-    /// empty slot gets a fresh build. On success the slot is always
-    /// `Some` and ready to fly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError::Config`] as [`VehicleBuilder::build`] does;
-    /// the slot is left untouched on error.
-    pub fn build_into(self, slot: &mut Option<FlightSimulator>) -> Result<(), BuildError> {
-        Self::validate(&self.config)?;
-        match slot {
-            Some(vehicle) => vehicle.reset(self.mission, self.faults, self.config),
-            None => *slot = Some(FlightSimulator::new(self.mission, self.faults, self.config)),
-        }
-        if let Some(vehicle) = slot {
-            vehicle.set_attacks(self.attacks);
-        }
-        Ok(())
     }
 }
 
@@ -232,26 +211,9 @@ mod tests {
         let mut config = SimConfig::default_for(mission, 1);
         config.max_sim_time = f64::NAN;
         assert!(VehicleBuilder::new(mission, config).build().is_err());
-    }
 
-    #[test]
-    fn build_into_recycles_and_errors_leave_slot_alone() {
-        let missions = all_missions();
-        let mission = &missions[0];
-        let mut slot: Option<FlightSimulator> = None;
-
-        VehicleBuilder::new(mission, SimConfig::default_for(mission, 1))
-            .build_into(&mut slot)
-            .unwrap();
-        assert!(slot.is_some());
-
-        // An invalid config must not clobber the recycled vehicle.
-        let mut bad = SimConfig::default_for(mission, 2);
-        bad.physics_rate = f64::INFINITY;
-        assert!(VehicleBuilder::new(mission, bad)
-            .build_into(&mut slot)
-            .is_err());
-        assert!(slot.is_some());
-        assert_eq!(slot.as_ref().unwrap().config().seed, 1);
+        let mut config = SimConfig::default_for(mission, 2);
+        config.physics_rate = f64::INFINITY;
+        assert!(VehicleBuilder::new(mission, config).build().is_err());
     }
 }

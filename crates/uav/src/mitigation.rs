@@ -33,31 +33,22 @@ impl MitigationStage {
     /// Creates the stage; `enabled = false` yields the paper's
     /// mitigation-free configuration.
     pub fn new(enabled: bool, persist: f64) -> Self {
-        let mut stage = MitigationStage {
-            detector: None,
-            fast_detection: false,
-            edges: false,
+        Self::with_edges(enabled, false, persist)
+    }
+
+    /// Creates the stage with alarm edges for the black box. The ensemble
+    /// runs when either `fast_detection` or `edges` is set; only
+    /// `fast_detection` ever asks for the failsafe.
+    pub fn with_edges(fast_detection: bool, edges: bool, persist: f64) -> Self {
+        MitigationStage {
+            detector: (fast_detection || edges).then(EnsembleDetector::flight),
+            fast_detection,
+            edges,
             alarm_since: None,
             persisted: false,
             edge: None,
             persist,
-        };
-        stage.reconfigure(enabled, false, persist);
-        stage
-    }
-
-    /// Rearms the stage for a new flight with (possibly different)
-    /// settings, discarding all detector state. The ensemble runs when
-    /// either `fast_detection` or `edges` (alarm edges for the black box)
-    /// is set; only `fast_detection` ever asks for the failsafe.
-    pub fn reconfigure(&mut self, fast_detection: bool, edges: bool, persist: f64) {
-        self.detector = (fast_detection || edges).then(EnsembleDetector::flight);
-        self.fast_detection = fast_detection;
-        self.edges = edges;
-        self.alarm_since = None;
-        self.persisted = false;
-        self.edge = None;
-        self.persist = persist;
+        }
     }
 
     /// Feeds one consumed IMU sample; returns true when the failsafe should
@@ -165,8 +156,7 @@ mod tests {
     #[test]
     fn edge_only_stage_reports_the_fast_detection_tick() {
         let mut fast = MitigationStage::new(true, 0.25);
-        let mut edges = MitigationStage::new(false, 0.25);
-        edges.reconfigure(false, true, 0.25);
+        let mut edges = MitigationStage::with_edges(false, true, 0.25);
         let mut rng = Pcg::seed_from(7);
         let mut t = 0.0;
         for _ in 0..2500 {
@@ -202,26 +192,6 @@ mod tests {
         let mut t = 0.0;
         for _ in 0..5000 {
             assert!(!stage.observe(&saturated(t), 0.004, t, false));
-            t += 0.004;
-        }
-    }
-
-    #[test]
-    fn reconfigure_discards_alarm_state() {
-        let mut stage = MitigationStage::new(true, 0.0);
-        let mut rng = Pcg::seed_from(7);
-        let mut t = 0.0;
-        for _ in 0..2500 {
-            stage.observe(&quiet(t, &mut rng), 0.004, t, true);
-            t += 0.004;
-        }
-        while !stage.observe(&saturated(t), 0.004, t, true) {
-            t += 0.004;
-        }
-        stage.reconfigure(true, false, 0.0);
-        // Fresh detector: clean data must not trigger.
-        for _ in 0..100 {
-            assert!(!stage.observe(&quiet(t, &mut rng), 0.004, t, true));
             t += 0.004;
         }
     }

@@ -68,8 +68,8 @@ impl FlightOutcome {
 }
 
 /// The scalar metrics of one flight — everything the campaign tables need,
-/// without the recorded track. `Copy`, so campaign workers can pull it out
-/// of a recycled vehicle and keep flying the same allocation.
+/// without the recorded track. `Copy`, so it outlives the vehicle it came
+/// from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlightSummary {
     /// How the flight ended.

@@ -154,91 +154,9 @@ pub struct FlightSimulator {
 
 impl FlightSimulator {
     /// Builds a simulator for a mission with the given scheduled faults
-    /// (empty for a gold run).
-    ///
-    /// Construction is implemented as [`FlightSimulator::reset`] on a shell
-    /// vehicle, so a freshly built simulator and a recycled one are the
-    /// same code path by construction.
+    /// (empty for a gold run). Every noise stream and sensor bank is
+    /// derived from `config.seed`, so equal inputs fly equal flights.
     pub fn new(mission: &Mission, faults: Vec<FaultSpec>, config: SimConfig) -> Self {
-        // Shell values only: reset() below re-derives every piece of
-        // flight state from the config's seed.
-        let mut shell_rng = Pcg::seed_from(0);
-        let imu_spec = ImuSpec::default();
-        let quad_params = QuadrotorParams::default_airframe();
-        let mut sim = FlightSimulator {
-            dt: 1.0 / config.physics_rate,
-            time: 0.0,
-            tick: 0,
-            quad: Quadrotor::with_state(
-                quad_params,
-                imufit_dynamics::RigidBodyState::at_rest(mission.home),
-            ),
-            imu_bank: RedundantImu::new(imu_spec, 1, &mut shell_rng),
-            voter: ImuVoter::new(VoterConfig::default(), 1),
-            baro: Barometer::try_new(BaroSpec::default(), 16.0)
-                .expect("default baro spec is valid"),
-            gps: Gps::try_new(GpsSpec::default()).expect("default GPS spec is valid"),
-            mag: Magnetometer::try_new(MagSpec::default(), &mut shell_rng)
-                .expect("default mag spec is valid"),
-            injector: FaultInjector::new(imu_spec, Vec::new()),
-            attack_injector: AttackInjector::passthrough(),
-            estimator: build_estimator(config.estimator),
-            controller: FlightController::new(
-                ControllerParams::for_vehicle(1.0, 1.0),
-                mission.plan(),
-            ),
-            wind: config.wind.clone(),
-            bubble: BubbleTracker::new(
-                Route::new(vec![mission.home, mission.home]),
-                InnerBubbleSpec {
-                    dimension: 1.0,
-                    safety_distance: 1.0,
-                    max_tracking_distance: 1.0,
-                },
-                1.0,
-            ),
-            recorder: FlightRecorder::new(1.0 / config.tracking_rate),
-            drone_id: mission.drone.id,
-            rng_imu: shell_rng.derive(&[0]),
-            rng_gps: shell_rng.derive(&[0]),
-            rng_baro: shell_rng.derive(&[0]),
-            rng_compass: shell_rng.derive(&[0]),
-            rng_wind: shell_rng.derive(&[0]),
-            rng_fault: shell_rng.derive(&[0]),
-            rng_attack: shell_rng.derive(&[0]),
-            monitors: None,
-            dead_reckon_since: None,
-            attack_was_active: false,
-            airborne: false,
-            distance_true: 0.0,
-            last_true_position: mission.home,
-            outcome: None,
-            mitigation: MitigationStage::new(false, 0.25),
-            fault_was_active: false,
-            failsafe_was_active: false,
-            tracer: TraceCollector::new(&config.trace),
-            last_bubble: (NO_BUBBLE as f64, NO_BUBBLE as f64, NO_BUBBLE as f64),
-            bubble_inner_was: false,
-            bubble_outer_was: false,
-            trace_clean: Vec::new(),
-            trace_pool: Vec::new(),
-            imu_samples: Vec::new(),
-            config,
-        };
-        let config = sim.config.clone();
-        sim.reset(mission, faults, config);
-        sim
-    }
-
-    /// Re-arms this vehicle for a new flight, recycling the track buffer
-    /// and the estimator instead of rebuilding all state from scratch —
-    /// campaign workers call this once per experiment instead of
-    /// constructing ~850 vehicles.
-    ///
-    /// The resulting state is identical to `FlightSimulator::new(mission,
-    /// faults, config)`: every RNG stream, sensor bank and stage is
-    /// re-derived from `config.seed` exactly as construction does.
-    pub fn reset(&mut self, mission: &Mission, faults: Vec<FaultSpec>, config: SimConfig) {
         let master = Pcg::seed_from(config.seed);
         let mut rng_init = master.derive(&[0]);
 
@@ -261,35 +179,13 @@ impl FlightSimulator {
 
         let quad_params =
             QuadrotorParams::default_airframe().with_payload(mission.drone.payload_kg);
-        let start = imufit_dynamics::RigidBodyState::at_rest(mission.home);
-        self.quad = Quadrotor::with_state(quad_params.clone(), start);
-
-        let imu_spec = ImuSpec::default();
-        let instance_count = config.imu_redundancy.max(1);
-        self.imu_bank = RedundantImu::new(imu_spec, instance_count, &mut rng_init);
-        self.voter = ImuVoter::new(VoterConfig::default(), instance_count);
-        self.baro =
-            Barometer::try_new(BaroSpec::default(), 16.0).expect("default baro spec is valid");
-        self.gps = Gps::try_new(GpsSpec::default()).expect("default GPS spec is valid");
-        self.mag = Magnetometer::try_new(MagSpec::default(), &mut rng_init)
-            .expect("default mag spec is valid");
-        self.injector = FaultInjector::new(imu_spec, faults);
-        // Attack schedules are per-experiment, like faults; a recycled
-        // vehicle starts clean and [`FlightSimulator::set_attacks`] re-arms.
-        self.attack_injector = AttackInjector::passthrough();
-
-        // Recycle the estimator when the backend matches; a backend change
-        // (possible when recycling across scenarios) rebuilds it.
-        let backend_matches = self.estimator.label() == config.estimator.label();
-        if !backend_matches {
-            self.estimator = build_estimator(config.estimator);
-        }
-        self.estimator.initialize(mission.home, Vec3::ZERO, 0.0);
-
-        let plan = mission.plan();
         let controller_params =
             ControllerParams::for_vehicle(quad_params.mass, 4.0 * quad_params.rotor_max_thrust);
-        self.controller = FlightController::new(controller_params, plan);
+        let imu_spec = ImuSpec::default();
+        let instance_count = config.imu_redundancy.max(1);
+
+        let mut estimator = build_estimator(config.estimator);
+        estimator.initialize(mission.home, Vec3::ZERO, 0.0);
 
         // Assigned route for the bubble: climb at home, cruise legs, descend
         // at the final waypoint.
@@ -305,63 +201,86 @@ impl FlightSimulator {
         if let Some(last) = mission.waypoints.last() {
             route_points.push(Vec3::new(last.x, last.y, 0.0));
         }
-        self.bubble = BubbleTracker::new(
-            Route::new(route_points),
-            InnerBubbleSpec {
-                dimension: mission.drone.dimension_m,
-                safety_distance: mission.drone.safety_distance_m,
-                max_tracking_distance: mission
-                    .drone
-                    .max_tracking_distance(1.0 / config.tracking_rate),
-            },
-            config.risk_factor,
-        );
 
-        self.recorder.reset(1.0 / config.tracking_rate);
-        self.drone_id = mission.drone.id;
-
-        self.rng_imu = master.derive(&[1]);
-        self.rng_gps = master.derive(&[2]);
-        self.rng_baro = master.derive(&[3]);
-        self.rng_compass = master.derive(&[4]);
-        self.rng_wind = master.derive(&[5]);
-        self.rng_fault = master.derive(&[6]);
-        // Stream [7] feeds attack-parameter draws. Deriving it is pure (the
-        // other streams are untouched), and with no attacks scheduled it is
-        // never consumed — both properties the golden campaign relies on.
-        self.rng_attack = master.derive(&[7]);
-
-        self.dt = 1.0 / config.physics_rate;
-        self.time = 0.0;
-        self.tick = 0;
-        self.wind = config.wind.clone();
-        self.airborne = false;
-        self.distance_true = 0.0;
-        self.last_true_position = mission.home;
-        self.outcome = None;
-        self.fault_was_active = false;
-        self.failsafe_was_active = false;
-        self.monitors = config
-            .innovation_monitors
-            .then(DegradationMonitors::default);
-        self.dead_reckon_since = None;
-        self.attack_was_active = false;
-        self.tracer.reset(&config.trace);
+        let tracer = TraceCollector::new(&config.trace);
         // The detection ensemble runs for fast detection, or to time alarm
         // edges for the black box when the detector-edge trigger is armed.
         // Without either it is not built, so armed tracing without that
         // trigger costs only the ring.
-        self.mitigation.reconfigure(
+        let mitigation = MitigationStage::with_edges(
             config.fast_detection,
-            self.tracer.is_armed() && config.trace.triggers_on(TraceTrigger::DetectorEdge),
+            tracer.is_armed() && config.trace.triggers_on(TraceTrigger::DetectorEdge),
             config.mitigation_persist,
         );
-        self.last_bubble = (NO_BUBBLE as f64, NO_BUBBLE as f64, NO_BUBBLE as f64);
-        self.bubble_inner_was = false;
-        self.bubble_outer_was = false;
-        self.trace_clean.clear();
-        self.trace_pool.clear();
-        self.config = config;
+
+        FlightSimulator {
+            dt: 1.0 / config.physics_rate,
+            time: 0.0,
+            tick: 0,
+            quad: Quadrotor::with_state(
+                quad_params,
+                imufit_dynamics::RigidBodyState::at_rest(mission.home),
+            ),
+            // The bank draws from `rng_init` before the magnetometer does.
+            imu_bank: RedundantImu::new(imu_spec, instance_count, &mut rng_init),
+            voter: ImuVoter::new(VoterConfig::default(), instance_count),
+            baro: Barometer::try_new(BaroSpec::default(), 16.0)
+                .expect("default baro spec is valid"),
+            gps: Gps::try_new(GpsSpec::default()).expect("default GPS spec is valid"),
+            mag: Magnetometer::try_new(MagSpec::default(), &mut rng_init)
+                .expect("default mag spec is valid"),
+            injector: FaultInjector::new(imu_spec, faults),
+            // Attack schedules are per-experiment, like faults;
+            // `set_attacks` arms them.
+            attack_injector: AttackInjector::passthrough(),
+            estimator,
+            controller: FlightController::new(controller_params, mission.plan()),
+            wind: config.wind.clone(),
+            bubble: BubbleTracker::new(
+                Route::new(route_points),
+                InnerBubbleSpec {
+                    dimension: mission.drone.dimension_m,
+                    safety_distance: mission.drone.safety_distance_m,
+                    max_tracking_distance: mission
+                        .drone
+                        .max_tracking_distance(1.0 / config.tracking_rate),
+                },
+                config.risk_factor,
+            ),
+            recorder: FlightRecorder::new(1.0 / config.tracking_rate),
+            drone_id: mission.drone.id,
+            rng_imu: master.derive(&[1]),
+            rng_gps: master.derive(&[2]),
+            rng_baro: master.derive(&[3]),
+            rng_compass: master.derive(&[4]),
+            rng_wind: master.derive(&[5]),
+            rng_fault: master.derive(&[6]),
+            // Stream [7] feeds attack-parameter draws. Deriving it is pure
+            // (the other streams are untouched), and with no attacks
+            // scheduled it is never consumed — both properties the golden
+            // campaign relies on.
+            rng_attack: master.derive(&[7]),
+            monitors: config
+                .innovation_monitors
+                .then(DegradationMonitors::default),
+            dead_reckon_since: None,
+            attack_was_active: false,
+            airborne: false,
+            distance_true: 0.0,
+            last_true_position: mission.home,
+            outcome: None,
+            mitigation,
+            fault_was_active: false,
+            failsafe_was_active: false,
+            tracer,
+            last_bubble: (NO_BUBBLE as f64, NO_BUBBLE as f64, NO_BUBBLE as f64),
+            bubble_inner_was: false,
+            bubble_outer_was: false,
+            trace_clean: Vec::new(),
+            trace_pool: Vec::new(),
+            imu_samples: Vec::new(),
+            config,
+        }
     }
 
     /// Current simulated time, seconds.
@@ -375,10 +294,10 @@ impl FlightSimulator {
     }
 
     /// Schedules aiding-sensor attacks for this flight (empty = none).
-    /// Call after construction or [`FlightSimulator::reset`]; the attack
-    /// RNG stream is derived from the seed during reset and parameters are
-    /// drawn only at window activation, so the moment of scheduling cannot
-    /// perturb reproducibility.
+    /// Call after construction; the attack RNG stream is derived from the
+    /// seed when the vehicle is built and parameters are drawn only at
+    /// window activation, so the moment of scheduling cannot perturb
+    /// reproducibility.
     pub fn set_attacks(&mut self, attacks: Vec<AttackSpec>) {
         self.attack_injector = AttackInjector::new(attacks);
     }
@@ -414,8 +333,7 @@ impl FlightSimulator {
     }
 
     /// Seals and serializes the flight's black box, if tracing captured
-    /// anything. Disarms the collector; a subsequent [`FlightSimulator::reset`]
-    /// re-arms it from the new configuration.
+    /// anything. Disarms the collector.
     pub fn take_black_box(&mut self, metadata: &str) -> Option<Vec<u8>> {
         self.tracer.take_black_box(self.drone_id, metadata)
     }
@@ -435,7 +353,7 @@ impl FlightSimulator {
 
     /// Runs the flight to completion and returns the scalar metrics,
     /// leaving the vehicle (and its track) in place so it can be
-    /// inspected or recycled with [`FlightSimulator::reset`].
+    /// inspected.
     pub fn run_summary(&mut self) -> FlightSummary {
         let outcome = loop {
             match self.outcome {
@@ -1043,42 +961,6 @@ mod tests {
         let b = FlightSimulator::new(&m, Vec::new(), SimConfig::default_for(&m, 2)).run();
         assert!(a.outcome.is_completed() && b.outcome.is_completed());
         assert_ne!(a.distance_est, b.distance_est);
-    }
-
-    /// The recycling contract: a vehicle reset onto a new (mission, faults,
-    /// config) triple must fly bit-for-bit the same flight a freshly
-    /// constructed one does — including across fault runs, backend kinds,
-    /// and a recorder full of a previous flight's track.
-    #[test]
-    fn reset_vehicle_matches_fresh_construction() {
-        let m = short_mission();
-        let full = &all_missions()[0];
-
-        // One long-lived vehicle, reset across three very different runs.
-        let mut recycled = FlightSimulator::new(&m, Vec::new(), SimConfig::default_for(&m, 5));
-        let _ = recycled.run_summary();
-
-        let cases: Vec<(&Mission, Vec<FaultSpec>, SimConfig)> = vec![
-            (&m, Vec::new(), SimConfig::default_for(&m, 7)),
-            (
-                &m,
-                fault_at(FaultKind::Min, FaultTarget::Gyrometer, 30.0, 10.0),
-                SimConfig::default_for(&m, 11),
-            ),
-            (full, Vec::new(), SimConfig::default_for(full, 23)),
-        ];
-        for (mission, faults, config) in cases {
-            recycled.reset(mission, faults.clone(), config.clone());
-            let fresh = FlightSimulator::new(mission, faults, config).run();
-            let summary = recycled.run_summary();
-            assert_eq!(summary.outcome.label(), fresh.outcome.label());
-            assert_eq!(summary.duration, fresh.duration);
-            assert_eq!(summary.distance_est, fresh.distance_est);
-            assert_eq!(summary.distance_true, fresh.distance_true);
-            assert_eq!(summary.violations, fresh.violations);
-            assert_eq!(summary.ekf_resets, fresh.ekf_resets);
-            assert_eq!(recycled.recorder(), &fresh.recorder);
-        }
     }
 
     /// The complementary-filter backend, selected purely via config, flies

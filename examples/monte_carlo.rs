@@ -29,20 +29,16 @@ fn main() {
         );
     }
 
-    // One recycled vehicle flies the whole fleet: `build_into` resets the
-    // existing simulator in place instead of reallocating it per flight,
-    // exactly as campaign workers do.
     let spec = ScenarioSpec::paper_default();
-    let mut vehicle: Option<FlightSimulator> = None;
 
     // Gold runs across the generated fleet.
     let mut gold_done = 0;
     for m in &fleet {
-        VehicleBuilder::from_scenario(&spec, m, seed ^ 0xABCD)
+        let r = VehicleBuilder::from_scenario(&spec, m, seed ^ 0xABCD)
             .expect("paper-default is always a valid scenario")
-            .build_into(&mut vehicle)
-            .expect("paper-default realizes to a valid vehicle");
-        let r = vehicle.as_mut().unwrap().run_summary();
+            .build()
+            .expect("paper-default realizes to a valid vehicle")
+            .run_summary();
         if r.outcome.is_completed() {
             gold_done += 1;
         } else {
@@ -60,12 +56,12 @@ fn main() {
             FaultTarget::Gyrometer,
             InjectionWindow::new(90.0, 10.0),
         );
-        VehicleBuilder::from_scenario(&spec, m, seed ^ 0xBEEF)
+        let r = VehicleBuilder::from_scenario(&spec, m, seed ^ 0xBEEF)
             .expect("valid scenario")
             .with_faults(vec![fault])
-            .build_into(&mut vehicle)
-            .expect("valid vehicle");
-        let r = vehicle.as_mut().unwrap().run_summary();
+            .build()
+            .expect("valid vehicle")
+            .run_summary();
         if r.outcome.is_completed() {
             faulty_done += 1;
         }

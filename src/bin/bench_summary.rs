@@ -27,7 +27,7 @@
 
 use std::io::Write as _;
 
-use imufit_obs::{info, warn};
+use imufit_obs::{escape_json, info, warn};
 
 /// Benches held to the soft perf-regression gate. Kept short and stable:
 /// the closed-loop step is the product's hot path, the trace-off tick
@@ -296,23 +296,6 @@ fn render(estimates: &[(String, f64)]) -> String {
         ));
     }
     out.push_str("  }\n}\n");
-    out
-}
-
-/// Escapes a string for embedding in a JSON literal.
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
     out
 }
 
