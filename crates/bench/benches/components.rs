@@ -164,6 +164,9 @@ fn bench_obs_tick(c: &mut Criterion) {
             sim.step();
         }
         imufit_obs::set_runtime_enabled(obs_on);
+        // A bench build without `imufit-obs/enabled` would time an obs-off
+        // tick on both sides of the pair.
+        assert_eq!(imufit_obs::runtime_enabled(), obs_on, "{name}");
         c.bench_function(name, |b| {
             b.iter(|| {
                 sim.step();

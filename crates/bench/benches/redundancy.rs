@@ -9,7 +9,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use imufit_bench::banner;
 use imufit_faults::{FaultKind, FaultSpec, FaultTarget, InjectionWindow};
 use imufit_missions::all_missions;
-use imufit_sensors::{consensus, healthiest_instance, ImuSample};
+use imufit_sensors::{consensus, ImuSample, ImuVoter, VoterConfig};
 use imufit_uav::{FlightSimulator, SimConfig};
 
 fn completion(kind: FaultKind, target: FaultTarget, all_redundant: bool) -> (usize, usize) {
@@ -83,8 +83,11 @@ fn redundancy(c: &mut Criterion) {
     c.bench_function("redundancy/consensus", |b| {
         b.iter(|| black_box(consensus(black_box(&samples))))
     });
-    c.bench_function("redundancy/healthiest_instance", |b| {
-        b.iter(|| black_box(healthiest_instance(black_box(&samples))))
+    // The outlier is excluded on the first vote; later votes time the
+    // steady state with a substitute standing in for the primary.
+    let mut voter = ImuVoter::new(VoterConfig::default(), samples.len());
+    c.bench_function("redundancy/vote", |b| {
+        b.iter(|| black_box(voter.vote(black_box(&samples), 1).selected))
     });
 }
 

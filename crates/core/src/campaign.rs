@@ -743,9 +743,9 @@ mod tests {
         assert_eq!(narrow.len(), 10 * 4 + 10);
     }
 
-    /// Tracing a campaign changes nothing about its results, and (with the
-    /// `trace` feature compiled in) leaves decodable `.ifbb` black boxes in
-    /// the trace directory for runs that tripped a trigger.
+    /// Tracing a campaign changes nothing about its results, and leaves
+    /// decodable `.ifbb` black boxes in the trace directory for runs that
+    /// tripped a trigger.
     #[test]
     fn traced_campaign_is_inert_and_writes_black_boxes() {
         use imufit_faults::{FaultKind, FaultTarget};
@@ -763,27 +763,16 @@ mod tests {
         let mut config = narrow(77);
         config.trace.enabled = true;
         config.trace_dir = Some(dir.clone());
-        let config_trace = config.trace.clone();
         let traced = Campaign::new(config).run();
 
         // Byte-identical results with the collector armed.
         assert_eq!(plain.to_csv(), traced.to_csv());
 
-        // Ask the collector itself rather than this crate's `trace`
-        // feature: workspace feature unification can arm the collector
-        // (`imufit-trace/enabled`) without enabling `imufit-core/trace`.
-        if imufit_trace::TraceCollector::new(&config_trace).is_armed() {
-            let bytes = std::fs::read(dir.join("m0_imu_freeze_30s.ifbb"))
-                .expect("faulty run must leave a black box");
-            let bb = imufit_trace::BlackBox::decode(&bytes).expect("box must decode");
-            assert!(bb.metadata.contains("kind=Freeze"));
-            assert!(!bb.events.is_empty());
-        } else {
-            // Collector compiled unarmed: the directory exists but
-            // captures nothing.
-            let count = std::fs::read_dir(&dir).map(|d| d.count()).unwrap_or(0);
-            assert_eq!(count, 0);
-        }
+        let bytes = std::fs::read(dir.join("m0_imu_freeze_30s.ifbb"))
+            .expect("faulty run must leave a black box");
+        let bb = imufit_trace::BlackBox::decode(&bytes).expect("box must decode");
+        assert!(bb.metadata.contains("kind=Freeze"));
+        assert!(!bb.events.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

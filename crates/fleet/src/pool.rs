@@ -1011,7 +1011,7 @@ mod tests {
                 .render_json()
                 .contains(&format!("\"id\": {id},"))
         });
-        assert_eq!(listed, cfg!(feature = "obs"));
+        assert_eq!(listed, imufit_obs::runtime_enabled());
         drop(pool);
         let _ = std::fs::remove_dir_all(&store);
     }

@@ -4,9 +4,6 @@
 //! files diff cleanly between campaign runs.
 
 use std::fmt::Write as _;
-use std::sync::atomic::Ordering;
-
-use crate::metrics::{Entry, MetricKey, Registry};
 
 /// Renders the whole registry in the Prometheus text exposition format.
 ///
@@ -120,22 +117,6 @@ pub fn escape_json(value: &str) -> String {
     out
 }
 
-fn json_f64(value: Option<f64>) -> String {
-    match value {
-        Some(v) if v.is_finite() => format!("{v}"),
-        _ => "null".to_string(),
-    }
-}
-
-fn labels_json(key: &MetricKey) -> String {
-    let inner: Vec<String> = key
-        .labels
-        .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)))
-        .collect();
-    format!("{{{}}}", inner.join(","))
-}
-
 /// Renders the whole registry as a JSON document:
 ///
 /// ```json
@@ -147,41 +128,10 @@ fn labels_json(key: &MetricKey) -> String {
 /// }
 /// ```
 ///
-/// The `reproduce` binary writes this as `campaign_metrics.json`.
+/// The `reproduce` binary writes this as `campaign_metrics.json`. Like
+/// [`prometheus`], it renders a [`crate::snapshot::capture`].
 pub fn json() -> String {
-    let mut counters = Vec::new();
-    let mut gauges = Vec::new();
-    let mut histograms = Vec::new();
-    for (key, entry) in Registry::global().snapshot() {
-        let name = escape_json(&key.name);
-        match entry {
-            Entry::Counter(cell) => counters.push(format!(
-                "{{\"name\":\"{name}\",\"labels\":{},\"value\":{}}}",
-                labels_json(&key),
-                cell.load(Ordering::Relaxed)
-            )),
-            Entry::Gauge(cell) => gauges.push(format!(
-                "{{\"name\":\"{name}\",\"labels\":{},\"value\":{}}}",
-                labels_json(&key),
-                json_f64(Some(f64::from_bits(cell.load(Ordering::Relaxed))))
-            )),
-            Entry::Histogram(core) => histograms.push(format!(
-                "{{\"name\":\"{name}\",\"labels\":{},\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
-                labels_json(&key),
-                core.total.load(Ordering::Relaxed),
-                json_f64(Some(core.sum())),
-                json_f64(core.quantile(0.50)),
-                json_f64(core.quantile(0.95)),
-                json_f64(core.quantile(0.99)),
-            )),
-        }
-    }
-    format!(
-        "{{\n\"counters\": [\n{}\n],\n\"gauges\": [\n{}\n],\n\"histograms\": [\n{}\n]\n}}\n",
-        counters.join(",\n"),
-        gauges.join(",\n"),
-        histograms.join(",\n")
-    )
+    crate::snapshot::capture().to_json()
 }
 
 #[cfg(all(test, feature = "enabled"))]

@@ -209,37 +209,6 @@ impl HistogramCore {
     pub(crate) fn sum(&self) -> f64 {
         f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
     }
-
-    /// Quantile estimate by linear interpolation inside the bucket holding
-    /// the rank, Prometheus-style. `None` when the histogram is empty;
-    /// ranks landing in the overflow bucket clamp to the largest bound.
-    pub(crate) fn quantile(&self, q: f64) -> Option<f64> {
-        let total = self.total.load(Ordering::Relaxed);
-        if total == 0 {
-            return None;
-        }
-        let rank = q.clamp(0.0, 1.0) * total as f64;
-        let mut cumulative = 0u64;
-        for (i, slot) in self.counts.iter().enumerate() {
-            let in_bucket = slot.load(Ordering::Relaxed);
-            if in_bucket == 0 {
-                cumulative += in_bucket;
-                continue;
-            }
-            if (cumulative + in_bucket) as f64 >= rank {
-                if i >= self.bounds.len() {
-                    // Overflow bucket has no upper edge.
-                    return Some(*self.bounds.last().unwrap_or(&0.0));
-                }
-                let lower = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let upper = self.bounds[i];
-                let into = ((rank - cumulative as f64) / in_bucket as f64).clamp(0.0, 1.0);
-                return Some(lower + (upper - lower) * into);
-            }
-            cumulative += in_bucket;
-        }
-        Some(*self.bounds.last().unwrap_or(&0.0))
-    }
 }
 
 /// A fixed-bucket distribution of observed values.
@@ -266,9 +235,16 @@ impl Histogram {
         self.core.sum()
     }
 
-    /// Quantile estimate (`0.0 ..= 1.0`); `None` while empty.
+    /// Quantile estimate (`0.0 ..= 1.0`); `None` while empty. See
+    /// [`crate::snapshot::bucket_quantile`].
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        self.core.quantile(q)
+        let counts: Vec<u64> = self
+            .core
+            .counts
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .collect();
+        crate::snapshot::bucket_quantile(self.core.bounds, &counts, q)
     }
 }
 

@@ -27,6 +27,8 @@ use std::fmt;
 use imufit_math::frame::{crc16, Cursor, FrameError, Put};
 use parking_lot::Mutex;
 
+use crate::escape_json;
+
 /// Magic byte opening every encoded snapshot.
 pub const SNAPSHOT_MAGIC: u8 = 0xF5;
 
@@ -448,6 +450,62 @@ impl Snapshot {
         }
         out
     }
+
+    /// Renders the snapshot as the JSON document [`crate::export::json`]
+    /// documents: counters, gauges and histograms (count, sum and
+    /// interpolated p50/p95/p99) in snapshot order, non-finite values as
+    /// `null`.
+    pub fn to_json(&self) -> String {
+        fn number(v: f64) -> String {
+            if v.is_finite() {
+                format!("{v}")
+            } else {
+                "null".to_string()
+            }
+        }
+        let (mut counters, mut gauges, mut histograms) = (Vec::new(), Vec::new(), Vec::new());
+        for metric in &self.metrics {
+            let labels: Vec<String> = metric
+                .labels
+                .iter()
+                .map(|(k, v)| format!("\"{}\":\"{}\"", escape_json(k), escape_json(v)))
+                .collect();
+            let head = format!(
+                "{{\"name\":\"{}\",\"labels\":{{{}}}",
+                escape_json(&metric.name),
+                labels.join(",")
+            );
+            match &metric.value {
+                SnapshotValue::Counter(v) => counters.push(format!("{head},\"value\":{v}}}")),
+                SnapshotValue::Gauge(bits) => gauges.push(format!(
+                    "{head},\"value\":{}}}",
+                    number(f64::from_bits(*bits))
+                )),
+                SnapshotValue::Histogram {
+                    bounds,
+                    counts,
+                    sum_bits,
+                } => {
+                    let quantile =
+                        |q| bucket_quantile(bounds, counts, q).map_or("null".into(), number);
+                    histograms.push(format!(
+                        "{head},\"count\":{},\"sum\":{},\"p50\":{},\"p95\":{},\"p99\":{}}}",
+                        counts.iter().sum::<u64>(),
+                        number(f64::from_bits(*sum_bits)),
+                        quantile(0.50),
+                        quantile(0.95),
+                        quantile(0.99),
+                    ));
+                }
+            }
+        }
+        format!(
+            "{{\n\"counters\": [\n{}\n],\n\"gauges\": [\n{}\n],\n\"histograms\": [\n{}\n]\n}}\n",
+            counters.join(",\n"),
+            gauges.join(",\n"),
+            histograms.join(",\n")
+        )
+    }
 }
 
 /// Escapes a label value for Prometheus text exposition.
@@ -476,9 +534,10 @@ fn render_labels_with(labels: &[(String, String)], extra_key: &str, extra_value:
     render_labels(&all)
 }
 
-/// Quantile by linear interpolation inside the bucket holding the rank
-/// (the same estimator as the live histogram); overflow clamps to the
-/// largest bound.
+/// Quantile by linear interpolation inside the bucket holding the rank,
+/// Prometheus-style; `None` when empty, and ranks landing in the overflow
+/// bucket clamp to the largest bound. The live [`crate::Histogram`] and
+/// every export use this one estimator.
 pub fn bucket_quantile(bounds: &[f64], counts: &[u64], q: f64) -> Option<f64> {
     let total: u64 = counts.iter().sum();
     if total == 0 {

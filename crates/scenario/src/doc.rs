@@ -153,7 +153,9 @@ pub fn parse_toml(input: &str) -> Result<Value, DocError> {
         {
             return Err(DocError::at(format!("bad key '{key}'"), lineno));
         }
-        let mut cursor = Cursor::new(&line[eq + 1..], lineno);
+        // Byte offset of the value within the raw line, for error columns.
+        let col0 = raw.len() - raw.trim_start().len() + eq + 1;
+        let mut cursor = Cursor::new(&line[eq + 1..], lineno, col0, true);
         let value = cursor.parse_value()?;
         cursor.skip_ws();
         if !cursor.at_end_or_comment() {
@@ -241,7 +243,7 @@ fn emit_toml_value(value: &Value, out: &mut String) {
 
 /// Parses a JSON document into a [`Value`].
 pub fn parse_json(input: &str) -> Result<Value, DocError> {
-    let mut cursor = Cursor::new(input, 1);
+    let mut cursor = Cursor::new(input, 1, 0, false);
     cursor.skip_ws();
     let value = cursor.parse_json_value()?;
     cursor.skip_ws();
@@ -313,14 +315,22 @@ struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: usize,
+    /// Byte offset of `bytes[0]` within its line (a TOML value sits after
+    /// its `key =`).
+    col0: usize,
+    /// Whether a raw tab may appear in a string (TOML 1.0 allows it; JSON,
+    /// per RFC 8259, refuses every raw control character).
+    raw_tab_ok: bool,
 }
 
 impl<'a> Cursor<'a> {
-    fn new(input: &'a str, line: usize) -> Self {
+    fn new(input: &'a str, line: usize, col0: usize, raw_tab_ok: bool) -> Self {
         Cursor {
             bytes: input.as_bytes(),
             pos: 0,
             line,
+            col0,
+            raw_tab_ok,
         }
     }
 
@@ -509,6 +519,18 @@ impl<'a> Cursor<'a> {
                     }
                     _ => return Err(self.err("unknown escape")),
                 },
+                Some(c) if c < 0x20 && !(c == b'\t' && self.raw_tab_ok) => {
+                    // The byte was just consumed; name its own line and column.
+                    let at = self.pos - 1;
+                    let column = match self.bytes[..at].iter().rposition(|&b| b == b'\n') {
+                        Some(nl) => at - nl,
+                        None => self.col0 + at + 1,
+                    };
+                    return Err(DocError::at(
+                        format!("raw control character U+{c:04X} in string at column {column}"),
+                        self.line - usize::from(c == b'\n'),
+                    ));
+                }
                 Some(c) if c < 0x80 => s.push(c as char),
                 Some(first) => {
                     // Re-assemble a multi-byte UTF-8 sequence.
@@ -619,6 +641,53 @@ mod tests {
     fn strings_with_escapes() {
         let mut t = Value::table();
         t.set("s", Value::Str("a \"b\"\nüñ⚡".into()));
+        assert_eq!(parse_toml(&to_toml(&t)).unwrap(), t);
+        assert_eq!(parse_json(&to_json(&t)).unwrap(), t);
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_refused() {
+        // JSON (RFC 8259) refuses every raw control character, tab included.
+        for raw in ["\t", "\n", "\u{1}"] {
+            let doc = format!("{{\n  \"s\": \"ab{raw}cd\"}}");
+            let err = parse_json(&doc).unwrap_err();
+            assert_eq!(err.line, Some(2), "{raw:?}: {err}");
+            let code = raw.as_bytes()[0];
+            assert_eq!(
+                err.message,
+                format!("raw control character U+{code:04X} in string at column 11")
+            );
+        }
+        // TOML 1.0 allows a raw tab in a basic string and nothing else.
+        assert_eq!(
+            parse_toml("s = \"a\tb\"").unwrap().get("s"),
+            Some(&Value::Str("a\tb".into()))
+        );
+        let err = parse_toml("x = 1\n  s = \"ab\u{1}cd\"").unwrap_err();
+        assert_eq!(err.line, Some(2), "{err}");
+        assert_eq!(
+            err.message,
+            "raw control character U+0001 in string at column 10"
+        );
+        // A raw LF ends the line, so the string is left open.
+        let err = parse_toml("s = \"ab\ncd\"").unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (Some(1), "unterminated string")
+        );
+
+        // The escaped forms still parse.
+        let escaped = "a\tb\nc\u{1}d";
+        assert_eq!(
+            parse_json(r#"{"s": "a\tb\nc\u0001d"}"#).unwrap().get("s"),
+            Some(&Value::Str(escaped.into()))
+        );
+        assert_eq!(
+            parse_toml(r#"s = "a\tb\nc\u0001d""#).unwrap().get("s"),
+            Some(&Value::Str(escaped.into()))
+        );
+        let mut t = Value::table();
+        t.set("s", Value::Str(escaped.into()));
         assert_eq!(parse_toml(&to_toml(&t)).unwrap(), t);
         assert_eq!(parse_json(&to_json(&t)).unwrap(), t);
     }

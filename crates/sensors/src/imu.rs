@@ -229,32 +229,6 @@ pub(crate) fn consensus_with(samples: &[ImuSample], scratch: &mut Vec<f64>) -> I
     }
 }
 
-/// How far instance `index` deviates from the consensus:
-/// `(gyro deviation rad/s, accel deviation m/s^2)`.
-pub fn consensus_deviation(samples: &[ImuSample], index: usize) -> (f64, f64) {
-    let c = consensus(samples);
-    let s = &samples[index];
-    ((s.gyro - c.gyro).norm(), (s.accel - c.accel).norm())
-}
-
-/// The instance closest to the consensus (the healthiest candidate for a
-/// primary switchover).
-///
-/// # Panics
-///
-/// Panics if `samples` is empty.
-pub fn healthiest_instance(samples: &[ImuSample]) -> usize {
-    assert!(!samples.is_empty(), "no samples to vote on");
-    let c = consensus(samples);
-    let score = |s: &ImuSample| (s.gyro - c.gyro).norm() + 0.1 * (s.accel - c.accel).norm();
-    samples
-        .iter()
-        .enumerate()
-        .min_by(|(_, a), (_, b)| score(a).partial_cmp(&score(b)).expect("finite scores"))
-        .map(|(i, _)| i)
-        .expect("non-empty")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -332,32 +306,6 @@ mod tests {
         assert_eq!(c.gyro.x, 0.2);
         assert_eq!(c.accel.z, -9.7);
         assert_eq!(c.time, 1.0);
-    }
-
-    #[test]
-    fn deviation_flags_the_outlier() {
-        let mk = |gx: f64| ImuSample {
-            accel: Vec3::new(0.0, 0.0, -9.8),
-            gyro: Vec3::new(gx, 0.0, 0.0),
-            time: 0.0,
-        };
-        let samples = [mk(0.1), mk(35.0), mk(0.12)];
-        let (g0, _) = consensus_deviation(&samples, 0);
-        let (g1, _) = consensus_deviation(&samples, 1);
-        assert!(g0 < 0.1);
-        assert!(g1 > 30.0);
-        assert_ne!(healthiest_instance(&samples), 1);
-    }
-
-    #[test]
-    fn healthiest_with_accel_outlier() {
-        let mk = |az: f64| ImuSample {
-            accel: Vec3::new(0.0, 0.0, az),
-            gyro: Vec3::ZERO,
-            time: 0.0,
-        };
-        let samples = [mk(150.0), mk(-9.8), mk(-9.75)];
-        assert_ne!(healthiest_instance(&samples), 0);
     }
 
     #[test]

@@ -38,9 +38,7 @@ pub use accel::Accelerometer;
 pub use baro::{BaroSample, BaroSpec, Barometer};
 pub use gps::{Gps, GpsSample, GpsSpec};
 pub use gyro::Gyroscope;
-pub use imu::{
-    consensus, consensus_deviation, healthiest_instance, Imu, ImuSample, ImuSpec, RedundantImu,
-};
+pub use imu::{consensus, Imu, ImuSample, ImuSpec, RedundantImu};
 pub use mag::{yaw_from_mag, MagSample, MagSpec, Magnetometer};
 pub use voter::{ImuVoter, InstanceHealth, VoterConfig, VoterReport};
 

@@ -332,6 +332,8 @@ mod tests {
         let mut bank = healthy_bank(0.0);
         bank[0] = sample(30.0, -9.8, 0.0); // full-scale gyro liar on primary
         let report = voter.vote(&bank, 0);
+        assert!(report.health[0].gyro_deviation > 29.0);
+        assert!(report.health[1].gyro_deviation < 0.01);
         assert_eq!(report.newly_excluded, vec![0]);
         assert!(report.primary_excluded);
         assert_ne!(report.selected, 0);

@@ -1,5 +1,5 @@
-//! The black-box collector. It arms only in builds with the `enabled`
-//! feature; without it, armed settings still give an unarmed collector.
+//! The black-box collector. It arms when its settings are enabled
+//! (`--trace-dir` or `[trace] enabled`).
 //!
 //! Strictly write-only from the simulation's point of view: the collector
 //! consumes no RNG and nothing it stores feeds back into simulation state,
@@ -46,11 +46,10 @@ pub struct TraceCollector {
 }
 
 impl TraceCollector {
-    /// Builds a collector for one run; disarmed settings (or a build
-    /// without the `enabled` feature) yield a collector whose every call is
-    /// a cheap early return.
+    /// Builds a collector for one run; disarmed settings yield a collector
+    /// whose every call is a cheap early return.
     pub fn new(settings: &TraceSettings) -> Self {
-        let armed = cfg!(feature = "enabled") && settings.enabled;
+        let armed = settings.enabled;
         TraceCollector {
             armed,
             settings: settings.clone(),
@@ -69,11 +68,10 @@ impl TraceCollector {
     }
 
     /// True when the collector is recording this run. Call sites use this
-    /// to skip building records and detail strings entirely; without the
-    /// `enabled` feature it is a compile-time `false`, so they compile away.
+    /// to skip building records and detail strings entirely.
     #[inline]
     pub fn is_armed(&self) -> bool {
-        cfg!(feature = "enabled") && self.armed
+        self.armed
     }
 
     /// Feeds one full-rate record through the ring (and any open capture).
@@ -281,31 +279,7 @@ fn trigger_for(kind: TraceEventKind) -> Option<TraceTrigger> {
     }
 }
 
-#[cfg(all(test, not(feature = "enabled")))]
-mod disabled_tests {
-    use super::*;
-
-    /// Without the `enabled` feature, armed settings still give an unarmed
-    /// collector that records no events and seals no box.
-    #[test]
-    fn disabled_build_never_arms() {
-        let settings = TraceSettings {
-            enabled: true,
-            ..Default::default()
-        };
-        let mut c = TraceCollector::new(&settings);
-        assert!(!c.is_armed());
-        c.record(TraceRecord::default());
-        let id = c.event(TraceEventKind::FaultActivated, 0, 0.0, 0, String::new());
-        assert_eq!(id, 0);
-        c.note_panic(1, 0.004);
-        c.finalize("completed", 1, 0.004);
-        assert_eq!(c.stats(), TraceStats::default());
-        assert!(c.take_black_box(0, "").is_none());
-    }
-}
-
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::wire::BlackBox;

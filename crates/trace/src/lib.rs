@@ -29,11 +29,10 @@
 //!
 //! Like `imufit-obs`, the collector is strictly write-only from the
 //! simulation's point of view: it consumes no RNG, and nothing it stores is
-//! ever read back into simulation state. Without the `enabled` feature
-//! [`TraceCollector::is_armed`] is a compile-time `false`: the collector
-//! never arms, so every traced call site compiles away, and a traced
-//! campaign produces byte-identical `campaign_results.csv` output either
-//! way.
+//! ever read back into simulation state. An unarmed collector
+//! ([`TraceCollector::is_armed`] `false`) makes every traced call site a
+//! cheap early return, and a traced campaign produces byte-identical
+//! `campaign_results.csv` output to an untraced one.
 
 #![forbid(unsafe_code)]
 

@@ -137,8 +137,7 @@ pub struct FlightSimulator {
     failsafe_was_active: bool,
 
     // Black-box tracing. The collector is strictly write-only (no RNG, no
-    // feedback into flight state); with the `trace` feature off it is
-    // never armed and every `if tracing` block below is dead code.
+    // feedback into flight state).
     tracer: TraceCollector,
     last_bubble: (f64, f64, f64),
     bubble_inner_was: bool,
@@ -384,8 +383,6 @@ impl FlightSimulator {
         let dt = self.dt;
         self.tick += 1;
         self.time += dt;
-        // With the `trace` feature off (or tracing disabled) this is a
-        // compile-time `false` and every trace block below is dead code.
         let tracing = self.tracer.is_armed();
 
         // --- Environment ---
@@ -895,8 +892,7 @@ mod tests {
     }
 
     /// Flies `faults` with the black box armed and returns the summary and
-    /// the box's events: none in builds without the `trace` feature, where
-    /// the collector never arms.
+    /// the box's events.
     fn fly_traced(
         m: &Mission,
         faults: Vec<FaultSpec>,
@@ -905,15 +901,10 @@ mod tests {
         config.trace.enabled = true;
         let mut sim = FlightSimulator::new(m, faults, config);
         let summary = sim.run_summary();
-        let bytes = sim.take_black_box("m");
-        assert_eq!(bytes.is_some(), cfg!(feature = "trace"));
-        let events = bytes
-            .map(|b| {
-                imufit_trace::BlackBox::decode(&b)
-                    .expect("box decodes")
-                    .events
-            })
-            .unwrap_or_default();
+        let bytes = sim.take_black_box("m").expect("traced flight seals a box");
+        let events = imufit_trace::BlackBox::decode(&bytes)
+            .expect("box decodes")
+            .events;
         (summary, events)
     }
 
@@ -1091,33 +1082,31 @@ mod tests {
             r.outcome
         );
         assert_eq!(r.violations.outer, 0, "outer bubble must stay clean");
-        if cfg!(feature = "trace") {
-            let kinds: Vec<TraceEventKind> = events.iter().map(|e| e.kind).collect();
-            assert!(kinds.contains(&TraceEventKind::FaultActivated));
-            assert!(kinds.contains(&TraceEventKind::VoterExclusion));
-            assert!(kinds.contains(&TraceEventKind::PrimarySwitch));
-            assert!(kinds.contains(&TraceEventKind::FaultCleared));
-            assert!(
-                kinds.contains(&TraceEventKind::VoterReinstatement),
-                "instance 0 should rejoin consensus after the window closes"
-            );
-            // The cascade leaves nominal (stage 0) upward: an escalation.
-            let first_stage = events
-                .iter()
-                .find(|e| e.kind == TraceEventKind::CascadeTransition)
-                .map(|e| e.param);
-            assert!(
-                first_stage.is_some_and(|stage| stage > 0),
-                "no escalation: {first_stage:?}"
-            );
-            // The exclusion must name instance 0.
-            let excluded: Vec<u32> = events
-                .iter()
-                .filter(|e| e.kind == TraceEventKind::VoterExclusion)
-                .map(|e| e.param)
-                .collect();
-            assert!(excluded.contains(&0), "excluded instances: {excluded:?}");
-        }
+        let kinds: Vec<TraceEventKind> = events.iter().map(|e| e.kind).collect();
+        assert!(kinds.contains(&TraceEventKind::FaultActivated));
+        assert!(kinds.contains(&TraceEventKind::VoterExclusion));
+        assert!(kinds.contains(&TraceEventKind::PrimarySwitch));
+        assert!(kinds.contains(&TraceEventKind::FaultCleared));
+        assert!(
+            kinds.contains(&TraceEventKind::VoterReinstatement),
+            "instance 0 should rejoin consensus after the window closes"
+        );
+        // The cascade leaves nominal (stage 0) upward: an escalation.
+        let first_stage = events
+            .iter()
+            .find(|e| e.kind == TraceEventKind::CascadeTransition)
+            .map(|e| e.param);
+        assert!(
+            first_stage.is_some_and(|stage| stage > 0),
+            "no escalation: {first_stage:?}"
+        );
+        // The exclusion must name instance 0.
+        let excluded: Vec<u32> = events
+            .iter()
+            .filter(|e| e.kind == TraceEventKind::VoterExclusion)
+            .map(|e| e.param)
+            .collect();
+        assert!(excluded.contains(&0), "excluded instances: {excluded:?}");
     }
 
     #[test]
@@ -1141,11 +1130,9 @@ mod tests {
                 .any(|e| e.kind == TraceEventKind::VoterExclusion),
             "identical corruption must not trip the voter"
         );
-        if cfg!(feature = "trace") {
-            assert!(events
-                .iter()
-                .any(|e| e.kind == TraceEventKind::FaultActivated));
-        }
+        assert!(events
+            .iter()
+            .any(|e| e.kind == TraceEventKind::FaultActivated));
     }
 
     #[test]
@@ -1246,7 +1233,6 @@ mod tests {
 
     /// Each traced flight's black box carries the transitions that flight
     /// must produce, each with its detail text.
-    #[cfg(feature = "trace")]
     #[test]
     fn traced_flights_box_their_transitions() {
         use imufit_faults::AttackKind;
@@ -1315,9 +1301,8 @@ mod tests {
         }
     }
 
-    /// With the `trace` feature on, a traced fault run seals a decodable
-    /// black box whose causal chain starts at the fault activation; with it
-    /// off, the collector never arms and stays silent.
+    /// A traced fault run seals a decodable black box whose causal chain
+    /// starts at the fault activation.
     #[test]
     fn traced_fault_run_yields_a_black_box() {
         let m = short_mission();
@@ -1327,27 +1312,22 @@ mod tests {
         let mut sim = FlightSimulator::new(&m, faults, config);
         let _ = sim.run_summary();
 
-        if cfg!(feature = "trace") {
-            let stats = sim.trace_stats();
-            assert!(stats.records_captured > 0, "stats {stats:?}");
-            assert!(stats.events >= 2, "stats {stats:?}");
-            let bytes = sim
-                .take_black_box("mission=99 kind=freeze")
-                .expect("armed fault run must capture a black box");
-            let bb = imufit_trace::BlackBox::decode(&bytes).expect("sealed box must decode");
-            assert_eq!(bb.metadata, "mission=99 kind=freeze");
-            assert!(!bb.segments.is_empty(), "trigger should freeze a segment");
-            assert!(bb.segments.iter().all(|s| !s.records.is_empty()));
-            assert_eq!(
-                bb.events[0].kind,
-                imufit_trace::TraceEventKind::FaultActivated
-            );
-            let outcome = bb.events.last().unwrap();
-            assert_eq!(outcome.kind, imufit_trace::TraceEventKind::RunOutcome);
-            assert!(outcome.caused_by.is_some(), "outcome must chain to a cause");
-        } else {
-            assert_eq!(sim.trace_stats(), imufit_trace::TraceStats::default());
-            assert!(sim.take_black_box("m").is_none());
-        }
+        let stats = sim.trace_stats();
+        assert!(stats.records_captured > 0, "stats {stats:?}");
+        assert!(stats.events >= 2, "stats {stats:?}");
+        let bytes = sim
+            .take_black_box("mission=99 kind=freeze")
+            .expect("armed fault run must capture a black box");
+        let bb = imufit_trace::BlackBox::decode(&bytes).expect("sealed box must decode");
+        assert_eq!(bb.metadata, "mission=99 kind=freeze");
+        assert!(!bb.segments.is_empty(), "trigger should freeze a segment");
+        assert!(bb.segments.iter().all(|s| !s.records.is_empty()));
+        assert_eq!(
+            bb.events[0].kind,
+            imufit_trace::TraceEventKind::FaultActivated
+        );
+        let outcome = bb.events.last().unwrap();
+        assert_eq!(outcome.kind, imufit_trace::TraceEventKind::RunOutcome);
+        assert!(outcome.caused_by.is_some(), "outcome must chain to a cause");
     }
 }

@@ -1,7 +1,7 @@
-//! Plumbing shared by the `reproduce` and `fleet` binaries: scenario
-//! loading, the fleet worker-count rule, SLO alert rules, the live
-//! observability plane, and the one entry point both use to run a
-//! distributed campaign.
+//! Plumbing shared by the `reproduce` and `fleet` binaries: the flags
+//! both take and the scenario they layer onto, the fleet worker-count
+//! rule, SLO alert rules, the live observability plane, and the one entry
+//! point both use to run a distributed campaign.
 
 use std::path::{Path, PathBuf};
 use std::process::Child;
@@ -18,12 +18,145 @@ fn fail(msg: impl std::fmt::Display) -> ! {
     std::process::exit(1);
 }
 
+/// A usage-error reporter: prints the message and the binary's usage and
+/// exits 2.
+pub type Die = fn(&str) -> !;
+
+/// A flag's value, dying when it is missing.
+pub fn flag_value(flag: &str, value: Option<String>, die: Die) -> String {
+    value.unwrap_or_else(|| die(&format!("missing value for {flag}")))
+}
+
+/// Parses a flag's value, dying with a usable message on anything
+/// missing or unparsable (`--seed abc` must not silently become 2024).
+pub fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>, die: Die) -> T {
+    let v = flag_value(flag, value, die);
+    v.parse()
+        .unwrap_or_else(|_| die(&format!("cannot parse {flag} value '{v}'")))
+}
+
+/// The flags `reproduce` and `fleet run` share: a scenario and the
+/// overrides layered on top of it.
+pub struct Overrides {
+    /// Scenario document path or preset name.
+    pub scenario: Option<String>,
+    /// Explicit `--seed`, overriding the scenario's campaign seed.
+    pub seed: Option<u64>,
+    /// Explicit `--missions`, overriding the scenario's mission count.
+    pub missions: Option<usize>,
+    /// Output directory.
+    pub out: String,
+    /// Scaled smoke campaign: 3 missions, durations 2 s / 30 s.
+    pub quick: bool,
+    /// Black-box output directory; enables tracing.
+    pub trace_dir: Option<String>,
+    /// Live observability plane listen address (`--serve-metrics`).
+    pub serve_metrics: Option<String>,
+    /// Extra SLO alert rules (`--alert`, repeatable), merged with the
+    /// scenario's `[obs] alerts` list.
+    pub alerts: Vec<String>,
+}
+
+impl Default for Overrides {
+    fn default() -> Self {
+        Overrides {
+            scenario: None,
+            seed: None,
+            missions: None,
+            out: ".".to_string(),
+            quick: false,
+            trace_dir: None,
+            serve_metrics: None,
+            alerts: Vec::new(),
+        }
+    }
+}
+
+impl Overrides {
+    /// Takes `flag`, with its value from `rest`, when it is a shared flag;
+    /// returns `false` for any other argument.
+    pub fn take(&mut self, flag: &str, rest: &mut impl Iterator<Item = String>, die: Die) -> bool {
+        match flag {
+            "--scenario" => self.scenario = Some(flag_value(flag, rest.next(), die)),
+            "--seed" => self.seed = Some(parse_value(flag, rest.next(), die)),
+            "--missions" => self.missions = Some(parse_value(flag, rest.next(), die)),
+            "--out" => self.out = flag_value(flag, rest.next(), die),
+            "--quick" => self.quick = true,
+            "--trace-dir" => self.trace_dir = Some(flag_value(flag, rest.next(), die)),
+            "--serve-metrics" => self.serve_metrics = Some(flag_value(flag, rest.next(), die)),
+            "--alert" => {
+                let rule = flag_value(flag, rest.next(), die);
+                if let Err(e) = imufit_obs::alerts::parse_rule(&rule) {
+                    die(&format!("invalid --alert rule '{rule}': {e}"));
+                }
+                self.alerts.push(rule);
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// The run's scenario: `--scenario` (paper-default without it) with
+    /// the shared overrides layered on, then `more`, the binary's own.
+    /// Dies on a scenario that does not load or validate, and on a live
+    /// metrics plane requested from a build without the `obs` feature.
+    pub fn scenario(&self, die: Die, more: impl FnOnce(&mut ScenarioSpec)) -> ScenarioSpec {
+        let mut spec = match &self.scenario {
+            Some(s) => load_scenario(s).unwrap_or_else(|e| die(&e)),
+            None => ScenarioSpec::paper_default(),
+        };
+        if let Some(seed) = self.seed {
+            spec.campaign.seed = seed;
+        }
+        if let Some(missions) = self.missions {
+            spec.campaign.missions = missions;
+        }
+        if self.quick {
+            spec.campaign.missions = spec.campaign.missions.min(3);
+            spec.campaign.durations = vec![2.0, 30.0];
+        }
+        if self.trace_dir.is_some() {
+            spec.trace.enabled = true;
+        }
+        if let Some(addr) = &self.serve_metrics {
+            spec.obs.serve = true;
+            spec.obs.addr = addr.clone();
+        }
+        // `--alert` rules stack on top of the scenario's own list, so a
+        // document's standing SLOs and a one-off CLI rule coexist (and both
+        // round-trip through `--dump-scenario`).
+        spec.obs.alerts.extend(self.alerts.iter().cloned());
+        more(&mut spec);
+        // Without the `obs` feature every metric hook is a no-op, so a
+        // requested plane would silently serve nothing. Refuse instead.
+        if spec.obs.serve && !cfg!(feature = "obs") {
+            die("--serve-metrics (or [obs] serve = true) requires the 'obs' feature; rebuild without --no-default-features");
+        }
+        if let Err(e) = spec.validate() {
+            die(&format!("invalid scenario: {e}"));
+        }
+        spec
+    }
+
+    /// Where an armed scenario writes its black boxes: `--trace-dir`, or
+    /// `OUT/traces` when the document alone (`[trace] enabled = true`)
+    /// armed it. `None` when tracing is off.
+    pub fn trace_dir(&self, spec: &ScenarioSpec) -> Option<PathBuf> {
+        spec.trace.enabled.then(|| {
+            self.trace_dir
+                .as_deref()
+                .map(PathBuf::from)
+                .unwrap_or_else(|| Path::new(&self.out).join("traces"))
+        })
+    }
+}
+
 /// Resolves `--scenario`: a preset name first, a document path otherwise.
 ///
 /// # Errors
 ///
 /// Says why the document did not load and lists the presets.
-pub fn load_scenario(name_or_path: &str) -> Result<ScenarioSpec, String> {
+fn load_scenario(name_or_path: &str) -> Result<ScenarioSpec, String> {
     if let Some(spec) = ScenarioSpec::preset(name_or_path) {
         return Ok(spec);
     }

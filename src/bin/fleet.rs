@@ -22,7 +22,6 @@ mod driver;
 use std::path::PathBuf;
 
 use imufit_obs::info;
-use imufit_scenario::ScenarioSpec;
 
 const USAGE: &str = "usage: fleet run [--scenario FILE|PRESET] [--workers N] [--out DIR]
                  [--seed N] [--missions M] [--quick] [--trace-dir DIR]
@@ -62,83 +61,32 @@ fn die(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Parses a flag's value, dying on anything missing or unparsable.
-fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(v) = value else {
-        die(&format!("missing value for {flag}"));
-    };
-    v.parse()
-        .unwrap_or_else(|_| die(&format!("cannot parse {flag} value '{v}'")))
-}
-
 struct RunArgs {
-    scenario: Option<String>,
+    /// The flags `reproduce` shares.
+    shared: driver::Overrides,
     workers: Option<usize>,
-    out: String,
-    seed: Option<u64>,
-    missions: Option<usize>,
-    quick: bool,
-    trace_dir: Option<String>,
     resume: bool,
     spawn: bool,
     metrics: bool,
-    serve_metrics: Option<String>,
-    /// Extra SLO alert rules (`--alert`, repeatable).
-    alerts: Vec<String>,
 }
 
 fn parse_run_args(mut it: std::env::Args) -> RunArgs {
     let mut args = RunArgs {
-        scenario: None,
+        shared: driver::Overrides::default(),
         workers: None,
-        out: ".".to_string(),
-        seed: None,
-        missions: None,
-        quick: false,
-        trace_dir: None,
         resume: false,
         spawn: true,
         metrics: false,
-        serve_metrics: None,
-        alerts: Vec::new(),
     };
     while let Some(a) = it.next() {
+        if args.shared.take(&a, &mut it, die) {
+            continue;
+        }
         match a.as_str() {
-            "--scenario" => {
-                args.scenario = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("missing value for --scenario")),
-                )
-            }
-            "--workers" => args.workers = Some(parse_value("--workers", it.next())),
-            "--out" => args.out = it.next().unwrap_or_else(|| die("missing value for --out")),
-            "--seed" => args.seed = Some(parse_value("--seed", it.next())),
-            "--missions" => args.missions = Some(parse_value("--missions", it.next())),
-            "--quick" => args.quick = true,
-            "--trace-dir" => {
-                args.trace_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("missing value for --trace-dir")),
-                )
-            }
+            "--workers" => args.workers = Some(driver::parse_value("--workers", it.next(), die)),
             "--resume" => args.resume = true,
             "--no-spawn" => args.spawn = false,
             "--metrics" => args.metrics = true,
-            "--serve-metrics" => {
-                args.serve_metrics = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("missing value for --serve-metrics")),
-                )
-            }
-            "--alert" => {
-                let rule = it
-                    .next()
-                    .unwrap_or_else(|| die("missing value for --alert"));
-                if let Err(e) = imufit_obs::alerts::parse_rule(&rule) {
-                    die(&format!("invalid --alert rule '{rule}': {e}"));
-                }
-                args.alerts.push(rule);
-            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -150,52 +98,19 @@ fn parse_run_args(mut it: std::env::Args) -> RunArgs {
 }
 
 fn run_coordinator(args: RunArgs) {
-    let mut spec = match &args.scenario {
-        Some(s) => driver::load_scenario(s).unwrap_or_else(|e| die(&e)),
-        None => ScenarioSpec::paper_default(),
-    };
-    if let Some(seed) = args.seed {
-        spec.campaign.seed = seed;
-    }
-    if let Some(missions) = args.missions {
-        spec.campaign.missions = missions;
-    }
-    if args.quick {
-        spec.campaign.missions = spec.campaign.missions.min(3);
-        spec.campaign.durations = vec![2.0, 30.0];
-    }
-    if let Some(workers) = args.workers {
-        spec.fleet.workers = workers;
-    }
-    if args.trace_dir.is_some() {
-        spec.trace.enabled = true;
-    }
-    if let Some(addr) = &args.serve_metrics {
-        spec.obs.serve = true;
-        spec.obs.addr = addr.clone();
-    }
-    spec.obs.alerts.extend(args.alerts.iter().cloned());
-    // With `--no-default-features` every metric hook is a no-op, so a
-    // requested plane would silently serve nothing. Refuse instead.
-    if spec.obs.serve && !cfg!(feature = "obs") {
-        die("--serve-metrics (or [obs] serve = true) requires the 'obs' feature; rebuild without --no-default-features");
-    }
-    if let Err(e) = spec.validate() {
-        die(&format!("invalid scenario: {e}"));
-    }
+    let spec = args.shared.scenario(die, |spec| {
+        if let Some(workers) = args.workers {
+            spec.fleet.workers = workers;
+        }
+    });
     // SLO rules (scenario [obs] alerts plus --alert flags) go live before
     // the plane starts so the first recorder sample already evaluates them.
     driver::install_alert_rules(&spec).unwrap_or_else(|e| die(&e));
 
-    let out = PathBuf::from(&args.out);
+    let out = PathBuf::from(&args.shared.out);
     std::fs::create_dir_all(&out)
         .unwrap_or_else(|e| die(&format!("cannot create output dir {}: {e}", out.display())));
-    let trace_dir = spec.trace.enabled.then(|| {
-        args.trace_dir
-            .as_deref()
-            .map(PathBuf::from)
-            .unwrap_or_else(|| out.join("traces"))
-    });
+    let trace_dir = args.shared.trace_dir(&spec);
     let total = imufit_core::CampaignConfig::from_scenario(&spec)
         .matrix()
         .len();

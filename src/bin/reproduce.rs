@@ -37,7 +37,6 @@ use imufit_detect::{evaluate, EnsembleDetector, LabeledStream};
 use imufit_faults::{FaultKind, FaultSpec, FaultTarget, InjectionWindow};
 use imufit_missions::all_missions;
 use imufit_obs::info;
-use imufit_scenario::ScenarioSpec;
 use imufit_uav::{FlightSimulator, SimConfig};
 
 const USAGE: &str = "usage: reproduce [--seed N] [--missions M] [--out DIR] [--quick]
@@ -85,41 +84,26 @@ fn die(msg: &str) -> ! {
 }
 
 struct Args {
-    /// Explicit `--seed`, overriding the scenario's campaign seed.
-    seed: Option<u64>,
-    /// Explicit `--missions`, overriding the scenario's mission count.
-    missions: Option<usize>,
-    out: String,
-    quick: bool,
+    /// The flags `fleet run` shares.
+    shared: driver::Overrides,
     extras: bool,
     /// Write Prometheus text exposition next to the JSON snapshot.
     prometheus: bool,
     /// Write the `campaign_metrics.json` snapshot (on by default).
     metrics_json: bool,
-    /// Scenario document path or preset name.
-    scenario: Option<String>,
     /// Print the active scenario as TOML and exit.
     dump_scenario: bool,
-    /// Black-box output directory; enables tracing.
-    trace_dir: Option<String>,
     /// Pre/post trigger capture windows, records.
     trace_window: Option<(usize, usize)>,
     /// Trigger selection.
     trace_triggers: Option<Vec<imufit_trace::TraceTrigger>>,
     /// Distribute the campaign over N worker processes (0 = auto).
     fleet_workers: Option<usize>,
-    /// Live observability plane listen address (`--serve-metrics`).
-    serve_metrics: Option<String>,
-    /// Extra SLO alert rules (`--alert`, repeatable), merged with the
-    /// scenario's `[obs] alerts` list.
-    alerts: Vec<String>,
 }
 
 /// Parses `--trace-window PRE:POST`, dying on anything malformed.
 fn parse_trace_window(value: Option<String>) -> (usize, usize) {
-    let Some(v) = value else {
-        die("missing value for --trace-window");
-    };
+    let v = driver::flag_value("--trace-window", value, die);
     let Some((pre, post)) = v.split_once(':') else {
         die(&format!(
             "cannot parse --trace-window value '{v}' (expected PRE:POST)"
@@ -135,9 +119,7 @@ fn parse_trace_window(value: Option<String>) -> (usize, usize) {
 
 /// Parses `--trace-triggers a,b,c`, dying on unknown trigger names.
 fn parse_trace_triggers(value: Option<String>) -> Vec<imufit_trace::TraceTrigger> {
-    let Some(v) = value else {
-        die("missing value for --trace-triggers");
-    };
+    let v = driver::flag_value("--trace-triggers", value, die);
     v.split(',')
         .map(str::trim)
         .filter(|t| !t.is_empty())
@@ -152,75 +134,30 @@ fn parse_trace_triggers(value: Option<String>) -> Vec<imufit_trace::TraceTrigger
         .collect()
 }
 
-/// Parses a flag's value, dying with a usable message on anything
-/// missing or unparsable (`--seed abc` must not silently become 2024).
-fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
-    let Some(v) = value else {
-        die(&format!("missing value for {flag}"));
-    };
-    v.parse()
-        .unwrap_or_else(|_| die(&format!("cannot parse {flag} value '{v}'")))
-}
-
 fn parse_args() -> Args {
     let mut args = Args {
-        seed: None,
-        missions: None,
-        out: ".".to_string(),
-        quick: false,
+        shared: driver::Overrides::default(),
         extras: true,
         prometheus: false,
         metrics_json: true,
-        scenario: None,
         dump_scenario: false,
-        trace_dir: None,
         trace_window: None,
         trace_triggers: None,
         fleet_workers: None,
-        serve_metrics: None,
-        alerts: Vec::new(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
+        if args.shared.take(&a, &mut it, die) {
+            continue;
+        }
         match a.as_str() {
-            "--trace-dir" => {
-                args.trace_dir = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("missing value for --trace-dir")),
-                )
-            }
             "--trace-window" => args.trace_window = Some(parse_trace_window(it.next())),
             "--trace-triggers" => args.trace_triggers = Some(parse_trace_triggers(it.next())),
             "--fleet-workers" => {
-                args.fleet_workers = Some(parse_value("--fleet-workers", it.next()))
+                args.fleet_workers = Some(driver::parse_value("--fleet-workers", it.next(), die))
             }
             "--batch" => die("--batch was removed: campaigns always run the scalar tick pipeline"),
-            "--serve-metrics" => {
-                args.serve_metrics = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("missing value for --serve-metrics")),
-                )
-            }
-            "--alert" => {
-                let rule = it
-                    .next()
-                    .unwrap_or_else(|| die("missing value for --alert"));
-                if let Err(e) = imufit_obs::alerts::parse_rule(&rule) {
-                    die(&format!("invalid --alert rule '{rule}': {e}"));
-                }
-                args.alerts.push(rule);
-            }
-            "--seed" => args.seed = Some(parse_value("--seed", it.next())),
-            "--missions" => args.missions = Some(parse_value("--missions", it.next())),
-            "--out" => args.out = it.next().unwrap_or_else(|| die("missing value for --out")),
-            "--scenario" => {
-                args.scenario = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("missing value for --scenario")),
-                )
-            }
             "--dump-scenario" => args.dump_scenario = true,
-            "--quick" => args.quick = true,
             "--no-extras" => args.extras = false,
             "--metrics" => args.prometheus = true,
             "--no-metrics" => args.metrics_json = false,
@@ -339,53 +276,21 @@ fn main() {
 
     // One scenario document describes the whole run; the remaining CLI
     // flags are overrides layered on top of it.
-    let mut spec = match &args.scenario {
-        Some(s) => driver::load_scenario(s).unwrap_or_else(|e| die(&e)),
-        None => ScenarioSpec::paper_default(),
-    };
-    if let Some(seed) = args.seed {
-        spec.campaign.seed = seed;
-    }
-    if let Some(missions) = args.missions {
-        spec.campaign.missions = missions;
-    }
-    if args.quick {
-        spec.campaign.missions = spec.campaign.missions.min(3);
-        spec.campaign.durations = vec![2.0, 30.0];
-    }
-    if let Some(n) = args.fleet_workers {
-        spec.fleet.workers = n;
-    }
-    if let Some(addr) = &args.serve_metrics {
-        spec.obs.serve = true;
-        spec.obs.addr = addr.clone();
-    }
-    // `--alert` rules stack on top of the scenario's own list, so a
-    // document's standing SLOs and a one-off CLI rule coexist (and both
-    // round-trip through `--dump-scenario`).
-    spec.obs.alerts.extend(args.alerts.iter().cloned());
-    // Serving live metrics requires the observability layer; with
-    // `--no-default-features` every hook is a no-op, so a requested
-    // plane would silently serve nothing. Refuse instead.
-    if spec.obs.serve && !cfg!(feature = "obs") {
-        die("--serve-metrics (or [obs] serve = true) requires the 'obs' feature; rebuild without --no-default-features");
-    }
-    // Trace overrides: `--trace-dir` arms the collector, the window and
-    // trigger flags tune it; a window deeper than the ring grows the ring.
-    if args.trace_dir.is_some() {
-        spec.trace.enabled = true;
-    }
-    if let Some((pre, post)) = args.trace_window {
-        spec.trace.pre_window = pre;
-        spec.trace.post_window = post;
-        spec.trace.ring_capacity = spec.trace.ring_capacity.max(pre.max(1));
-    }
-    if let Some(triggers) = &args.trace_triggers {
-        spec.trace.triggers = triggers.clone();
-    }
-    if let Err(e) = spec.validate() {
-        die(&format!("invalid scenario: {e}"));
-    }
+    let spec = args.shared.scenario(die, |spec| {
+        if let Some(n) = args.fleet_workers {
+            spec.fleet.workers = n;
+        }
+        // The window and trigger flags tune the collector; a window deeper
+        // than the ring grows the ring.
+        if let Some((pre, post)) = args.trace_window {
+            spec.trace.pre_window = pre;
+            spec.trace.post_window = post;
+            spec.trace.ring_capacity = spec.trace.ring_capacity.max(pre.max(1));
+        }
+        if let Some(triggers) = &args.trace_triggers {
+            spec.trace.triggers = triggers.clone();
+        }
+    });
     if args.dump_scenario {
         print!("{}", spec.to_toml());
         return;
@@ -393,17 +298,10 @@ fn main() {
     driver::install_alert_rules(&spec).unwrap_or_else(|e| die(&e));
     let seed = spec.campaign.seed;
     let mut config = CampaignConfig::from_scenario(&spec);
-    if spec.trace.enabled {
-        // An armed scenario without an explicit directory still writes its
-        // boxes, under the output directory, so `[trace] enabled = true` in
-        // a document is enough to get traces.
-        config.trace_dir = Some(
-            args.trace_dir
-                .as_deref()
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(|| std::path::Path::new(&args.out).join("traces")),
-        );
-    }
+    // An armed scenario without an explicit directory still writes its
+    // boxes, under the output directory, so `[trace] enabled = true` in a
+    // document is enough to get traces.
+    config.trace_dir = args.shared.trace_dir(&spec);
 
     let total = config.matrix().len();
     // With `--fleet-workers` the unit of parallelism is a worker process
@@ -437,7 +335,7 @@ fn main() {
         imufit_obs::status::board().set_progress(done as u64);
     };
     let started = std::time::Instant::now();
-    let out_dir = std::path::Path::new(&args.out);
+    let out_dir = std::path::Path::new(&args.shared.out);
     std::fs::create_dir_all(out_dir)
         .unwrap_or_else(|e| panic!("cannot create output dir {}: {e}", out_dir.display()));
     let results = if let Some(procs) = fleet_procs {
@@ -463,7 +361,7 @@ fn main() {
     // so the coordinator has no samples and writes nothing.
     if imufit_obs::profile::sampled_ticks() > 0 {
         write_file(
-            &std::path::Path::new(&args.out).join("campaign_profile.folded"),
+            &std::path::Path::new(&args.shared.out).join("campaign_profile.folded"),
             &imufit_obs::profile::folded(),
         );
         info!(
@@ -476,14 +374,14 @@ fn main() {
     info!("running figure scenarios...");
     let figure_results = figures::run_all(seed);
 
-    let extras = if args.extras && !args.quick {
+    let extras = if args.extras && !args.shared.quick {
         collect_extras(seed)
     } else {
         report::ExtraSections::default()
     };
 
     let md = report::render_experiments_md_with_extras(&results, &figure_results, &extras);
-    let out = std::path::Path::new(&args.out);
+    let out = std::path::Path::new(&args.shared.out);
     std::fs::create_dir_all(out)
         .unwrap_or_else(|e| panic!("cannot create output dir {}: {e}", out.display()));
     write_file(&out.join("EXPERIMENTS.md"), &md);

@@ -28,8 +28,7 @@ fn mission() -> Mission {
 }
 
 /// Flies `sim` with its black box armed and returns the summary and the
-/// box's events (none when the flight recorded nothing, or in builds
-/// without the `trace` feature).
+/// box's events (none when the flight recorded nothing).
 fn fly_traced(mut sim: FlightSimulator) -> (FlightSummary, Vec<TraceEvent>) {
     let summary = sim.run_summary();
     let events = sim
@@ -87,9 +86,6 @@ fn gps_spoof_ramp_with_monitors_walks_the_ladder_to_failsafe() {
     assert!(!r.outcome.is_crash(), "spoof run crashed: {:?}", r.outcome);
 
     // The black box carries the attack edge and the ordered GPS ladder.
-    if !cfg!(feature = "trace") {
-        return;
-    }
     assert!(
         events
             .iter()

@@ -37,7 +37,7 @@ fn assert_fork_flies_on(
         faults.clone(),
         config.clone(),
     ));
-    assert_eq!(reference.1.is_some(), cfg!(feature = "trace"));
+    assert!(reference.1.is_some(), "a traced flight seals a box");
     assert!(
         reference.0.duration > InjectionWindow::CAMPAIGN_START + 1.0,
         "the flight must outlive the fork: {:?} at {:.1} s",

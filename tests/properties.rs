@@ -217,22 +217,23 @@ proptest! {
         outlier_axis in 0usize..3,
         count in 1usize..6,
     ) {
-        use imufit::sensors::{consensus, healthiest_instance, ImuSample};
+        use imufit::sensors::{consensus, ImuSample, ImuVoter, VoterConfig};
         let base = ImuSample { accel, gyro, time: 1.0 };
         let mut samples = vec![base; count];
         let c = consensus(&samples);
         prop_assert_eq!(c.accel, accel);
         prop_assert_eq!(c.gyro, gyro);
-        // Poison one instance; with >= 3 instances the consensus is immune
-        // and the vote avoids the outlier.
+        // Poison the primary; with >= 3 instances the consensus is immune
+        // and the vote substitutes another instance for the gross outlier.
+        let mut voter = ImuVoter::new(VoterConfig::default(), count);
         if count >= 3 {
             samples[0].gyro[outlier_axis] += 1000.0;
             let c2 = consensus(&samples);
             prop_assert_eq!(c2.gyro, gyro);
-            prop_assert_ne!(healthiest_instance(&samples), 0);
+            prop_assert_ne!(voter.vote(&samples, 0).selected, 0);
         }
-        let h = healthiest_instance(&samples);
-        prop_assert!(h < samples.len());
+        let selected = voter.vote(&samples, 0).selected;
+        prop_assert!(selected < samples.len());
     }
 
     /// Merging running statistics equals computing them in one pass.

@@ -115,22 +115,19 @@ fn steady_state_ticks_allocate_at_most_once() {
     // The counted flight is untraced. Its traced twin flies the same
     // flight (tracing never feeds back into flight state) to the same
     // time, and its black box shows the voter excluded the noisy instance.
-    if cfg!(feature = "trace") {
-        let mut config = config;
-        config.trace.enabled = true;
-        let mut twin = FlightSimulator::new(mission, vec![fault], config);
-        while twin.time() < faulted.time() {
-            twin.step();
-        }
-        let bytes = twin
-            .take_black_box("twin")
-            .expect("traced twin seals a box");
-        let events = BlackBox::decode(&bytes).expect("box decodes").events;
-        assert!(
-            events
-                .iter()
-                .any(|e| e.kind == TraceEventKind::VoterExclusion),
-            "the voter must have excluded the noisy instance"
-        );
+    config.trace.enabled = true;
+    let mut twin = FlightSimulator::new(mission, vec![fault], config);
+    while twin.time() < faulted.time() {
+        twin.step();
     }
+    let bytes = twin
+        .take_black_box("twin")
+        .expect("traced twin seals a box");
+    let events = BlackBox::decode(&bytes).expect("box decodes").events;
+    assert!(
+        events
+            .iter()
+            .any(|e| e.kind == TraceEventKind::VoterExclusion),
+        "the voter must have excluded the noisy instance"
+    );
 }

@@ -32,29 +32,27 @@ fn traced_campaign_matches_golden_csv_byte_for_byte() {
         "tracing must not change campaign_results.csv by a single byte"
     );
 
-    // With the trace feature compiled in, the faulty runs left decodable
-    // black boxes behind; every one must round-trip through the decoder.
-    if cfg!(feature = "trace") {
-        let boxes: Vec<_> = std::fs::read_dir(&dir)
-            .expect("trace dir was created")
-            .filter_map(Result::ok)
-            .map(|e| e.path())
-            .filter(|p| p.extension().is_some_and(|ext| ext == "ifbb"))
-            .collect();
+    // The faulty runs left decodable black boxes behind; every one must
+    // round-trip through the decoder.
+    let boxes: Vec<_> = std::fs::read_dir(&dir)
+        .expect("trace dir was created")
+        .filter_map(Result::ok)
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|ext| ext == "ifbb"))
+        .collect();
+    assert!(
+        !boxes.is_empty(),
+        "a campaign full of destructive faults must trip triggers"
+    );
+    for path in &boxes {
+        let bytes = std::fs::read(path).unwrap();
+        let bb = BlackBox::decode(&bytes)
+            .unwrap_or_else(|e| panic!("{} does not decode: {e}", path.display()));
         assert!(
-            !boxes.is_empty(),
-            "a campaign full of destructive faults must trip triggers"
+            !bb.events.is_empty(),
+            "{} sealed without events",
+            path.display()
         );
-        for path in &boxes {
-            let bytes = std::fs::read(path).unwrap();
-            let bb = BlackBox::decode(&bytes)
-                .unwrap_or_else(|e| panic!("{} does not decode: {e}", path.display()));
-            assert!(
-                !bb.events.is_empty(),
-                "{} sealed without events",
-                path.display()
-            );
-        }
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

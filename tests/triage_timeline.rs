@@ -9,8 +9,6 @@
 //! flies three missions at the paper's four durations, every faulty box
 //! is checked for the links it has, and at least one must show them all.
 
-#![cfg(feature = "trace")]
-
 use imufit::core::{Campaign, CampaignConfig};
 use imufit::faults::{FaultKind, FaultTarget};
 use imufit::trace::triage::{
