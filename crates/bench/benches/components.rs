@@ -233,7 +233,8 @@ fn bench_trace(c: &mut Criterion) {
     });
 
     // Ring armed with no triggers: pure full-rate record capture, no
-    // segment freezes — the always-on black-box overhead.
+    // segment freezes and no detection ensemble — the floor of armed
+    // tracing, below what `--trace-dir` arms.
     let mut config = SimConfig::default_for(mission, 1);
     config.trace.enabled = true;
     config.trace.triggers = Vec::new();
@@ -245,6 +246,22 @@ fn bench_trace(c: &mut Criterion) {
         b.iter(|| {
             ring.step();
             black_box(ring.time())
+        })
+    });
+
+    // Armed with the default triggers, as `--trace-dir` arms it: the ring
+    // plus the detection ensemble the detector-edge trigger runs every
+    // tick. `trace/tick_armed` minus `trace/tick_ring` is the ensemble.
+    let mut config = SimConfig::default_for(mission, 1);
+    config.trace.enabled = true;
+    let mut armed = FlightSimulator::new(mission, Vec::new(), config);
+    for _ in 0..5000 {
+        armed.step();
+    }
+    c.bench_function("trace/tick_armed", |b| {
+        b.iter(|| {
+            armed.step();
+            black_box(armed.time())
         })
     });
 

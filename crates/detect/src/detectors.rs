@@ -1,7 +1,5 @@
 //! The online detector implementations.
 
-use std::collections::VecDeque;
-
 use imufit_math::filter::LowPass;
 use imufit_math::Vec3;
 use imufit_sensors::ImuSample;
@@ -149,15 +147,135 @@ impl Detector for StuckDetector {
 /// Windowed-variance detector: alarms when short-term variance explodes
 /// (injected noise/random) or collapses to zero (dead channel) relative to
 /// calibration bounds.
+///
+/// Each channel keeps the last `window` values in a fixed ring and their
+/// exact extremes. On most ticks the extremes alone prove that the
+/// window's computed variance cannot exceed the ceiling; otherwise the
+/// channel runs the exact two-pass variance over the ring, oldest to
+/// newest. Either way the decision is the two-pass one.
 #[derive(Debug, Clone)]
 pub struct VarianceDetector {
     window: usize,
-    /// Variance above this (gyro, rad^2/s^2) alarms.
-    gyro_var_max: f64,
-    /// Variance above this (accel, m^2/s^4) alarms.
-    accel_var_max: f64,
-    gyro_buf: VecDeque<f64>,
-    accel_buf: VecDeque<f64>,
+    /// Samples held, up to `window`.
+    len: usize,
+    /// The ring slot the next sample overwrites: once the ring is full,
+    /// the oldest sample.
+    head: usize,
+    /// `(n + 16) * EPSILON` for the window length `n`: the relative slack
+    /// of the variance bound.
+    slack: f64,
+    /// Gyro x: variance above its ceiling (rad^2/s^2) alarms.
+    gyro: VarianceChannel,
+    /// Accel x: variance above its ceiling (m^2/s^4) alarms.
+    accel: VarianceChannel,
+}
+
+/// One watched channel: the ring of its last `window` values and their
+/// extremes, kept in O(1) amortized per sample. A full window ending at
+/// slot `s` is the current pass's slots `0..=s` plus the previous pass's
+/// slots `s + 1..`; the first part's extremes are running values, the
+/// second's are suffix extremes taken once per pass.
+#[derive(Debug, Clone)]
+struct VarianceChannel {
+    ceiling: f64,
+    /// `ceiling`, capped where the bound's overflow argument needs it.
+    fast_ceiling: f64,
+    ring: Box<[f64]>,
+    /// Min and max of `ring[j..]` for each slot `j`, taken when the
+    /// ring's last slot was last written.
+    suffix: Box<[(f64, f64)]>,
+    /// Min and max of the slots written since slot 0 last was.
+    pass: (f64, f64),
+}
+
+/// Pairwise extremes. A NaN on the right is skipped and one on the left
+/// is kept; see [`VarianceChannel::cannot_alarm`] for why both are safe.
+fn widen((lo, hi): (f64, f64), (l, h): (f64, f64)) -> (f64, f64) {
+    (if l < lo { l } else { lo }, if h > hi { h } else { hi })
+}
+
+impl VarianceChannel {
+    fn new(window: usize, ceiling: f64) -> Self {
+        VarianceChannel {
+            ceiling,
+            fast_ceiling: ceiling.min(f64::MAX / (16.0 * window as f64)),
+            ring: vec![0.0; window].into_boxed_slice(),
+            suffix: vec![(0.0, 0.0); window].into_boxed_slice(),
+            pass: (0.0, 0.0),
+        }
+    }
+
+    /// Writes `v` into `slot`.
+    fn push(&mut self, slot: usize, v: f64) {
+        self.ring[slot] = v;
+        self.pass = if slot == 0 {
+            (v, v)
+        } else {
+            widen(self.pass, (v, v))
+        };
+        if slot + 1 == self.ring.len() {
+            let mut acc = (f64::INFINITY, f64::NEG_INFINITY);
+            for (x, suffix) in self.ring.iter().zip(self.suffix.iter_mut()).rev() {
+                acc = widen(acc, (*x, *x));
+                *suffix = acc;
+            }
+        }
+    }
+
+    /// True when the full ring, newest value at `newest`, has a computed
+    /// two-pass variance that provably does not exceed the ceiling.
+    ///
+    /// For `n` finite values in `[lo, hi]` with `A = max(|lo|, |hi|)`,
+    /// unit roundoff `u = 2^-53` and `g_k = k u / (1 - k u)`:
+    /// - the computed mean `m` is `sum(x_i (1 + t_i)) / n` with
+    ///   `|t_i| <= g_n`, so `|m - mu| <= g_n A` (`mu` the exact mean);
+    /// - each computed square is at most `(x_i - m)^2 (1 + u)^3`, the sum
+    ///   of `n` non-negative terms at most `(1 + g_{n-1})` times the exact
+    ///   sum, and the division adds one more `(1 + u)`, so the computed
+    ///   variance is at most `(1 + g_{n+3}) sum((x_i - m)^2) / n`;
+    /// - `sum((x_i - m)^2) / n = sum((x_i - mu)^2) / n + (mu - m)^2`, and
+    ///   Popoviciu's inequality bounds the first term by `(hi - lo)^2 / 4`.
+    ///
+    /// Hence `var <= (1 + g_{n+3}) ((hi - lo)^2 / 4 + (g_n A)^2)`. With
+    /// `slack = (n + 16) EPSILON = 2 (n + 16) u`, the bound below exceeds
+    /// that after its own roundings (`hi - lo` and the five operations
+    /// forming it, about `7 u` more). Underflow adds at most `2^-1075` per
+    /// product or quotient, far below the `MIN_POSITIVE` term. A bound
+    /// under `fast_ceiling <= MAX / 16n` keeps every intermediate of the
+    /// exact pass finite, so it cannot overflow to an alarm either.
+    ///
+    /// A window holding a NaN or an infinity has a NaN computed variance,
+    /// which never alarms. Its extremes are then either non-finite, so the
+    /// bound is not below the ceiling and the exact pass runs, or finite
+    /// because a NaN was skipped, and "cannot alarm" is true.
+    fn cannot_alarm(&self, newest: usize, slack: f64) -> bool {
+        let (lo, hi) = match self.suffix.get(newest + 1) {
+            Some(&older) => widen(self.pass, older),
+            None => self.pass,
+        };
+        let range = hi - lo;
+        let scale = slack * (-lo).max(hi);
+        let bound = 0.25 * range * range * (1.0 + slack) + scale * scale + f64::MIN_POSITIVE;
+        bound < self.fast_ceiling
+    }
+
+    /// The two-pass variance of the full ring, summed oldest (the slot
+    /// after `newest`) to newest.
+    fn variance(&self, newest: usize) -> f64 {
+        let n = self.ring.len() as f64;
+        let (newer, older) = self.ring.split_at(newest + 1);
+        let mean = older.iter().chain(newer).sum::<f64>() / n;
+        older
+            .iter()
+            .chain(newer)
+            .map(|x| (x - mean) * (x - mean))
+            .sum::<f64>()
+            / n
+    }
+
+    fn alarms(&self, newest: usize, slack: f64) -> bool {
+        !self.cannot_alarm(newest, slack) && self.variance(newest) > self.ceiling
+    }
 }
 
 impl VarianceDetector {
@@ -170,10 +288,11 @@ impl VarianceDetector {
         assert!(window >= 4, "variance needs at least 4 samples");
         VarianceDetector {
             window,
-            gyro_var_max,
-            accel_var_max,
-            gyro_buf: VecDeque::with_capacity(window),
-            accel_buf: VecDeque::with_capacity(window),
+            len: 0,
+            head: 0,
+            slack: (window as f64 + 16.0) * f64::EPSILON,
+            gyro: VarianceChannel::new(window, gyro_var_max),
+            accel: VarianceChannel::new(window, accel_var_max),
         }
     }
 
@@ -182,38 +301,28 @@ impl VarianceDetector {
     pub fn calibrated() -> Self {
         VarianceDetector::new(64, 0.5, 60.0)
     }
-
-    fn push(buf: &mut VecDeque<f64>, window: usize, v: f64) {
-        if buf.len() == window {
-            buf.pop_front();
-        }
-        buf.push_back(v);
-    }
-
-    fn variance(buf: &VecDeque<f64>) -> f64 {
-        let n = buf.len() as f64;
-        if n < 2.0 {
-            return 0.0;
-        }
-        let mean = buf.iter().sum::<f64>() / n;
-        buf.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n
-    }
 }
 
 impl Detector for VarianceDetector {
     fn observe(&mut self, sample: &ImuSample, _dt: f64) -> bool {
-        Self::push(&mut self.gyro_buf, self.window, sample.gyro.x);
-        Self::push(&mut self.accel_buf, self.window, sample.accel.x);
-        if self.gyro_buf.len() < self.window {
-            return false;
+        let slot = self.head;
+        self.gyro.push(slot, sample.gyro.x);
+        self.accel.push(slot, sample.accel.x);
+        self.head = if slot + 1 == self.window { 0 } else { slot + 1 };
+        if self.len < self.window {
+            self.len += 1;
+            if self.len < self.window {
+                return false;
+            }
         }
-        Self::variance(&self.gyro_buf) > self.gyro_var_max
-            || Self::variance(&self.accel_buf) > self.accel_var_max
+        self.gyro.alarms(slot, self.slack) || self.accel.alarms(slot, self.slack)
     }
 
     fn reset(&mut self) {
-        self.gyro_buf.clear();
-        self.accel_buf.clear();
+        // The rings and their extremes are rewritten before they are read
+        // again: no window is judged until every slot has been refilled.
+        self.len = 0;
+        self.head = 0;
     }
 
     fn name(&self) -> &'static str {
@@ -386,6 +495,7 @@ impl Detector for EnsembleDetector {
 mod tests {
     use super::*;
     use imufit_math::rng::Pcg;
+    use std::collections::VecDeque;
 
     fn clean(t: f64, rng: &mut Pcg) -> ImuSample {
         ImuSample {
@@ -552,5 +662,258 @@ mod tests {
     #[should_panic(expected = "at least 4 samples")]
     fn variance_small_window_panics() {
         let _ = VarianceDetector::new(2, 1.0, 1.0);
+    }
+
+    /// The reference `VarianceDetector`: two `VecDeque` windows and the
+    /// two-pass variance on every full window. The ring-and-bound detector
+    /// must decide exactly as this one does.
+    #[derive(Debug, Clone)]
+    struct TwoPassVariance {
+        window: usize,
+        gyro_var_max: f64,
+        accel_var_max: f64,
+        gyro_buf: VecDeque<f64>,
+        accel_buf: VecDeque<f64>,
+    }
+
+    impl TwoPassVariance {
+        fn new(window: usize, gyro_var_max: f64, accel_var_max: f64) -> Self {
+            TwoPassVariance {
+                window,
+                gyro_var_max,
+                accel_var_max,
+                gyro_buf: VecDeque::with_capacity(window),
+                accel_buf: VecDeque::with_capacity(window),
+            }
+        }
+
+        fn push(buf: &mut VecDeque<f64>, window: usize, v: f64) {
+            if buf.len() == window {
+                buf.pop_front();
+            }
+            buf.push_back(v);
+        }
+
+        fn variance(buf: &VecDeque<f64>) -> f64 {
+            let n = buf.len() as f64;
+            if n < 2.0 {
+                return 0.0;
+            }
+            let mean = buf.iter().sum::<f64>() / n;
+            buf.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n
+        }
+    }
+
+    impl Detector for TwoPassVariance {
+        fn observe(&mut self, sample: &ImuSample, _dt: f64) -> bool {
+            Self::push(&mut self.gyro_buf, self.window, sample.gyro.x);
+            Self::push(&mut self.accel_buf, self.window, sample.accel.x);
+            if self.gyro_buf.len() < self.window {
+                return false;
+            }
+            Self::variance(&self.gyro_buf) > self.gyro_var_max
+                || Self::variance(&self.accel_buf) > self.accel_var_max
+        }
+
+        fn reset(&mut self) {
+            self.gyro_buf.clear();
+            self.accel_buf.clear();
+        }
+
+        fn name(&self) -> &'static str {
+            "variance"
+        }
+    }
+
+    fn channels(gyro_x: f64, accel_x: f64) -> ImuSample {
+        ImuSample {
+            accel: Vec3::new(accel_x, 0.0, -9.8),
+            gyro: Vec3::new(gyro_x, 0.0, 0.0),
+            time: 0.0,
+        }
+    }
+
+    /// Feeds `stream` to a fresh fast detector and a fresh oracle and
+    /// asserts equal decisions on every sample. Returns how many full
+    /// windows did not alarm and how many did.
+    fn assert_agrees(window: usize, ceilings: (f64, f64), stream: &[(f64, f64)]) -> [usize; 2] {
+        let mut fast = VarianceDetector::new(window, ceilings.0, ceilings.1);
+        let mut oracle = TwoPassVariance::new(window, ceilings.0, ceilings.1);
+        let mut counts = [0; 2];
+        for (k, &(g, a)) in stream.iter().enumerate() {
+            let sample = channels(g, a);
+            let decided = fast.observe(&sample, 0.004);
+            assert_eq!(
+                decided,
+                oracle.observe(&sample, 0.004),
+                "sample {k}: gyro {g:e}, accel {a:e}"
+            );
+            if k + 1 >= window {
+                counts[usize::from(decided)] += 1;
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn fast_variance_matches_the_two_pass_oracle_on_random_windows() {
+        // Segments of random length with a log-uniform spread around each
+        // ceiling's scale and a random offset, so windows straddle the
+        // ceilings, mix regimes, and carry means far from zero.
+        let mut rng = Pcg::seed_from(27);
+        let (gyro_max, accel_max) = (0.5, 60.0);
+        let mut fast = VarianceDetector::new(64, gyro_max, accel_max);
+        let mut oracle = TwoPassVariance::new(64, gyro_max, accel_max);
+        let (mut windows, mut alarms, mut bounded) = (0u64, 0u64, 0u64);
+        while windows < 1_000_000 {
+            let len = 1 + (rng.next_u64() % 300) as usize;
+            let spread =
+                |rng: &mut Pcg, max: f64| max.sqrt() * 10f64.powf(rng.uniform_range(-2.0, 0.7));
+            let (gs, as_) = (spread(&mut rng, gyro_max), spread(&mut rng, accel_max));
+            let (go, ao) = (
+                rng.uniform_range(-1.0, 1.0) * 10f64.powf(rng.uniform_range(-3.0, 4.0)),
+                rng.uniform_range(-1.0, 1.0) * 10f64.powf(rng.uniform_range(-3.0, 4.0)),
+            );
+            for _ in 0..len {
+                let sample = channels(
+                    go + rng.normal_with(0.0, gs),
+                    ao + rng.uniform_range(-as_, as_) * 1.7,
+                );
+                let decided = fast.observe(&sample, 0.004);
+                assert_eq!(decided, oracle.observe(&sample, 0.004), "window {windows}");
+                if oracle.gyro_buf.len() == 64 {
+                    windows += 1;
+                    alarms += u64::from(decided);
+                    bounded += u64::from({
+                        let newest = (fast.head + 63) % 64;
+                        fast.gyro.cannot_alarm(newest, fast.slack)
+                            && fast.accel.cannot_alarm(newest, fast.slack)
+                    });
+                }
+            }
+            if rng.next_u64().is_multiple_of(500) {
+                fast.reset();
+                oracle.reset();
+            }
+        }
+        assert!(alarms > windows / 10, "{alarms} of {windows} alarmed");
+        assert!(
+            windows - alarms > windows / 10,
+            "{alarms} of {windows} alarmed"
+        );
+        assert!(
+            bounded > windows / 10,
+            "the bound decided {bounded} of {windows}"
+        );
+    }
+
+    #[test]
+    fn fast_variance_matches_the_oracle_within_ulps_of_each_ceiling() {
+        // Windows whose computed variance `v` is known, against ceilings
+        // from 8 ulps below `v` to 8 above. Half are Popoviciu's extremal
+        // two-point windows (variance = range^2 / 4), where rounding alone
+        // decides whether the computed variance lands above the bound's
+        // leading term.
+        let mut rng = Pcg::seed_from(28);
+        let mut counts = [0; 2];
+        for base in 0..400 {
+            let offset = [0.0, 1.0, -37.5, 1e4][base % 4];
+            let scale = 10f64.powf(rng.uniform_range(-2.0, 1.5));
+            let window: VecDeque<f64> = (0..64)
+                .map(|k| {
+                    let x = if base % 2 == 0 {
+                        if k % 2 == 0 {
+                            -1.0
+                        } else {
+                            1.0
+                        }
+                    } else {
+                        rng.normal()
+                    };
+                    offset + x * scale
+                })
+                .collect();
+            let v = TwoPassVariance::variance(&window);
+            assert!(v > 0.0 && v.is_finite());
+            for ulps in -8i64..=8 {
+                let ceiling = f64::from_bits((v.to_bits() as i64 + ulps) as u64);
+                let on_gyro: Vec<(f64, f64)> = window.iter().map(|&x| (x, 0.0)).collect();
+                let on_accel: Vec<(f64, f64)> = window.iter().map(|&x| (0.0, x)).collect();
+                for (ceilings, stream) in [((ceiling, 1.0), on_gyro), ((1.0, ceiling), on_accel)] {
+                    let c = assert_agrees(64, ceilings, &stream);
+                    for (total, add) in counts.iter_mut().zip(c) {
+                        *total += add;
+                    }
+                }
+            }
+        }
+        // Both sides of the ceilings were reached.
+        assert!(counts[0] > 1000 && counts[1] > 1000, "{counts:?}");
+    }
+
+    #[test]
+    fn fast_variance_matches_the_oracle_on_lone_spikes_at_every_ring_slot() {
+        // One spike every 97 samples in a quiet stream: the spike alone
+        // lifts a window over its ceiling, and over the run it lands on
+        // every ring slot, so extremes that lose it at any slot show.
+        let mut rng = Pcg::seed_from(29);
+        for window in [64, 13] {
+            let stream: Vec<(f64, f64)> = (0..97 * 70)
+                .map(|k| {
+                    let spike = if k % 97 == 50 { 1.0 } else { 0.0 };
+                    (
+                        rng.normal_with(0.0, 0.01) + spike * 8.0,
+                        rng.normal_with(0.0, 0.1) - spike * 80.0,
+                    )
+                })
+                .collect();
+            let [quiet, alarmed] = assert_agrees(window, (0.5, 60.0), &stream);
+            assert!(
+                quiet > 0 && alarmed >= 69 * window,
+                "{quiet} quiet, {alarmed} alarmed"
+            );
+        }
+    }
+
+    #[test]
+    fn fast_variance_matches_the_oracle_on_constant_and_non_finite_windows() {
+        let specials = [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e307,
+            -1e307,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            0.0,
+            -0.0,
+        ];
+        for &ceilings in &[
+            (0.5, 60.0),
+            (0.0, 0.0),
+            (f64::NAN, f64::INFINITY),
+            (-1.0, f64::MAX),
+        ] {
+            // Constant windows, at zero and far from it.
+            for c in [0.0, 3.0, -1e12, 1e300] {
+                assert_agrees(16, ceilings, &vec![(c, c); 200]);
+            }
+            // A special value entering and leaving a quiet window, alone,
+            // in runs, and against its opposite; a window of 13 leaves a
+            // partial last block of extremes.
+            for &special in &specials {
+                for run in [1, 5, 20] {
+                    let mut stream: Vec<(f64, f64)> =
+                        (0..40).map(|k| (0.01 * k as f64, 0.1 * k as f64)).collect();
+                    stream.extend(std::iter::repeat_n((special, -special), run));
+                    stream.extend((0..40).map(|k| (0.02 * k as f64, -0.3 * k as f64)));
+                    stream.extend(std::iter::repeat_n((special, special), run));
+                    stream.extend(std::iter::repeat_n((-special, 1.0), run));
+                    stream.extend(vec![(0.25, 2.0); 40]);
+                    assert_agrees(16, ceilings, &stream);
+                    assert_agrees(13, ceilings, &stream);
+                }
+            }
+        }
     }
 }

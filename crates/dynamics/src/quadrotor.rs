@@ -168,11 +168,22 @@ impl Quadrotor {
             rotor.step(cmd, dt);
         }
 
+        // The rotors' thrust and torque sums are the same for all four
+        // substeps, so they are formed once.
+        let total_thrust: f64 = self.rotors.iter().map(Rotor::thrust).sum();
+        let mut rotor_torque = Vec3::ZERO;
+        for (rotor, geom) in self.rotors.iter().zip(self.layout.iter()) {
+            let thrust_body = Vec3::new(0.0, 0.0, -rotor.thrust());
+            rotor_torque += geom.position.cross(thrust_body);
+            rotor_torque += Vec3::new(0.0, 0.0, geom.direction.torque_sign() * rotor.torque());
+        }
+        let rotors = (total_thrust, rotor_torque);
+
         let s = self.state;
-        let k1 = self.derivative(&s, wind);
-        let k2 = self.derivative(&s.advanced(&k1, dt * 0.5), wind);
-        let k3 = self.derivative(&s.advanced(&k2, dt * 0.5), wind);
-        let k4 = self.derivative(&s.advanced(&k3, dt), wind);
+        let k1 = self.derivative(&s, wind, rotors);
+        let k2 = self.derivative(&s.advanced(&k1, dt * 0.5), wind, rotors);
+        let k3 = self.derivative(&s.advanced(&k2, dt * 0.5), wind, rotors);
+        let k4 = self.derivative(&s.advanced(&k3, dt), wind, rotors);
         let blend = StateDerivative::rk4_blend(&k1, &k2, &k3, &k4);
 
         self.state = s.advanced(&blend, dt);
@@ -190,12 +201,17 @@ impl Quadrotor {
     }
 
     /// The force/torque model: computes the state derivative for an
-    /// arbitrary state, holding current rotor speeds fixed.
-    fn derivative(&self, s: &RigidBodyState, wind: Vec3) -> StateDerivative {
+    /// arbitrary state, holding the rotors' `(total thrust, body torque)`
+    /// fixed.
+    fn derivative(
+        &self,
+        s: &RigidBodyState,
+        wind: Vec3,
+        (total_thrust, rotor_torque): (f64, Vec3),
+    ) -> StateDerivative {
         let p = &self.params;
 
         // --- Forces (world frame) ---
-        let total_thrust: f64 = self.rotors.iter().map(Rotor::thrust).sum();
         let thrust_world = s.attitude.rotate(Vec3::new(0.0, 0.0, -total_thrust));
         let gravity = Vec3::new(0.0, 0.0, p.mass * GRAVITY);
         let air_rel = s.velocity - wind;
@@ -204,12 +220,7 @@ impl Quadrotor {
         let force = thrust_world + gravity + drag + contact;
 
         // --- Torques (body frame) ---
-        let mut torque = Vec3::ZERO;
-        for (rotor, geom) in self.rotors.iter().zip(self.layout.iter()) {
-            let thrust_body = Vec3::new(0.0, 0.0, -rotor.thrust());
-            torque += geom.position.cross(thrust_body);
-            torque += Vec3::new(0.0, 0.0, geom.direction.torque_sign() * rotor.torque());
-        }
+        let mut torque = rotor_torque;
         // Rotational damping: linear rotor-inflow term plus quadratic drag.
         torque -= s.angular_rate * p.angular_damping;
         torque -= s.angular_rate * (p.angular_drag * s.angular_rate.norm());

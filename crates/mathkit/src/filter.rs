@@ -17,10 +17,22 @@ use crate::vec3::Vec3;
 /// }
 /// assert!((y - 1.0).abs() < 1e-3); // converges to the DC value
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct LowPass {
     cutoff_hz: f64,
     state: Option<f64>,
+    /// The last `dt` seen and its smoothing factor: `alpha` is a pure
+    /// function of the cutoff and `dt`, and a fixed-rate caller passes the
+    /// same `dt` every call, so the two divisions run once. Not filter
+    /// state, so equality ignores it.
+    alpha_dt: f64,
+    alpha: f64,
+}
+
+impl PartialEq for LowPass {
+    fn eq(&self, other: &Self) -> bool {
+        self.cutoff_hz == other.cutoff_hz && self.state == other.state
+    }
 }
 
 impl LowPass {
@@ -37,16 +49,22 @@ impl LowPass {
         LowPass {
             cutoff_hz,
             state: None,
+            alpha_dt: 0.0,
+            alpha: Self::alpha(cutoff_hz, 0.0),
         }
     }
 
     /// Feeds a sample taken `dt` seconds after the previous one and returns
     /// the filtered value. The first sample initializes the filter.
     pub fn update(&mut self, x: f64, dt: f64) -> f64 {
-        let alpha = Self::alpha(self.cutoff_hz, dt);
+        // Bitwise, so `-0.0` and NaN payloads get their own factor too.
+        if dt.to_bits() != self.alpha_dt.to_bits() {
+            self.alpha_dt = dt;
+            self.alpha = Self::alpha(self.cutoff_hz, dt);
+        }
         let y = match self.state {
             None => x,
-            Some(prev) => prev + alpha * (x - prev),
+            Some(prev) => prev + self.alpha * (x - prev),
         };
         self.state = Some(y);
         y
@@ -186,6 +204,30 @@ mod tests {
         lp.reset();
         assert_eq!(lp.value(), None);
         assert_eq!(lp.update(1.0, 0.01), 1.0);
+    }
+
+    #[test]
+    fn lowpass_cached_factor_matches_the_recomputed_one() {
+        // Bit for bit against the uncached recurrence, over a `dt` that
+        // repeats, changes, flips the sign of zero, and comes back.
+        let cutoff = 8.0;
+        let mut lp = LowPass::new(cutoff);
+        let mut prev: Option<f64> = None;
+        let dts = [
+            0.004, 0.004, 0.01, 0.004, 0.0, -0.0, 0.0, 1e-9, 0.004, 0.004,
+        ];
+        for (k, dt) in dts.into_iter().enumerate() {
+            let x = (k as f64).sin() * 3.0;
+            let alpha = LowPass::alpha(cutoff, dt);
+            let want = prev.map_or(x, |p| p + alpha * (x - p));
+            assert_eq!(lp.update(x, dt).to_bits(), want.to_bits(), "step {k}");
+            prev = Some(want);
+        }
+        assert_eq!(lp, {
+            let mut fresh = LowPass::new(cutoff);
+            fresh.update(prev.unwrap(), 0.5);
+            fresh
+        });
     }
 
     #[test]

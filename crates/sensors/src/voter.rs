@@ -69,12 +69,12 @@ pub struct InstanceHealth {
 
 /// The outcome of one voting tick.
 #[derive(Debug, Clone, PartialEq)]
-pub struct VoterReport {
+pub struct VoterReport<'a> {
     /// The sample the flight stack should consume: the primary instance if
     /// healthy, otherwise the healthiest included instance.
     pub merged: ImuSample,
-    /// Per-instance health.
-    pub health: Vec<InstanceHealth>,
+    /// Per-instance health, held by the voter until its next vote.
+    pub health: &'a [InstanceHealth],
     /// Instances excluded on this tick (events for the black box).
     pub newly_excluded: Vec<usize>,
     /// Instances reinstated on this tick.
@@ -99,10 +99,11 @@ pub struct ImuVoter {
     clean_streak: Vec<u32>,
     excluded: Vec<bool>,
     /// Per-tick scratch, reused so a steady-state vote does not allocate:
-    /// the trusted subset and the per-axis median buffer. Not voter state,
-    /// so equality ignores it.
+    /// the trusted subset, the per-axis median buffer and the health the
+    /// last report lends out. Not voter state, so equality ignores it.
     trusted: Vec<ImuSample>,
     medians: Vec<f64>,
+    health: Vec<InstanceHealth>,
 }
 
 impl PartialEq for ImuVoter {
@@ -124,12 +125,18 @@ impl ImuVoter {
             excluded: vec![false; count],
             trusted: Vec::with_capacity(count),
             medians: Vec::with_capacity(count),
+            health: Vec::with_capacity(count),
         }
     }
 
     /// The configuration.
     pub fn config(&self) -> &VoterConfig {
         &self.config
+    }
+
+    /// Per-instance health from the last vote (empty before the first).
+    pub fn health(&self) -> &[InstanceHealth] {
+        &self.health
     }
 
     /// Currently excluded instances.
@@ -150,7 +157,7 @@ impl ImuVoter {
     ///
     /// Panics if `samples` is empty or its length differs from the count
     /// the voter was built for.
-    pub fn vote(&mut self, samples: &[ImuSample], primary: usize) -> VoterReport {
+    pub fn vote(&mut self, samples: &[ImuSample], primary: usize) -> VoterReport<'_> {
         assert!(!samples.is_empty(), "vote over zero samples");
         assert_eq!(
             samples.len(),
@@ -184,7 +191,7 @@ impl ImuVoter {
         // coin flip, so streaks only accumulate when n >= 3.
         let can_vote = n >= 3;
 
-        let mut health = Vec::with_capacity(n);
+        self.health.clear();
         for (i, s) in samples.iter().enumerate() {
             let gyro_deviation = (s.gyro - reference.gyro).norm();
             let accel_deviation = (s.accel - reference.accel).norm();
@@ -222,7 +229,7 @@ impl ImuVoter {
                 }
             }
 
-            health.push(InstanceHealth {
+            self.health.push(InstanceHealth {
                 excluded: self.excluded[i],
                 flagged,
                 gyro_deviation,
@@ -263,7 +270,7 @@ impl ImuVoter {
 
         VoterReport {
             merged: samples[selected],
-            health,
+            health: &self.health,
             newly_excluded,
             newly_reinstated,
             selected,

@@ -27,6 +27,10 @@ pub struct MitigationStage {
     /// the alarm had been up.
     edge: Option<f64>,
     persist: f64,
+    /// Every observed sample with its `dt` and the ensemble's raw alarm,
+    /// so a test can replay a flown stream through a reference detector.
+    #[cfg(test)]
+    pub(crate) observed: Vec<(ImuSample, f64, bool)>,
 }
 
 impl MitigationStage {
@@ -48,6 +52,8 @@ impl MitigationStage {
             persisted: false,
             edge: None,
             persist,
+            #[cfg(test)]
+            observed: Vec::new(),
         }
     }
 
@@ -59,7 +65,10 @@ impl MitigationStage {
         let Some(detector) = self.detector.as_mut() else {
             return false;
         };
-        if !(detector.observe(imu, dt) && airborne) {
+        let alarm = detector.observe(imu, dt);
+        #[cfg(test)]
+        self.observed.push((*imu, dt, alarm));
+        if !(alarm && airborne) {
             self.alarm_since = None;
             self.persisted = false;
             return false;

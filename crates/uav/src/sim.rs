@@ -84,6 +84,28 @@ fn build_estimator(backend: EstimatorBackend) -> Estimator {
     }
 }
 
+/// Physics ticks between events of each sub-rate schedule, fixed by the
+/// configured rates when the simulator is built.
+#[derive(Debug, Clone, Copy)]
+struct SubRatePeriods {
+    gps: u64,
+    baro: u64,
+    compass: u64,
+    tracking: u64,
+}
+
+impl SubRatePeriods {
+    fn new(config: &SimConfig) -> Self {
+        let period = |rate: f64| (config.physics_rate / rate).round() as u64;
+        SubRatePeriods {
+            gps: period(config.gps_rate),
+            baro: period(config.baro_rate),
+            compass: period(config.compass_rate),
+            tracking: period(config.tracking_rate),
+        }
+    }
+}
+
 /// One vehicle flying one mission, end to end.
 #[derive(Clone)]
 pub struct FlightSimulator {
@@ -91,6 +113,8 @@ pub struct FlightSimulator {
     dt: f64,
     time: f64,
     tick: u64,
+    /// Physics ticks per GPS, baro, compass and tracking event.
+    periods: SubRatePeriods,
 
     quad: Quadrotor,
     imu_bank: RedundantImu,
@@ -216,6 +240,7 @@ impl FlightSimulator {
             dt: 1.0 / config.physics_rate,
             time: 0.0,
             tick: 0,
+            periods: SubRatePeriods::new(&config),
             quad: Quadrotor::with_state(
                 quad_params,
                 imufit_dynamics::RigidBodyState::at_rest(mission.home),
@@ -454,11 +479,15 @@ impl FlightSimulator {
         let primary = self.imu_bank.primary();
         let report = self.voter.vote(&self.imu_samples, primary);
         let corrupted = report.merged;
+        let primary_excluded = report.primary_excluded;
+        let selected = report.selected;
+        let excluded = report.health.iter().filter(|h| h.excluded).count();
+        let (newly_excluded, newly_reinstated) = (report.newly_excluded, report.newly_reinstated);
 
         // Voter bookkeeping: log exclusions/reinstatements and move the
         // bank's primary off an excluded instance.
-        for &i in &report.newly_excluded {
-            let health = &report.health[i];
+        for i in newly_excluded {
+            let health = self.voter.health()[i];
             self.emit(TraceEventKind::VoterExclusion, self.time, i as u32, |_| {
                 format!(
                     "imu{i}: consensus deviation gyro {:.2} rad/s, accel {:.2} m/s^2",
@@ -466,7 +495,7 @@ impl FlightSimulator {
                 )
             });
         }
-        for &i in &report.newly_reinstated {
+        for i in newly_reinstated {
             self.emit(
                 TraceEventKind::VoterReinstatement,
                 self.time,
@@ -475,10 +504,9 @@ impl FlightSimulator {
             );
         }
         let mut switched = false;
-        if report.primary_excluded && report.selected != primary {
-            self.imu_bank.switch_primary(report.selected);
+        if primary_excluded && selected != primary {
+            self.imu_bank.switch_primary(selected);
             switched = true;
-            let selected = report.selected;
             self.emit(
                 TraceEventKind::PrimarySwitch,
                 self.time,
@@ -488,15 +516,15 @@ impl FlightSimulator {
         }
         let redundancy = RedundancyStatus {
             instances: self.imu_bank.count(),
-            excluded: report.health.iter().filter(|h| h.excluded).count(),
-            primary_excluded: report.primary_excluded,
+            excluded,
+            primary_excluded,
             switched,
         };
 
         // --- Estimation ---
         prof.stage(imufit_obs::profile::Stage::Estimator);
         self.estimator.predict(&corrupted, dt);
-        if self.every(self.config.gps_rate) {
+        if self.due(self.periods.gps) {
             let mut fix = self.gps.sample(
                 self.quad.state().position,
                 self.quad.state().velocity,
@@ -513,7 +541,7 @@ impl FlightSimulator {
                 );
             }
         }
-        if self.every(self.config.baro_rate) {
+        if self.due(self.periods.baro) {
             let mut sample = self.baro.sample(
                 self.quad.state().altitude(),
                 1.0 / self.config.baro_rate,
@@ -530,7 +558,7 @@ impl FlightSimulator {
                 self.observe_monitor(FaultTarget::Barometer, ratio);
             }
         }
-        if self.every(self.config.compass_rate) {
+        if self.due(self.periods.compass) {
             // A real magnetometer pipeline: sample the body-frame field from
             // the true attitude, then tilt-compensate with the *estimated*
             // roll/pitch (so attitude-estimate errors degrade the yaw aid,
@@ -633,7 +661,7 @@ impl FlightSimulator {
         prof.stage(imufit_obs::profile::Stage::Bookkeeping);
 
         // --- Tracking and bubble ---
-        if self.every(self.config.tracking_rate) && self.airborne {
+        if self.due(self.periods.tracking) && self.airborne {
             let obs = self.bubble.observe(s.position, s.velocity.norm());
             self.last_bubble = (obs.deviation, obs.inner_radius, obs.outer_radius);
             if tracing {
@@ -688,11 +716,11 @@ impl FlightSimulator {
             if self.airborne {
                 flags |= FLAG_AIRBORNE;
             }
-            if report.primary_excluded {
+            if primary_excluded {
                 flags |= FLAG_PRIMARY_EXCLUDED;
             }
             let mut excluded_mask = 0u8;
-            for (i, h) in report.health.iter().take(8).enumerate() {
+            for (i, h) in self.voter.health().iter().take(8).enumerate() {
                 if h.excluded {
                     excluded_mask |= 1 << i;
                 }
@@ -795,9 +823,9 @@ impl FlightSimulator {
         });
     }
 
-    /// Ticks a sub-rate scheduler: true when an event at `rate` Hz is due.
-    fn every(&self, rate: f64) -> bool {
-        let period = (self.config.physics_rate / rate).round() as u64;
+    /// Ticks a sub-rate scheduler: true when an event every `period`
+    /// ticks is due.
+    fn due(&self, period: u64) -> bool {
         period <= 1 || self.tick.is_multiple_of(period)
     }
 
@@ -906,6 +934,63 @@ mod tests {
             .expect("box decodes")
             .events;
         (summary, events)
+    }
+
+    /// On a flown, faulted flight the detection ensemble alarms on exactly
+    /// the ticks a reference ensemble does whose variance member is the
+    /// two-pass variance over `VecDeque` windows: the bounded variance
+    /// member skips work, never a decision.
+    #[test]
+    fn flown_ensemble_alarms_match_the_two_pass_reference() {
+        use imufit_detect::{Detector, StuckDetector, ThresholdDetector, VarianceDetector};
+        use std::collections::VecDeque;
+
+        let m = short_mission();
+        let mut config = SimConfig::default_for(&m, 11);
+        // Armed tracing with the default triggers builds the ensemble.
+        config.trace.enabled = true;
+        let faults = fault_at(FaultKind::Noise, FaultTarget::Imu, 25.0, 20.0);
+        let mut sim = FlightSimulator::new(&m, faults, config);
+        sim.run_summary();
+        let observed = &sim.mitigation.observed;
+        assert!(observed.len() > 5_000, "{} ticks", observed.len());
+
+        let mut threshold = ThresholdDetector::px4_defaults();
+        let mut stuck = StuckDetector::new(8);
+        let mut variance = VarianceDetector::calibrated();
+        let mut window: VecDeque<(f64, f64)> = VecDeque::with_capacity(64);
+        let mut variance_alarms = [0; 2];
+        for (k, (sample, dt, alarm)) in observed.iter().enumerate() {
+            if window.len() == 64 {
+                window.pop_front();
+            }
+            window.push_back((sample.gyro.x, sample.accel.x));
+            let two_pass = |pick: fn(&(f64, f64)) -> f64| {
+                let n = window.len() as f64;
+                let mean = window.iter().map(pick).sum::<f64>() / n;
+                window
+                    .iter()
+                    .map(|w| (pick(w) - mean) * (pick(w) - mean))
+                    .sum::<f64>()
+                    / n
+            };
+            let reference_variance =
+                window.len() == 64 && (two_pass(|w| w.0) > 0.5 || two_pass(|w| w.1) > 60.0);
+            assert_eq!(
+                variance.observe(sample, *dt),
+                reference_variance,
+                "variance member, tick {k}"
+            );
+            variance_alarms[usize::from(reference_variance)] += 1;
+            let mut reference = threshold.observe(sample, *dt);
+            reference |= stuck.observe(sample, *dt);
+            reference |= reference_variance;
+            assert_eq!(*alarm, reference, "ensemble, tick {k}");
+        }
+        assert!(
+            variance_alarms[0] > 1000 && variance_alarms[1] > 100,
+            "quiet and alarmed ticks: {variance_alarms:?}"
+        );
     }
 
     #[test]

@@ -125,9 +125,13 @@ fn parse_trace_triggers(value: Option<String>) -> Vec<imufit_trace::TraceTrigger
         .filter(|t| !t.is_empty())
         .map(|t| {
             imufit_trace::TraceTrigger::parse(t).unwrap_or_else(|| {
+                let valid: Vec<&str> = imufit_trace::TraceTrigger::ALL
+                    .iter()
+                    .map(|t| t.label())
+                    .collect();
                 die(&format!(
-                    "unknown trigger '{t}' (valid: detector-edge, voter-exclusion, \
-                     bubble-violation, failsafe, panic)"
+                    "unknown trigger '{t}' (valid: {})",
+                    valid.join(", ")
                 ))
             })
         })

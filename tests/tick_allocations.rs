@@ -1,7 +1,6 @@
 //! The steady-state tick's heap traffic: a vehicle flying its mission
-//! samples, corrupts and votes on its IMU bank without allocating. The
-//! one allocation a 250 Hz tick may make is the `VoterReport::health`
-//! vector the voter returns by value.
+//! samples, corrupts and votes on its IMU bank, and an armed black box
+//! records it and runs the detection ensemble, without allocating.
 //!
 //! A counting global allocator counts only while the calling thread has
 //! switched counting on, so tests running beside these on other threads
@@ -12,7 +11,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use imufit::prelude::*;
-use imufit::trace::TraceEventKind;
+use imufit::trace::{TraceEventKind, TraceTrigger};
 
 struct CountingAlloc;
 
@@ -59,9 +58,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Flies `sim` to `warm_s`, then flies `ticks` more ticks and returns the
-/// most allocations this thread made in any one of them, leaving out the
+/// most allocations this thread made in any one of them. Left out are the
 /// once-per-second ticks, which only append a point to the track
-/// (bookkeeping, not the 250 Hz path).
+/// (bookkeeping, not the 250 Hz path), and, on a traced flight, ticks that
+/// record an event or fill an open capture window: those copy records
+/// and detail strings into the black box by design.
 fn max_allocations_per_tick(sim: &mut FlightSimulator, warm_s: f64, ticks: u32) -> u64 {
     while sim.time() < warm_s {
         sim.step();
@@ -70,12 +71,17 @@ fn max_allocations_per_tick(sim: &mut FlightSimulator, warm_s: f64, ticks: u32) 
     let mut sensor_ticks = 0;
     for _ in 0..ticks {
         let track_len = sim.recorder().len();
+        let capture = |sim: &FlightSimulator| {
+            let stats = sim.trace_stats();
+            (stats.records_captured, stats.events)
+        };
+        let trace = capture(sim);
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         COUNTING.with(|c| c.set(true));
         sim.step();
         COUNTING.with(|c| c.set(false));
         let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
-        if sim.recorder().len() == track_len {
+        if sim.recorder().len() == track_len && capture(sim) == trace {
             worst = worst.max(made);
             sensor_ticks += 1;
         }
@@ -85,7 +91,7 @@ fn max_allocations_per_tick(sim: &mut FlightSimulator, warm_s: f64, ticks: u32) 
 }
 
 #[test]
-fn steady_state_ticks_allocate_at_most_once() {
+fn steady_state_ticks_do_not_allocate() {
     let mission = &all_missions()[0];
 
     // Gold flight, three IMUs, cruising.
@@ -93,7 +99,7 @@ fn steady_state_ticks_allocate_at_most_once() {
     assert_eq!(config.imu_redundancy, 3);
     let mut gold = FlightSimulator::new(mission, Vec::new(), config);
     let worst = max_allocations_per_tick(&mut gold, 30.0, 2_500);
-    assert!(worst <= 1, "gold flight: a tick made {worst} allocations");
+    assert_eq!(worst, 0, "gold flight: a tick made {worst} allocations");
 
     // Faulted flight: noise on instance 0 only, so the injector corrupts
     // one instance every tick and the voter votes over a trusted subset
@@ -107,19 +113,19 @@ fn steady_state_ticks_allocate_at_most_once() {
     );
     let mut faulted = FlightSimulator::new(mission, vec![fault], config.clone());
     let worst = max_allocations_per_tick(&mut faulted, 30.0, 2_500);
-    assert!(
-        worst <= 1,
-        "faulted flight: a tick made {worst} allocations"
-    );
+    assert_eq!(worst, 0, "faulted flight: a tick made {worst} allocations");
 
-    // The counted flight is untraced. Its traced twin flies the same
-    // flight (tracing never feeds back into flight state) to the same
-    // time, and its black box shows the voter excluded the noisy instance.
+    // Its traced twin, with the default triggers `--trace-dir` arms: the
+    // ring records every tick and the detection ensemble runs for the
+    // detector-edge trigger. Tracing never feeds back into flight state,
+    // so the twin flies the same flight, and its black box shows the
+    // voter excluded the noisy instance.
     config.trace.enabled = true;
+    assert!(config.trace.triggers_on(TraceTrigger::DetectorEdge));
     let mut twin = FlightSimulator::new(mission, vec![fault], config);
-    while twin.time() < faulted.time() {
-        twin.step();
-    }
+    let worst = max_allocations_per_tick(&mut twin, 30.0, 2_500);
+    assert_eq!(worst, 0, "traced flight: a tick made {worst} allocations");
+    assert_eq!(twin.time(), faulted.time());
     let bytes = twin
         .take_black_box("twin")
         .expect("traced twin seals a box");

@@ -56,3 +56,26 @@ fn traced_campaign_matches_golden_csv_byte_for_byte() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// An unknown `--trace-triggers` name exits 2 and lists every trigger
+/// `TraceTrigger::parse` accepts.
+#[test]
+fn unknown_trace_trigger_lists_every_valid_one() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(["--quick", "--trace-triggers", "bogus"])
+        .output()
+        .expect("reproduce runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let valid: Vec<&str> = imufit::trace::TraceTrigger::ALL
+        .iter()
+        .map(|t| t.label())
+        .collect();
+    assert!(
+        stderr.contains(&format!(
+            "unknown trigger 'bogus' (valid: {})",
+            valid.join(", ")
+        )),
+        "{stderr}"
+    );
+}
