@@ -136,6 +136,26 @@ mod tests {
     #[test]
     fn risk_scales_outer_radius() {
         assert_eq!(outer_radius(2.0, 2.0, 1.0), 4.0);
+        // A mid-fleet inner bubble at cruise.
+        assert!(
+            outer_radius(2.0, 4.5, 3.4) > outer_radius(1.0, 4.5, 3.4),
+            "risk factor must widen the bubble"
+        );
+    }
+
+    #[test]
+    fn slower_tracking_cadence_widens_the_inner_bubble() {
+        // The 25 km/h drone: once D_m dominates D_s, the radius grows with
+        // the tracking interval (2 Hz against 0.2 Hz).
+        let at_interval = |interval: f64| {
+            InnerBubbleSpec {
+                dimension: 0.8,
+                safety_distance: 3.0,
+                max_tracking_distance: (25.0 / 3.6) * interval,
+            }
+            .radius()
+        };
+        assert!(at_interval(5.0) > at_interval(0.5));
     }
 
     #[test]

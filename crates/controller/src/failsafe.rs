@@ -402,6 +402,25 @@ mod tests {
         t
     }
 
+    /// Steps a fresh detector every 4 ms up to `horizon` and returns when
+    /// failsafe latched, if it did. `update` runs one update at time `t`.
+    fn latch_time(
+        params: FailsafeParams,
+        horizon: f64,
+        mut update: impl FnMut(&mut FailureDetector, f64) -> FailsafePhase,
+    ) -> Option<f64> {
+        let mut det = FailureDetector::new(params);
+        let mut t = 0.0;
+        while t < horizon {
+            t += 0.004;
+            if let FailsafePhase::Active { since, .. } = update(&mut det, t) {
+                return Some(since);
+            }
+            det.take_rotate_request();
+        }
+        None
+    }
+
     #[test]
     fn nominal_flight_never_triggers() {
         let mut det = FailureDetector::new(FailsafeParams::default());
@@ -673,6 +692,63 @@ mod tests {
             det.update_with_tilt(t, &clean_imu(t), Vec3::ZERO, false, tilt);
         }
         assert!(!det.failsafe_active());
+    }
+
+    #[test]
+    fn attitude_fd_catches_a_tumble_the_rate_check_misses() {
+        // Tilt ramps at 0.6 rad/s and the gyro tracks the commanded rate:
+        // a healthy sensor on an unhealthy vehicle. With the FD on, the 60
+        // degree limit (reached at ~1.75 s) latches within ~0.3 s; the
+        // rate-based path alone never sees this tumble.
+        let tumble = |params: FailsafeParams| {
+            let rate = Vec3::new(0.6, 0.0, 0.0);
+            latch_time(params, 10.0, |det, t| {
+                let imu = ImuSample {
+                    accel: Vec3::new(0.0, 0.0, -9.8),
+                    gyro: rate,
+                    time: t,
+                };
+                let tilt = (rate.x * t).min(std::f64::consts::PI);
+                det.update_with_tilt(t, &imu, rate, false, tilt)
+            })
+        };
+        let on = tumble(FailsafeParams {
+            attitude_fd_enabled: true,
+            ..Default::default()
+        });
+        assert!(on.is_some(), "FD should catch a sustained tumble");
+        assert!(
+            tumble(FailsafeParams::default()).is_none(),
+            "the default config must not terminate on attitude"
+        );
+    }
+
+    #[test]
+    fn stricter_gyro_threshold_latches_what_a_looser_one_misses() {
+        // A persistent 90 deg/s gyro fault around the 60 deg/s default.
+        let fault = Vec3::new(90.0_f64.to_radians(), 0.0, 0.0);
+        let with_threshold = |deg: f64| {
+            let params = FailsafeParams {
+                gyro_rate_threshold: deg.to_radians(),
+                ..Default::default()
+            };
+            latch_time(params, 20.0, |det, t| {
+                let imu = ImuSample {
+                    accel: Vec3::new(0.0, 0.0, -9.8),
+                    gyro: fault,
+                    time: t,
+                };
+                det.update(t, &imu, Vec3::ZERO, false)
+            })
+        };
+        assert!(
+            with_threshold(30.0).is_some(),
+            "strict threshold must detect a 90 deg/s fault"
+        );
+        assert!(
+            with_threshold(120.0).is_none(),
+            "loose threshold must miss a 90 deg/s fault"
+        );
     }
 
     #[test]

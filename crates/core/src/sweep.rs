@@ -1,22 +1,21 @@
 //! Parameter sweeps beyond the paper's fixed campaign grid.
 //!
-//! The paper calls out two regions worth exploring further: the 0–2 s
-//! injection-duration range ("80% of the missions failed when the faults
-//! were injected only for 2 seconds ... should be further explored") and
-//! the injection start time (fixed at 90 s in the campaign). This module
-//! provides both sweeps on top of the campaign engine.
+//! The paper calls out the 0–2 s injection-duration range as worth
+//! exploring further ("80% of the missions failed when the faults were
+//! injected only for 2 seconds ... should be further explored"). This
+//! module sweeps it on top of the campaign engine.
 
-use imufit_faults::{FaultKind, FaultTarget, InjectionWindow};
+use imufit_faults::InjectionWindow;
 use imufit_missions::Mission;
 
 use crate::campaign::{Campaign, CampaignConfig};
-use crate::experiment::{ExperimentRecord, ExperimentSpec};
+use crate::experiment::ExperimentRecord;
 use crate::tables::Table2;
 
 /// One sweep point: the campaign's Table II row at a single swept value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
-    /// The swept value (duration in seconds, or start time in seconds).
+    /// The swept injection duration, seconds.
     pub value: f64,
     /// Percentage of missions completed at this value.
     pub completed_pct: f64,
@@ -58,56 +57,6 @@ pub fn duration_sweep(missions: &[Mission], durations: &[f64], seed: u64) -> Vec
         .collect()
 }
 
-/// Sweeps the injection *start time* for a single fault type over the given
-/// missions — does it matter whether the fault hits mid-leg, at a turn, or
-/// near the destination?
-pub fn start_time_sweep(
-    missions: &[Mission],
-    kind: FaultKind,
-    target: FaultTarget,
-    duration: f64,
-    starts: &[f64],
-    seed: u64,
-) -> Vec<SweepPoint> {
-    starts
-        .iter()
-        .map(|&start| {
-            let config = CampaignConfig {
-                seed,
-                durations: vec![duration],
-                injection_start: start,
-                missions: missions.to_vec(),
-                ..CampaignConfig::default()
-            };
-            let records: Vec<ExperimentRecord> = missions
-                .iter()
-                .enumerate()
-                .map(|(i, _)| {
-                    let spec = ExperimentSpec::faulty(
-                        i,
-                        kind,
-                        target,
-                        InjectionWindow::new(start, duration),
-                    );
-                    Campaign::run_experiment(&config, spec)
-                })
-                .collect();
-            let completed = records.iter().filter(|r| r.completed()).count();
-            let inner: f64 = records
-                .iter()
-                .map(|r| r.inner_violations as f64)
-                .sum::<f64>()
-                / records.len().max(1) as f64;
-            SweepPoint {
-                value: start,
-                completed_pct: 100.0 * completed as f64 / records.len().max(1) as f64,
-                inner_violations: inner,
-                n: records.len(),
-            }
-        })
-        .collect()
-}
-
 /// Renders sweep points as an aligned table.
 pub fn render_sweep(label: &str, points: &[SweepPoint]) -> String {
     let mut s = format!("| {label:>12} | completed | inner violations | n |\n");
@@ -134,22 +83,6 @@ mod tests {
         assert_eq!(points.len(), 1);
         assert_eq!(points[0].n, 21);
         assert!((0.0..=100.0).contains(&points[0].completed_pct));
-    }
-
-    #[test]
-    fn start_time_sweep_runs() {
-        let missions: Vec<Mission> = all_missions().into_iter().take(1).collect();
-        let points = start_time_sweep(
-            &missions,
-            FaultKind::Zeros,
-            FaultTarget::Accelerometer,
-            2.0,
-            &[60.0, 120.0],
-            56,
-        );
-        assert_eq!(points.len(), 2);
-        assert_eq!(points[0].n, 1);
-        assert_eq!(points[0].value, 60.0);
     }
 
     #[test]

@@ -177,20 +177,24 @@ mod tests {
     #[test]
     fn ensemble_detects_every_primitive_on_imu() {
         let mut det = EnsembleDetector::full();
-        for kind in FaultKind::ALL {
-            let stream = LabeledStream::hover(
-                kind,
-                FaultTarget::Imu,
-                InjectionWindow::new(10.0, 10.0),
-                25.0,
-                4 + kind.id(),
-            );
-            let r = evaluate(&mut det, &stream);
-            // Noise on the *gyro channel* is large; Zeros/Freeze are stuck;
-            // Min/Max/Random/Fixed are out of bounds or stuck. Everything
-            // must be caught with zero false alarms.
-            assert!(r.detected, "{} missed", r.stream);
-            assert_eq!(r.false_alarms, 0, "{} false-alarmed", r.stream);
+        // Two stream families: seeds `4 + id` and the detection-latency
+        // matrix's `2024 + id`.
+        for base_seed in [4, 2024] {
+            for kind in FaultKind::ALL {
+                let stream = LabeledStream::hover(
+                    kind,
+                    FaultTarget::Imu,
+                    InjectionWindow::new(10.0, 10.0),
+                    25.0,
+                    base_seed + kind.id(),
+                );
+                let r = evaluate(&mut det, &stream);
+                // Noise on the *gyro channel* is large; Zeros/Freeze are
+                // stuck; Min/Max/Random/Fixed are out of bounds or stuck.
+                // Everything must be caught with zero false alarms.
+                assert!(r.detected, "{} missed", r.stream);
+                assert_eq!(r.false_alarms, 0, "{} false-alarmed", r.stream);
+            }
         }
     }
 

@@ -44,6 +44,7 @@ impl WindModel {
 
     /// A light urban breeze (the study's default environment keeps `R = 1`,
     /// i.e. benign conditions).
+    #[cfg(test)]
     pub fn light_breeze(mean: Vec3) -> Self {
         WindModel {
             mean,

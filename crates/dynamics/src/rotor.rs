@@ -146,6 +146,7 @@ impl Rotor {
     }
 
     /// Forces the rotor speed (used to start simulations mid-hover).
+    #[cfg(test)]
     pub fn set_speed(&mut self, speed: f64) {
         self.speed = speed.clamp(0.0, 1.0);
     }

@@ -62,7 +62,8 @@ impl FaultTarget {
 
     /// True for the targets the Table I injector (IMU bank corruption)
     /// handles.
-    pub fn is_imu_component(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_imu_component(self) -> bool {
         match self {
             FaultTarget::Accelerometer | FaultTarget::Gyrometer | FaultTarget::Imu => true,
             FaultTarget::Gps

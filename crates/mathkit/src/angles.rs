@@ -45,6 +45,7 @@ pub fn angle_diff(a: f64, b: f64) -> f64 {
 }
 
 /// Degrees to radians.
+#[cfg(test)]
 #[inline]
 pub fn deg_to_rad(deg: f64) -> f64 {
     deg.to_radians()

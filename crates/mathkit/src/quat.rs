@@ -216,6 +216,7 @@ impl Quat {
 
     /// The rotation angle in radians (always in `[0, pi]`) of the relative
     /// rotation between `self` and `other`.
+    #[cfg(test)]
     pub fn angle_to(self, other: Quat) -> f64 {
         let d = self.conjugate() * other;
         let w = d.w.abs().clamp(0.0, 1.0);

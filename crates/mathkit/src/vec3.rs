@@ -119,6 +119,7 @@ impl Vec3 {
 
     /// Returns the unit vector in the same direction, or [`Vec3::ZERO`] for a
     /// (near-)zero vector.
+    #[cfg(test)]
     pub fn normalize_or_zero(self) -> Vec3 {
         self.try_normalize().unwrap_or(Vec3::ZERO)
     }
