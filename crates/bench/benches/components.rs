@@ -133,6 +133,18 @@ fn bench_controller(c: &mut Criterion) {
     });
 }
 
+/// Steps a vehicle once more after its row has been timed. `step`
+/// returns at once after touchdown, so a row whose iterations outlast the
+/// flight would time no-ops; this makes that fail loudly instead.
+fn assert_still_flying(sim: &mut FlightSimulator, row: &str) {
+    let before = sim.time();
+    sim.step();
+    assert!(
+        sim.time() > before,
+        "{row}: the flight ended at t = {before} s before the row finished timing"
+    );
+}
+
 fn bench_sim_step(c: &mut Criterion) {
     let missions = all_missions();
     let mission = &missions[0];
@@ -147,6 +159,7 @@ fn bench_sim_step(c: &mut Criterion) {
             black_box(sim.time())
         })
     });
+    assert_still_flying(&mut sim, "sim/closed_loop_step");
 }
 
 /// The whole obs layer's tick cost: two identically warmed vehicles fly
@@ -173,6 +186,7 @@ fn bench_obs_tick(c: &mut Criterion) {
                 black_box(sim.time())
             })
         });
+        assert_still_flying(&mut sim, name);
     }
 }
 
@@ -231,6 +245,7 @@ fn bench_trace(c: &mut Criterion) {
             black_box(off.time())
         })
     });
+    assert_still_flying(&mut off, "trace/tick_off");
 
     // Ring armed with no triggers: pure full-rate record capture, no
     // segment freezes and no detection ensemble — the floor of armed
@@ -248,6 +263,7 @@ fn bench_trace(c: &mut Criterion) {
             black_box(ring.time())
         })
     });
+    assert_still_flying(&mut ring, "trace/tick_ring");
 
     // Armed with the default triggers, as `--trace-dir` arms it: the ring
     // plus the detection ensemble the detector-edge trigger runs every
@@ -264,6 +280,7 @@ fn bench_trace(c: &mut Criterion) {
             black_box(armed.time())
         })
     });
+    assert_still_flying(&mut armed, "trace/tick_armed");
 
     // Sealing a trigger's frozen window into `.ifbb` bytes: one 512-record
     // segment (the default pre+post window) plus its event chain.

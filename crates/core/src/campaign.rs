@@ -10,11 +10,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use imufit_faults::InjectionWindow;
 use imufit_missions::{all_missions, Mission};
 use imufit_scenario::{AttackSettings, FaultSettings, FlightSettings, ScenarioSpec};
 use imufit_trace::TraceSettings;
-use imufit_uav::{FlightOutcome, FlightSimulator, FlightSummary, SimConfig, VehicleBuilder};
+use imufit_uav::{FlightOutcome, FlightSimulator, FlightSummary, SimConfig};
 
 use crate::experiment::{
     attack_matrix, csv_header, experiment_matrix, ExperimentRecord, ExperimentSpec,
@@ -33,7 +32,7 @@ pub enum CampaignError {
     /// The campaign's flight settings realize to an unusable simulator
     /// configuration (zero rates, redundancy 0, ...).
     InvalidConfig(
-        /// The builder's rejection message.
+        /// [`SimConfig::validate`]'s rejection message.
         String,
     ),
 }
@@ -68,8 +67,9 @@ pub struct CampaignConfig {
     /// Worker threads; 0 = one per available core.
     pub threads: usize,
     /// Per-vehicle flight settings (rates, wind, estimator backend, IMU
-    /// redundancy, mitigation). The redundancy is clamped to at least 1
-    /// when building simulator configurations.
+    /// redundancy, mitigation). A run whose settings realize to an
+    /// unusable simulator configuration (redundancy 0, a zero rate) is
+    /// aborted, not repaired.
     pub flight: FlightSettings,
     /// Fault selection: which kinds/targets of the full matrix to fly, and
     /// whether faults hit all redundant IMU instances.
@@ -88,19 +88,9 @@ pub struct CampaignConfig {
 }
 
 impl Default for CampaignConfig {
+    /// The paper's 850-run campaign: the `paper-default` scenario.
     fn default() -> Self {
-        CampaignConfig {
-            seed: 2024,
-            durations: InjectionWindow::CAMPAIGN_DURATIONS.to_vec(),
-            injection_start: InjectionWindow::CAMPAIGN_START,
-            missions: all_missions(),
-            threads: 0,
-            flight: FlightSettings::default(),
-            faults: FaultSettings::default(),
-            attacks: AttackSettings::default(),
-            trace: TraceSettings::default(),
-            trace_dir: None,
-        }
+        CampaignConfig::from_scenario(&ScenarioSpec::paper_default())
     }
 }
 
@@ -112,7 +102,6 @@ impl CampaignConfig {
         CampaignConfig {
             seed,
             durations,
-            injection_start: InjectionWindow::CAMPAIGN_START,
             missions: all.into_iter().take(missions).collect(),
             ..CampaignConfig::default()
         }
@@ -180,18 +169,16 @@ impl CampaignConfig {
     }
 
     /// The per-flight simulator configuration for one mission of this
-    /// campaign (applies the campaign's redundancy level).
+    /// campaign ([`SimConfig::from_settings`] over the campaign's sections).
     pub fn sim_config(&self, mission: &Mission, seed: u64) -> SimConfig {
-        let mut sim = SimConfig::from_flight(
+        SimConfig::from_settings(
             &self.flight,
-            self.faults.affect_all_redundant,
+            &self.faults,
+            &self.attacks,
+            &self.trace,
             mission,
             seed,
-        );
-        sim.imu_redundancy = sim.imu_redundancy.max(1);
-        sim.innovation_monitors = self.attacks.monitors;
-        sim.trace = self.trace.clone();
-        sim
+        )
     }
 }
 
@@ -254,27 +241,14 @@ impl Campaign {
         &self.config
     }
 
-    /// Runs one experiment, reporting a bad spec as an error.
+    /// Builds the vehicle one experiment flies, from the spec's mission and
+    /// its derived seed.
     ///
     /// # Errors
     ///
     /// Returns [`CampaignError::UnknownMission`] for an out-of-range mission
     /// index and [`CampaignError::InvalidConfig`] when the campaign's flight
     /// settings realize to an unusable simulator configuration.
-    pub fn try_run_experiment(
-        config: &CampaignConfig,
-        spec: ExperimentSpec,
-    ) -> Result<ExperimentRecord, CampaignError> {
-        let mut vehicle = Self::build_vehicle(config, spec)?;
-        Ok(Self::record_from_summary(
-            config,
-            spec,
-            &vehicle.run_summary(),
-        ))
-    }
-
-    /// Builds the vehicle one experiment flies, from the spec's mission and
-    /// its derived seed.
     fn build_vehicle(
         config: &CampaignConfig,
         spec: ExperimentSpec,
@@ -287,19 +261,19 @@ impl Campaign {
                     index: spec.mission_index,
                     missions: config.missions.len(),
                 })?;
-        let seed = spec.derive_seed(config.seed);
+        let sim_config = config.sim_config(mission, spec.derive_seed(config.seed));
+        sim_config
+            .validate()
+            .map_err(CampaignError::InvalidConfig)?;
         let faults = spec.fault.map(|f| vec![f]).unwrap_or_default();
-        let attacks = spec.attack.map(|a| vec![a]).unwrap_or_default();
-        VehicleBuilder::new(mission, config.sim_config(mission, seed))
-            .with_faults(faults)
-            .with_attacks(attacks)
-            .build()
-            .map_err(|e| CampaignError::InvalidConfig(e.to_string()))
+        let mut vehicle = FlightSimulator::new(mission, faults, sim_config);
+        vehicle.set_attacks(spec.attack.map(|a| vec![a]).unwrap_or_default());
+        Ok(vehicle)
     }
 
     /// Assembles the CSV record for one finished experiment from its
     /// flight summary — the back half of
-    /// [`Campaign::try_run_experiment`], public for callers that fly
+    /// [`Campaign::run_experiment_isolated`], public for callers that fly
     /// the vehicle themselves. An aborted summary collapses to the same
     /// zeroed record a panicking run produces.
     pub fn record_from_summary(
@@ -328,23 +302,11 @@ impl Campaign {
         }
     }
 
-    /// Runs one experiment (public so figures/benches can reuse it).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the spec's mission index is out of range; campaign-built
-    /// matrices never are. Use [`Campaign::try_run_experiment`] to handle
-    /// that case as an error instead.
-    pub fn run_experiment(config: &CampaignConfig, spec: ExperimentSpec) -> ExperimentRecord {
-        match Self::try_run_experiment(config, spec) {
-            Ok(record) => record,
-            Err(e) => panic!("run_experiment: {e}"),
-        }
-    }
-
     /// Runs one experiment with panic isolation: a panicking simulation
-    /// (or a bad spec) yields an [`FlightOutcome::Aborted`] record rather
-    /// than unwinding into the caller.
+    /// (or a bad spec or configuration) yields an
+    /// [`FlightOutcome::Aborted`] record rather than unwinding into the
+    /// caller. It is the one way a campaign, a fleet worker or a bench
+    /// flies one run.
     ///
     /// Every run is counted and wall-clock timed
     /// (`campaign_runs_total`, `campaign_run_seconds`); caught panics and
@@ -698,25 +660,68 @@ mod tests {
         assert_eq!(scaled.matrix().len(), 2 + 2 * 21 * 2);
     }
 
+    /// The paper's campaign, realized: 10 missions x 21 faults x 4
+    /// durations from t = 90 s plus gold runs at seed 2024, each flown at
+    /// 250 Hz by a 3-IMU EKF vehicle in calm air.
     #[test]
-    fn paper_default_scenario_is_the_default_campaign() {
-        let from_spec = CampaignConfig::from_scenario(&ScenarioSpec::paper_default());
-        let stock = CampaignConfig::default();
-        assert_eq!(from_spec.seed, stock.seed);
-        assert_eq!(from_spec.durations, stock.durations);
-        assert_eq!(from_spec.injection_start, stock.injection_start);
-        assert_eq!(from_spec.missions.len(), stock.missions.len());
-        assert_eq!(from_spec.matrix().len(), 850);
-        // The realized per-flight configs agree, field for field.
-        let mission = &stock.missions[0];
-        let a = from_spec.sim_config(mission, 42);
-        let b = stock.sim_config(mission, 42);
-        assert_eq!(a.physics_rate, b.physics_rate);
-        assert_eq!(a.imu_redundancy, b.imu_redundancy);
-        assert_eq!(a.max_sim_time, b.max_sim_time);
-        assert_eq!(a.estimator, b.estimator);
-        assert_eq!(a.fast_detection, b.fast_detection);
-        assert_eq!(a.faults_affect_all_redundant, b.faults_affect_all_redundant);
+    fn paper_configuration_is_pinned_to_the_papers_numbers() {
+        let config = CampaignConfig::default();
+        assert_eq!(config.seed, 2024);
+        assert_eq!(config.durations, vec![2.0, 5.0, 10.0, 30.0]);
+        assert_eq!(config.injection_start, 90.0);
+        assert_eq!(config.missions.len(), 10);
+        assert_eq!(config.matrix().len(), 850);
+
+        for mission in &config.missions[..3] {
+            let sim = config.sim_config(mission, 42);
+            assert_eq!(
+                [
+                    sim.physics_rate,
+                    sim.gps_rate,
+                    sim.baro_rate,
+                    sim.compass_rate,
+                    sim.tracking_rate
+                ],
+                [250.0, 5.0, 25.0, 10.0, 1.0]
+            );
+            assert_eq!(sim.imu_redundancy, 3);
+            assert_eq!(
+                sim.max_sim_time,
+                2.5 * mission.plan().nominal_duration() + 60.0
+            );
+            assert_eq!(sim.mitigation_persist, 0.25);
+            assert!(!sim.fast_detection);
+            assert_eq!(sim.wind.mean, imufit_math::Vec3::ZERO);
+            assert_eq!(sim.wind.gust_std, 0.0);
+            assert_eq!(sim.risk_factor, 1.0);
+            assert!(sim.faults_affect_all_redundant);
+            assert!(!sim.innovation_monitors);
+            assert_eq!(sim.estimator, imufit_scenario::EstimatorBackend::Ekf);
+            assert!(!sim.trace.enabled);
+            assert_eq!(sim.seed, 42);
+            assert_eq!(sim.validate(), Ok(()));
+            // The stand-alone default is the same realization.
+            assert_eq!(
+                SimConfig::default_for(mission, 42).max_sim_time,
+                sim.max_sim_time
+            );
+        }
+    }
+
+    /// Redundancy 0 is an error on the campaign path too: the run is
+    /// aborted instead of flying a silently repaired 1-IMU vehicle.
+    #[test]
+    fn zero_imu_redundancy_aborts_the_run() {
+        let mut config = CampaignConfig::scaled(1, vec![], 5);
+        config.flight.imu_redundancy = 0;
+        let spec = config.matrix()[0];
+        let record = Campaign::run_experiment_isolated(&config, spec);
+        assert_eq!(record.outcome, FlightOutcome::Aborted);
+        assert_eq!(record.flight_duration, 0.0);
+        assert!(matches!(
+            Campaign::build_vehicle(&config, spec),
+            Err(CampaignError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //!     vec![FaultSpec::new(
 //!         FaultKind::Zeros,
 //!         FaultTarget::Gyrometer,
-//!         InjectionWindow::new(90.0, 5.0),
+//!         InjectionWindow::campaign(5.0), // 5 s from t = 90 s
 //!     )],
 //! );
 //! let mut rng = Pcg::seed_from(1);

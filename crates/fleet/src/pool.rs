@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use imufit_core::CampaignResults;
 use imufit_obs::snapshot::{Aggregate, Snapshot};
-use imufit_scenario::ScenarioSpec;
+use imufit_scenario::{FleetSettings, ScenarioSpec};
 
 use crate::checkpoint::CampaignFingerprint;
 use crate::protocol::{read_msg, write_msg, FleetError, FleetMsg};
@@ -72,12 +72,12 @@ pub struct PoolConfig {
 }
 
 impl PoolConfig {
-    /// A pool storing results under `store_dir`, with no tenant quotas
-    /// and no tracing.
+    /// A pool storing results under `store_dir`, with the fleet's default
+    /// lease timeout, no tenant quotas and no tracing.
     pub fn new(store_dir: PathBuf) -> Self {
         PoolConfig {
             store_dir,
-            lease_timeout_s: 30.0,
+            lease_timeout_s: FleetSettings::default().lease_timeout_s,
             max_queued_per_tenant: 0,
             max_inflight_units_per_tenant: 0,
             trace_dir: None,

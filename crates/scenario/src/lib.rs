@@ -8,8 +8,10 @@
 //! (`redundancy-ablation`, `mitigation-on`).
 //!
 //! This crate is a pure description layer: it depends only on the math and
-//! fault vocabularies, never on the vehicle or campaign engines. Builders in
-//! `imufit-uav` and `imufit-core` turn a validated spec into running parts.
+//! fault vocabularies, never on the vehicle or campaign engines.
+//! `SimConfig::from_scenario` (`imufit-uav`) and
+//! `CampaignConfig::from_scenario` (`imufit-core`) turn a validated spec
+//! into running parts.
 //!
 //! The serialization is hand-rolled in [`doc`] (the workspace has no
 //! serialization framework), using shortest-round-trip float formatting so

@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use imufit_faults::{AttackKind, FaultKind, FaultTarget};
+use imufit_faults::{AttackKind, FaultKind, FaultTarget, InjectionWindow};
 use imufit_trace::{TraceSettings, TraceTrigger};
 
 use crate::doc::{self, DocError, Value};
@@ -166,7 +166,7 @@ impl Default for AttackSettings {
     fn default() -> Self {
         AttackSettings {
             kinds: Vec::new(),
-            start_s: 90.0,
+            start_s: InjectionWindow::CAMPAIGN_START,
             durations: vec![30.0],
             intensity_scale: 1.0,
             monitors: false,
@@ -206,7 +206,8 @@ pub struct FlightSettings {
 }
 
 impl Default for FlightSettings {
-    /// The paper's flight configuration (`SimConfig::default_for` numbers).
+    /// The paper's flight configuration: the one statement of its rates,
+    /// redundancy and watchdog (`SimConfig::default_for` realizes it).
     fn default() -> Self {
         FlightSettings {
             physics_rate: 250.0,
@@ -306,8 +307,8 @@ impl Default for CampaignSettings {
         CampaignSettings {
             seed: 2024,
             missions: 10,
-            durations: vec![2.0, 5.0, 10.0, 30.0],
-            injection_start: 90.0,
+            durations: InjectionWindow::CAMPAIGN_DURATIONS.to_vec(),
+            injection_start: InjectionWindow::CAMPAIGN_START,
             threads: 0,
         }
     }
@@ -443,7 +444,7 @@ impl ScenarioSpec {
         Some(spec)
     }
 
-    /// Checks every invariant the builder and campaign rely on.
+    /// Checks every invariant the simulator and campaign rely on.
     ///
     /// # Errors
     ///

@@ -44,7 +44,7 @@ impl Default for GpsSpec {
 
 impl GpsSpec {
     /// Checks the invariants the receiver model relies on, in the style of
-    /// `VehicleBuilder`'s rate validation.
+    /// `SimConfig::validate`'s rate checks.
     ///
     /// # Errors
     ///

@@ -260,7 +260,7 @@ mod tests {
     /// The tenant queued-campaign quota maps to 429.
     #[test]
     fn quota_breach_is_429() {
-        let service = test_service("quota", |c| c.max_queued_per_tenant = 1);
+        let service = test_service("quota", |c| c.pool.max_queued_per_tenant = 1);
         assert_eq!(post(&service, "tenant=alice", &quick_toml(1)).code, 201);
         let response = post(&service, "tenant=alice", &quick_toml(2));
         assert_eq!(response.code, 429);
@@ -337,7 +337,7 @@ mod tests {
             .expect("fingerprint in response");
 
         // Stamp the store entry complete.
-        let store = &service.config().store_dir;
+        let store = &service.config().pool.store_dir;
         let dir = std::fs::read_dir(store)
             .unwrap()
             .filter_map(|e| e.ok())

@@ -14,30 +14,24 @@ use imufit_scenario::SubmissionRequest;
 /// here.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Result-store root (fingerprint-keyed campaign directories).
-    pub store_dir: PathBuf,
     /// Request-body cap for submissions; breach is a 413.
     pub max_body_bytes: usize,
-    /// Max incomplete campaigns per tenant; breach is a 429 (`0` =
-    /// unlimited).
-    pub max_queued_per_tenant: usize,
-    /// Max leased units per tenant at once; breach pauses dispatch, not
-    /// submission (`0` = unlimited).
-    pub max_inflight_units_per_tenant: usize,
-    /// Lease timeout announced to pool workers.
-    pub lease_timeout_s: f64,
+    /// The worker pool behind the service: result-store root, lease
+    /// timeout and the per-tenant quotas (a queued-campaign breach is a
+    /// 429; an in-flight breach pauses dispatch, not submission).
+    pub pool: PoolConfig,
 }
 
 impl ServiceConfig {
     /// Service defaults: 1 MiB bodies, 4 queued campaigns per tenant, no
-    /// in-flight cap, 30 s leases.
+    /// in-flight cap, and the fleet's default lease timeout.
     pub fn new(store_dir: PathBuf) -> Self {
         ServiceConfig {
-            store_dir,
             max_body_bytes: imufit_obs::http::DEFAULT_MAX_BODY_BYTES,
-            max_queued_per_tenant: 4,
-            max_inflight_units_per_tenant: 0,
-            lease_timeout_s: 30.0,
+            pool: PoolConfig {
+                max_queued_per_tenant: 4,
+                ..PoolConfig::new(store_dir)
+            },
         }
     }
 }
@@ -58,12 +52,7 @@ impl CampaignService {
     /// Returns [`FleetError::Io`] if the store or listener cannot be
     /// created.
     pub fn start(config: ServiceConfig) -> Result<Arc<CampaignService>, FleetError> {
-        let pool = WorkerPool::start(PoolConfig {
-            lease_timeout_s: config.lease_timeout_s,
-            max_queued_per_tenant: config.max_queued_per_tenant,
-            max_inflight_units_per_tenant: config.max_inflight_units_per_tenant,
-            ..PoolConfig::new(config.store_dir.clone())
-        })?;
+        let pool = WorkerPool::start(config.pool.clone())?;
         Ok(Arc::new(CampaignService { pool, config }))
     }
 

@@ -2,7 +2,9 @@
 
 use imufit_dynamics::WindModel;
 use imufit_missions::Mission;
-use imufit_scenario::{EstimatorBackend, FlightSettings, ScenarioSpec};
+use imufit_scenario::{
+    AttackSettings, EstimatorBackend, FaultSettings, FlightSettings, ScenarioSpec,
+};
 use imufit_trace::TraceSettings;
 
 /// Simulation configuration for one flight.
@@ -57,77 +59,107 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// A configuration matched to a mission: the watchdog scales with the
-    /// mission's nominal duration.
+    /// The paper's configuration for a mission: the `paper-default`
+    /// scenario realized against it.
     pub fn default_for(mission: &Mission, seed: u64) -> Self {
-        SimConfig {
-            physics_rate: 250.0,
-            gps_rate: 5.0,
-            baro_rate: 25.0,
-            compass_rate: 10.0,
-            tracking_rate: 1.0,
-            imu_redundancy: 3,
-            max_sim_time: 2.5 * mission.plan().nominal_duration() + 60.0,
-            wind: WindModel::calm(),
-            risk_factor: 1.0,
-            faults_affect_all_redundant: true,
-            fast_detection: false,
-            mitigation_persist: 0.25,
-            innovation_monitors: false,
-            estimator: EstimatorBackend::Ekf,
-            trace: TraceSettings::default(),
-            seed,
-        }
+        Self::from_scenario(&ScenarioSpec::paper_default(), mission, seed)
     }
 
     /// A configuration realized from a scenario document: the flight
-    /// settings, mitigation, wind, estimator backend and trace settings all
+    /// settings, fault scope, innovation monitors and trace settings all
     /// come from the spec; the mission scales the watchdog and the seed
     /// stays external (it is a campaign axis, derived per experiment).
     pub fn from_scenario(spec: &ScenarioSpec, mission: &Mission, seed: u64) -> Self {
-        let mut config = Self::from_flight(
+        Self::from_settings(
             &spec.flight,
-            spec.faults.affect_all_redundant,
+            &spec.faults,
+            &spec.attacks,
+            &spec.trace,
             mission,
             seed,
-        );
-        config.trace = spec.trace.clone();
-        config.innovation_monitors = spec.attacks.monitors;
-        config
+        )
     }
 
-    /// A configuration realized from flight settings alone, for callers
-    /// (like the campaign engine) that carry the fault-selection settings
-    /// separately from the spec.
-    pub fn from_flight(
-        f: &FlightSettings,
-        faults_affect_all_redundant: bool,
+    /// The one realization of scenario settings against a mission and a
+    /// seed, for callers (like the campaign engine) that carry the
+    /// sections separately from a spec. It copies every setting as given:
+    /// an unusable value (redundancy 0, a zero rate) is left for
+    /// [`SimConfig::validate`] to reject.
+    pub fn from_settings(
+        flight: &FlightSettings,
+        faults: &FaultSettings,
+        attacks: &AttackSettings,
+        trace: &TraceSettings,
         mission: &Mission,
         seed: u64,
     ) -> Self {
         let mut wind = WindModel::calm();
-        wind.mean = imufit_math::Vec3::new(f.wind.mean_north, f.wind.mean_east, f.wind.mean_down);
-        wind.gust_std = f.wind.gust_std;
-        wind.gust_tau = f.wind.gust_tau;
+        wind.mean = imufit_math::Vec3::new(
+            flight.wind.mean_north,
+            flight.wind.mean_east,
+            flight.wind.mean_down,
+        );
+        wind.gust_std = flight.wind.gust_std;
+        wind.gust_tau = flight.wind.gust_tau;
         SimConfig {
-            physics_rate: f.physics_rate,
-            gps_rate: f.gps_rate,
-            baro_rate: f.baro_rate,
-            compass_rate: f.compass_rate,
-            tracking_rate: f.tracking_rate,
-            imu_redundancy: f.imu_redundancy,
-            max_sim_time: f.watchdog_factor * mission.plan().nominal_duration()
-                + f.watchdog_margin_s,
+            physics_rate: flight.physics_rate,
+            gps_rate: flight.gps_rate,
+            baro_rate: flight.baro_rate,
+            compass_rate: flight.compass_rate,
+            tracking_rate: flight.tracking_rate,
+            imu_redundancy: flight.imu_redundancy,
+            max_sim_time: flight.watchdog_factor * mission.plan().nominal_duration()
+                + flight.watchdog_margin_s,
             wind,
-            risk_factor: f.risk_factor,
-            faults_affect_all_redundant,
-            fast_detection: f.mitigation.fast_detection,
-            mitigation_persist: f.mitigation.persist_s,
-            innovation_monitors: false,
-            estimator: f.estimator,
-            trace: TraceSettings::default(),
+            risk_factor: flight.risk_factor,
+            faults_affect_all_redundant: faults.affect_all_redundant,
+            fast_detection: flight.mitigation.fast_detection,
+            mitigation_persist: flight.mitigation.persist_s,
+            innovation_monitors: attacks.monitors,
+            estimator: flight.estimator,
+            trace: trace.clone(),
             seed,
         }
+    }
+
+    /// Checks the invariants [`FlightSimulator`](crate::FlightSimulator)
+    /// relies on. The scenario validator enforces the same rules at the
+    /// document level; this guard also covers hand-rolled [`SimConfig`]s
+    /// that never saw a document.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation: a zero or non-finite rate,
+    /// redundancy 0, a non-positive watchdog or a negative persist window.
+    pub fn validate(&self) -> Result<(), String> {
+        let rates = [
+            ("physics_rate", self.physics_rate),
+            ("gps_rate", self.gps_rate),
+            ("baro_rate", self.baro_rate),
+            ("compass_rate", self.compass_rate),
+            ("tracking_rate", self.tracking_rate),
+        ];
+        for (name, rate) in rates {
+            if !(rate.is_finite() && rate > 0.0) {
+                return Err(format!("{name} must be positive and finite, got {rate}"));
+            }
+        }
+        if self.imu_redundancy == 0 {
+            return Err("imu_redundancy must be at least 1".to_string());
+        }
+        if !(self.max_sim_time.is_finite() && self.max_sim_time > 0.0) {
+            return Err(format!(
+                "max_sim_time must be positive and finite, got {}",
+                self.max_sim_time
+            ));
+        }
+        if !(self.mitigation_persist.is_finite() && self.mitigation_persist >= 0.0) {
+            return Err(format!(
+                "mitigation_persist must be non-negative, got {}",
+                self.mitigation_persist
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -135,35 +167,6 @@ impl SimConfig {
 mod tests {
     use super::*;
     use imufit_missions::all_missions;
-
-    /// The scenario path must realize the paper-default preset to exactly
-    /// the hand-rolled defaults — this is what keeps the refactored
-    /// pipeline bit-for-bit on the reproduction.
-    #[test]
-    fn paper_default_scenario_matches_default_for() {
-        let spec = ScenarioSpec::paper_default();
-        for mission in &all_missions()[..3] {
-            let a = SimConfig::default_for(mission, 42);
-            let b = SimConfig::from_scenario(&spec, mission, 42);
-            assert_eq!(a.physics_rate, b.physics_rate);
-            assert_eq!(a.gps_rate, b.gps_rate);
-            assert_eq!(a.baro_rate, b.baro_rate);
-            assert_eq!(a.compass_rate, b.compass_rate);
-            assert_eq!(a.tracking_rate, b.tracking_rate);
-            assert_eq!(a.imu_redundancy, b.imu_redundancy);
-            assert_eq!(a.max_sim_time, b.max_sim_time);
-            assert_eq!(a.wind.mean, b.wind.mean);
-            assert_eq!(a.wind.gust_std, b.wind.gust_std);
-            assert_eq!(a.wind.gust_tau, b.wind.gust_tau);
-            assert_eq!(a.risk_factor, b.risk_factor);
-            assert_eq!(a.faults_affect_all_redundant, b.faults_affect_all_redundant);
-            assert_eq!(a.fast_detection, b.fast_detection);
-            assert_eq!(a.mitigation_persist, b.mitigation_persist);
-            assert_eq!(a.innovation_monitors, b.innovation_monitors);
-            assert_eq!(a.estimator, b.estimator);
-            assert_eq!(a.seed, b.seed);
-        }
-    }
 
     #[test]
     fn ablation_presets_flip_their_switch() {
@@ -175,5 +178,32 @@ mod tests {
         let sweep = ScenarioSpec::preset("attack-sweep").unwrap();
         assert!(SimConfig::from_scenario(&sweep, mission, 1).innovation_monitors);
         assert!(!SimConfig::default_for(mission, 1).innovation_monitors);
+    }
+
+    #[test]
+    fn validate_rejects_invalid_hand_rolled_configs() {
+        let missions = all_missions();
+        let mission = &missions[0];
+        assert_eq!(SimConfig::default_for(mission, 1).validate(), Ok(()));
+
+        let mut config = SimConfig::default_for(mission, 1);
+        config.gps_rate = 0.0;
+        assert!(config.validate().is_err());
+
+        let mut config = SimConfig::default_for(mission, 1);
+        config.imu_redundancy = 0;
+        assert!(config.validate().is_err());
+
+        let mut config = SimConfig::default_for(mission, 1);
+        config.max_sim_time = f64::NAN;
+        assert!(config.validate().is_err());
+
+        let mut config = SimConfig::default_for(mission, 2);
+        config.physics_rate = f64::INFINITY;
+        assert!(config.validate().is_err());
+
+        let mut config = SimConfig::default_for(mission, 2);
+        config.mitigation_persist = -0.1;
+        assert!(config.validate().is_err());
     }
 }

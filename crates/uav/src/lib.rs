@@ -29,13 +29,11 @@
 //! assert!(result.outcome.is_completed());
 //! ```
 
-pub mod builder;
 pub mod config;
 pub mod mitigation;
 pub mod outcome;
 pub mod sim;
 
-pub use builder::{BuildError, VehicleBuilder};
 pub use config::SimConfig;
 pub use mitigation::MitigationStage;
 pub use outcome::{FlightOutcome, FlightResult, FlightSummary};

@@ -30,15 +30,14 @@ fn main() {
     }
 
     let spec = ScenarioSpec::paper_default();
+    spec.validate()
+        .expect("paper-default is always a valid scenario");
 
     // Gold runs across the generated fleet.
     let mut gold_done = 0;
     for m in &fleet {
-        let r = VehicleBuilder::from_scenario(&spec, m, seed ^ 0xABCD)
-            .expect("paper-default is always a valid scenario")
-            .build()
-            .expect("paper-default realizes to a valid vehicle")
-            .run_summary();
+        let config = SimConfig::from_scenario(&spec, m, seed ^ 0xABCD);
+        let r = FlightSimulator::new(m, Vec::new(), config).run_summary();
         if r.outcome.is_completed() {
             gold_done += 1;
         } else {
@@ -56,12 +55,8 @@ fn main() {
             FaultTarget::Gyrometer,
             InjectionWindow::new(90.0, 10.0),
         );
-        let r = VehicleBuilder::from_scenario(&spec, m, seed ^ 0xBEEF)
-            .expect("valid scenario")
-            .with_faults(vec![fault])
-            .build()
-            .expect("valid vehicle")
-            .run_summary();
+        let config = SimConfig::from_scenario(&spec, m, seed ^ 0xBEEF);
+        let r = FlightSimulator::new(m, vec![fault], config).run_summary();
         if r.outcome.is_completed() {
             faulty_done += 1;
         }

@@ -1,9 +1,9 @@
 //! Quickstart: fly one mission clean, then the same mission with a fault,
 //! and compare what happens.
 //!
-//! Vehicles are assembled from the `paper-default` scenario preset — the
+//! Vehicles are realized from the `paper-default` scenario preset — the
 //! single document that describes the paper's whole setup — through
-//! [`VehicleBuilder`].
+//! [`SimConfig::from_scenario`].
 //!
 //! ```text
 //! cargo run --release --example quickstart
@@ -13,15 +13,14 @@ use imufit::prelude::*;
 
 fn main() {
     let spec = ScenarioSpec::paper_default();
+    spec.validate()
+        .expect("paper-default is always a valid scenario");
     let missions = all_missions();
     let mission = &missions[0]; // 5 km/h courier, straight N-S route
+    let config = SimConfig::from_scenario(&spec, mission, 42);
 
     // --- Gold run ---
-    let gold = VehicleBuilder::from_scenario(&spec, mission, 42)
-        .expect("paper-default is always a valid scenario")
-        .build()
-        .expect("paper-default realizes to a valid vehicle")
-        .run();
+    let gold = FlightSimulator::new(mission, Vec::new(), config.clone()).run();
     println!(
         "gold run:  {:9} | {:6.1} s | {:.2} km | {} inner / {} outer violations",
         gold.outcome.label(),
@@ -37,12 +36,7 @@ fn main() {
         FaultTarget::Gyrometer,
         InjectionWindow::new(90.0, 10.0),
     );
-    let faulty = VehicleBuilder::from_scenario(&spec, mission, 42)
-        .expect("valid scenario")
-        .with_faults(vec![fault])
-        .build()
-        .expect("valid vehicle")
-        .run();
+    let faulty = FlightSimulator::new(mission, vec![fault], config).run();
     println!(
         "gyro freeze: {:7} | {:6.1} s | {:.2} km | {} inner / {} outer violations",
         faulty.outcome.label(),

@@ -27,12 +27,8 @@ fn main() {
         fault.window.start
     );
 
-    let result = VehicleBuilder::from_scenario(&ScenarioSpec::paper_default(), mission, 3)
-        .expect("paper-default is always a valid scenario")
-        .with_faults(vec![fault])
-        .build()
-        .expect("paper-default realizes to a valid vehicle")
-        .run();
+    let config = SimConfig::from_scenario(&ScenarioSpec::paper_default(), mission, 3);
+    let result = FlightSimulator::new(mission, vec![fault], config).run();
 
     println!("\n time |   true position (N, E, alt) | est-true err | fault | failsafe");
     println!("------+-----------------------------+--------------+-------+---------");

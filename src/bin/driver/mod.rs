@@ -46,7 +46,8 @@ pub struct Overrides {
     pub missions: Option<usize>,
     /// Output directory.
     pub out: String,
-    /// Scaled smoke campaign: 3 missions, durations 2 s / 30 s.
+    /// Scaled smoke campaign: the `quick` preset's mission cap and
+    /// durations.
     pub quick: bool,
     /// Black-box output directory; enables tracing.
     pub trace_dir: Option<String>,
@@ -112,8 +113,9 @@ impl Overrides {
             spec.campaign.missions = missions;
         }
         if self.quick {
-            spec.campaign.missions = spec.campaign.missions.min(3);
-            spec.campaign.durations = vec![2.0, 30.0];
+            let quick = ScenarioSpec::preset("quick").expect("the quick preset exists");
+            spec.campaign.missions = spec.campaign.missions.min(quick.campaign.missions);
+            spec.campaign.durations = quick.campaign.durations;
         }
         if self.trace_dir.is_some() {
             spec.trace.enabled = true;

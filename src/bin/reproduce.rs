@@ -190,7 +190,7 @@ fn collect_extras(seed: u64) -> report::ExtraSections {
     let fault = FaultSpec::new(
         FaultKind::Freeze,
         FaultTarget::Accelerometer,
-        InjectionWindow::new(90.0, 30.0),
+        InjectionWindow::campaign(30.0),
     );
     let faulty = conflicts::analyze(&conflicts::fly_fleet(&missions, Some((9, fault)), seed));
 
@@ -242,7 +242,7 @@ fn collect_extras(seed: u64) -> report::ExtraSections {
         (FaultKind::Random, FaultTarget::Gyrometer),
     ] {
         let mission = &missions[0];
-        let f = FaultSpec::new(kind, target, InjectionWindow::new(90.0, 30.0));
+        let f = FaultSpec::new(kind, target, InjectionWindow::campaign(30.0));
         let base =
             FlightSimulator::new(mission, vec![f], SimConfig::default_for(mission, seed)).run();
         let mut config = SimConfig::default_for(mission, seed);

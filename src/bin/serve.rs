@@ -67,40 +67,37 @@ fn parse_value<T: std::str::FromStr>(flag: &str, value: Option<String>) -> T {
 
 struct ServeArgs {
     addr: String,
-    store: String,
     workers: usize,
     spawn: bool,
-    max_body: usize,
-    max_queued: usize,
-    max_inflight: usize,
-    lease_timeout: f64,
+    /// `ServiceConfig::new`'s defaults with the service flags applied.
+    service: ServiceConfig,
 }
 
 fn parse_serve_args(mut it: impl Iterator<Item = String>) -> ServeArgs {
     let mut args = ServeArgs {
         addr: "127.0.0.1:9470".to_string(),
-        store: "serve-store".to_string(),
         workers: 0,
         spawn: true,
-        max_body: imufit_obs::http::DEFAULT_MAX_BODY_BYTES,
-        max_queued: 4,
-        max_inflight: 0,
-        lease_timeout: 30.0,
+        service: ServiceConfig::new(PathBuf::from("serve-store")),
     };
+    let pool = &mut args.service.pool;
     while let Some(a) = it.next() {
         match a.as_str() {
             "--addr" => args.addr = it.next().unwrap_or_else(|| die("missing value for --addr")),
             "--store" => {
-                args.store = it
+                pool.store_dir = it
                     .next()
                     .unwrap_or_else(|| die("missing value for --store"))
+                    .into()
             }
             "--workers" => args.workers = parse_value("--workers", it.next()),
             "--no-spawn" => args.spawn = false,
-            "--max-body" => args.max_body = parse_value("--max-body", it.next()),
-            "--max-queued" => args.max_queued = parse_value("--max-queued", it.next()),
-            "--max-inflight" => args.max_inflight = parse_value("--max-inflight", it.next()),
-            "--lease-timeout" => args.lease_timeout = parse_value("--lease-timeout", it.next()),
+            "--max-body" => args.service.max_body_bytes = parse_value("--max-body", it.next()),
+            "--max-queued" => pool.max_queued_per_tenant = parse_value("--max-queued", it.next()),
+            "--max-inflight" => {
+                pool.max_inflight_units_per_tenant = parse_value("--max-inflight", it.next())
+            }
+            "--lease-timeout" => pool.lease_timeout_s = parse_value("--lease-timeout", it.next()),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -108,22 +105,17 @@ fn parse_serve_args(mut it: impl Iterator<Item = String>) -> ServeArgs {
             other => die(&format!("unknown argument: {other}")),
         }
     }
-    if args.lease_timeout <= 0.0 {
+    if pool.lease_timeout_s <= 0.0 {
         die("--lease-timeout must be positive");
     }
     args
 }
 
 fn run_service(args: ServeArgs) {
-    let store = PathBuf::from(&args.store);
-    let mut config = ServiceConfig::new(store.clone());
-    config.max_body_bytes = args.max_body;
-    config.max_queued_per_tenant = args.max_queued;
-    config.max_inflight_units_per_tenant = args.max_inflight;
-    config.lease_timeout_s = args.lease_timeout;
-    let max_body = config.max_body_bytes;
+    let store = args.service.pool.store_dir.clone();
+    let max_body = args.service.max_body_bytes;
 
-    let service = CampaignService::start(config).unwrap_or_else(|e| {
+    let service = CampaignService::start(args.service).unwrap_or_else(|e| {
         eprintln!("error: cannot start campaign service: {e}");
         std::process::exit(1);
     });

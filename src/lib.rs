@@ -37,7 +37,7 @@
 //! let fault = FaultSpec::new(
 //!     FaultKind::Freeze,
 //!     FaultTarget::Gyrometer,
-//!     InjectionWindow::new(90.0, 10.0),
+//!     InjectionWindow::campaign(10.0),
 //! );
 //! let sim = FlightSimulator::new(mission, vec![fault], SimConfig::default_for(mission, 1));
 //! let result = sim.run();
@@ -70,9 +70,7 @@ pub mod prelude {
     pub use imufit_missions::{all_missions, Mission};
     pub use imufit_scenario::{EstimatorBackend, ScenarioSpec};
     pub use imufit_trace::{BlackBox, TraceSettings, TraceTrigger};
-    pub use imufit_uav::{
-        FlightOutcome, FlightResult, FlightSimulator, FlightSummary, SimConfig, VehicleBuilder,
-    };
+    pub use imufit_uav::{FlightOutcome, FlightResult, FlightSimulator, FlightSummary, SimConfig};
 }
 
 #[cfg(test)]

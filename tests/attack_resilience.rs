@@ -43,13 +43,11 @@ fn attack_run(kind: AttackKind, monitors: bool, seed: u64) -> (FlightSummary, Ve
     let mut config = SimConfig::default_for(&m, seed);
     config.innovation_monitors = monitors;
     config.trace.enabled = true;
-    let sim = VehicleBuilder::new(&m, config)
-        .with_attacks(vec![AttackSpec::new(
-            kind,
-            InjectionWindow::new(40.0, 30.0),
-        )])
-        .build()
-        .expect("valid config");
+    let mut sim = FlightSimulator::new(&m, Vec::new(), config);
+    sim.set_attacks(vec![AttackSpec::new(
+        kind,
+        InjectionWindow::new(40.0, 30.0),
+    )]);
     fly_traced(sim)
 }
 
@@ -121,9 +119,7 @@ fn monitors_stay_quiet_on_a_clean_flight() {
     let mut config = SimConfig::default_for(&m, 11);
     config.innovation_monitors = true;
     config.trace.enabled = true;
-    let sim = VehicleBuilder::new(&m, config)
-        .build()
-        .expect("valid config");
+    let sim = FlightSimulator::new(&m, Vec::new(), config);
     // No box at all, or one without a degradation edge.
     let (r, events) = fly_traced(sim);
     assert!(r.outcome.is_completed(), "clean flight: {:?}", r.outcome);
@@ -152,18 +148,13 @@ fn every_attack_kind_reaches_a_terminal_classification() {
 #[test]
 fn never_activated_attack_leaves_the_flight_bit_identical() {
     let m = mission();
-    let base = VehicleBuilder::new(&m, SimConfig::default_for(&m, 5))
-        .build()
-        .expect("valid config")
-        .run();
+    let base = FlightSimulator::new(&m, Vec::new(), SimConfig::default_for(&m, 5)).run();
     // Window far past the watchdog: scheduled but never activated, so the
     // attack RNG stream is never consumed and nothing may differ.
     let ghost = AttackSpec::new(AttackKind::GpsSpoofRamp, InjectionWindow::new(1.0e9, 10.0));
-    let attacked = VehicleBuilder::new(&m, SimConfig::default_for(&m, 5))
-        .with_attacks(vec![ghost])
-        .build()
-        .expect("valid config")
-        .run();
+    let mut attacked = FlightSimulator::new(&m, Vec::new(), SimConfig::default_for(&m, 5));
+    attacked.set_attacks(vec![ghost]);
+    let attacked = attacked.run();
     assert_eq!(base.outcome.label(), attacked.outcome.label());
     assert_eq!(base.duration, attacked.duration);
     assert_eq!(base.distance_true, attacked.distance_true);

@@ -3,8 +3,7 @@
 //! construction — and survives the round trip through both text formats.
 
 use imufit::prelude::*;
-use imufit::scenario::{EstimatorBackend as Backend, ScenarioSpec, PRESET_NAMES};
-use imufit::uav::BuildError;
+use imufit::scenario::{EstimatorBackend as Backend, ScenarioError, ScenarioSpec, PRESET_NAMES};
 
 #[test]
 fn every_preset_round_trips_through_toml_and_json() {
@@ -43,10 +42,10 @@ fn scenario_file_drives_a_flight_end_to_end() {
     assert_eq!(loaded, spec);
 
     let missions = all_missions();
-    let mut sim = VehicleBuilder::from_scenario(&loaded, &missions[0], 7)
-        .expect("valid scenario")
-        .build()
-        .expect("valid vehicle");
+    loaded.validate().expect("valid scenario");
+    let config = SimConfig::from_scenario(&loaded, &missions[0], 7);
+    config.validate().expect("valid vehicle");
+    let mut sim = FlightSimulator::new(&missions[0], Vec::new(), config);
     assert_eq!(sim.estimator().label(), "complementary");
     let summary = sim.run_summary();
     assert!(
@@ -67,10 +66,9 @@ fn backend_selection_is_purely_declarative() {
     ] {
         let mut spec = ScenarioSpec::paper_default();
         spec.flight.estimator = backend;
-        let sim = VehicleBuilder::from_scenario(&spec, &missions[0], 1)
-            .unwrap()
-            .build()
-            .unwrap();
+        let config = SimConfig::from_scenario(&spec, &missions[0], 1);
+        assert_eq!(config.estimator, backend);
+        let sim = FlightSimulator::new(&missions[0], Vec::new(), config);
         assert_eq!(sim.estimator().label(), label);
     }
 }
@@ -79,17 +77,24 @@ fn backend_selection_is_purely_declarative() {
 fn invalid_scenarios_are_rejected_before_flight() {
     let missions = all_missions();
 
+    // Each bad setting is caught by the document validator and, on the
+    // realized configuration, by the simulator's own guard.
     let mut zero_rate = ScenarioSpec::paper_default();
     zero_rate.flight.physics_rate = 0.0;
-    assert!(zero_rate.validate().is_err());
     assert!(matches!(
-        VehicleBuilder::from_scenario(&zero_rate, &missions[0], 1),
-        Err(BuildError::Scenario(_))
+        zero_rate.validate(),
+        Err(ScenarioError::BadNumber { .. })
     ));
+    assert!(SimConfig::from_scenario(&zero_rate, &missions[0], 1)
+        .validate()
+        .is_err());
 
     let mut no_redundancy = ScenarioSpec::paper_default();
     no_redundancy.flight.imu_redundancy = 0;
-    assert!(VehicleBuilder::from_scenario(&no_redundancy, &missions[0], 1).is_err());
+    assert_eq!(no_redundancy.validate(), Err(ScenarioError::ZeroRedundancy));
+    assert!(SimConfig::from_scenario(&no_redundancy, &missions[0], 1)
+        .validate()
+        .is_err());
 
     let mut no_missions = ScenarioSpec::paper_default();
     no_missions.campaign.missions = 0;
